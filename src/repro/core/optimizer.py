@@ -7,6 +7,8 @@ reduction, semantic optimization, simplification), and (3) a final
 type-checking pass that normalises expressions introduced by semantic
 rules (integrity-constraint templates are written in user syntax, e.g.
 ``ABS(x)``, and must become ``PROJECT(x, 'ABS')`` before execution).
+Type checking a type-checked term changes nothing, so the final pass
+is skipped when the rewrite handed the typed term back untouched.
 """
 
 from __future__ import annotations
@@ -102,14 +104,14 @@ class Optimizer:
         )
         bus = obs if obs else None
         if bus is None:
-            typed, __ = typecheck(term, self.catalog)
+            typed, schema = typecheck(term, self.catalog)
             if rewrite and self.dynamic_limits:
                 result = self._rewrite_dynamic(typed, resilience=policy)
             elif rewrite:
                 result = self.rewriter.rewrite(typed, resilience=policy)
             else:
                 result = RewriteResult(typed)
-            final, schema = typecheck(result.term, self.catalog)
+            final, schema = self._final_pass(typed, schema, result)
         else:
             from time import perf_counter
 
@@ -118,7 +120,7 @@ class Optimizer:
             t_opt = perf_counter()
             bus.emit(PhaseStart("typecheck"))
             t0 = perf_counter()
-            typed, __ = typecheck(term, self.catalog)
+            typed, schema = typecheck(term, self.catalog)
             bus.emit(PhaseEnd("typecheck", perf_counter() - t0))
             bus.emit(PhaseStart("rewrite"))
             t0 = perf_counter()
@@ -133,7 +135,7 @@ class Optimizer:
             bus.emit(PhaseEnd("rewrite", perf_counter() - t0))
             bus.emit(PhaseStart("typecheck_final"))
             t0 = perf_counter()
-            final, schema = typecheck(result.term, self.catalog)
+            final, schema = self._final_pass(typed, schema, result)
             bus.emit(PhaseEnd("typecheck_final", perf_counter() - t0))
             bus.emit(PhaseEnd("optimize", perf_counter() - t_opt))
         ledger = self.ledger
@@ -154,6 +156,15 @@ class Optimizer:
             schema=schema,
             rewrite_result=result,
         )
+
+    def _final_pass(self, typed: Term, schema: Schema,
+                    result: RewriteResult) -> tuple[Term, Schema]:
+        """Type-check what the rewrite produced; only a fired rule can
+        have left user syntax behind, so the typed term handed back
+        untouched keeps the first pass's verdict."""
+        if result.term is typed:
+            return typed, schema
+        return typecheck(result.term, self.catalog)
 
     def _resilience_policy(self, resilience, deadline_ms,
                            max_applications, checked):

@@ -53,6 +53,8 @@ class RedundantDistinctEliminationRule(NativeRule):
     a bare keyed base table.
     """
 
+    root_name = "DISTINCT"
+
     def __init__(self, name: str = "ap_distinct_key"):
         super().__init__(name)
 

@@ -18,10 +18,24 @@ tries each rule of the block at each position, applies the first
 application that *changes* the term, and restarts the scan.  A block
 finishes when its budget is exhausted or the term is saturated.
 
+A restarted scan costs what changed, not the size of the term.  Each
+block indexes its rules by the root functor of their left term, a rule
+rejects from function symbols alone a subject it cannot match
+(``quick_applicable``), and subtrees already scanned without an
+application are remembered for the rest of the rewrite and skipped
+(terms are immutable, so after an application only the new subterm and
+its ancestors are unknown).  None of this changes which rule fires
+where: positions are still visited in pre-order and rules tried in
+block order.
+
 The paper describes the limit both as "the maximum number of rule
 applications" and as decremented "each time a rule condition is
 checked"; both accountings are implemented (``count`` = "applications"
-or "checks") and compared in the A1/A2 ablation benchmarks.
+or "checks") and compared in the A1/A2 ablation benchmarks.  A *check*
+is one rule condition handed to the matcher: one ``RuleAttempt`` event,
+one unit of ``RewriteResult.checks`` and of a ``count="checks"``
+budget.  A rule turned away by the index or by ``quick_applicable``,
+and a position skipped as already scanned, cost no check.
 """
 
 from __future__ import annotations
@@ -38,12 +52,16 @@ from repro.obs.events import (BlockEnd, BlockStart, PassEnd, RuleAttempt,
 from repro.resilience.policy import (ResiliencePolicy, ResilienceRuntime,
                                      term_snippet)
 from repro.rules.rule import RewriteRule, RuleContext
-from repro.terms.term import (Const, Fun, Term, is_fun, replace_at,
-                              term_size)
+from repro.terms.term import Fun, Term, replace_at, term_size
 
 __all__ = ["Block", "Seq", "RewriteEngine", "RewriteResult", "TraceEntry"]
 
 _SAFETY_LIMIT = 100_000
+
+# operators whose last argument is a qualification or projection list
+# over the relation arguments before it (how many there are)
+_RELATION_ARGS = {"FILTER": 1, "PROJECTION": 1, "SEMIJOIN": 2,
+                  "ANTIJOIN": 2}
 
 
 @dataclass(frozen=True)
@@ -120,6 +138,30 @@ class Block:
         self.rules = list(rules)
         self.limit = limit
         self.count = count
+        self._index: Optional[tuple] = None
+
+    def rule_index(self) -> tuple[dict, tuple]:
+        """``(by_root, rootless)``: for each root functor the rules that
+        can match under it, and the rules that can match anywhere --
+        both in block order, the second merged into every entry of the
+        first.  A rule names its functor in an optional ``root_name``
+        attribute; None or no attribute (native and duck-typed rules)
+        means anywhere.  Built on first use and again whenever
+        ``rules`` was mutated in place (``QueryRewriter.add_rule``).
+        """
+        index = self._index
+        if index is None or index[0] != self.rules:
+            rooted = [(getattr(rule, "root_name", None), rule)
+                      for rule in self.rules]
+            rootless = tuple(rule for root, rule in rooted if root is None)
+            by_root = {
+                name: tuple(rule for root, rule in rooted
+                            if root is None or root == name)
+                for name in {root for root, __ in rooted} - {None}
+            }
+            # one assignment: concurrent readers share a block
+            self._index = index = (list(self.rules), by_root, rootless)
+        return index[1], index[2]
 
     def with_limit(self, limit: Optional[int]) -> "Block":
         return Block(self.name, self.rules, limit, self.count)
@@ -167,8 +209,15 @@ class RewriteEngine:
 
     def rewrite(self, term: Term, ctx: RuleContext) -> RewriteResult:
         result = RewriteResult(term)
-        self._schema_cache: dict = {}
         bus = self.obs if self.obs else None
+        # scan state of this rewrite; none of it goes stale, because
+        # terms are immutable and schema_of is pure within a rewrite
+        self._base, self._bus = ctx, bus
+        self._schema_cache: dict = {}  # (term, top context) -> schema
+        self._tops: dict = {}          # see _top_context
+        self._inners: dict = {}        # see _inner_context
+        self._clean: dict = {}         # block -> {(subterm, context)}
+        self._root_top = self._top_context(dict(ctx.fix_env or {}))
         runtime = (ResilienceRuntime(self.resilience)
                    if self.resilience is not None else None)
         for pass_index in range(self.seq.passes):
@@ -184,8 +233,7 @@ class RewriteEngine:
                 before = result.term
                 trace_mark = len(result.trace)
                 apps_mark = result.applications
-                self._run_block(block, result, ctx, bus, pass_index,
-                                runtime)
+                self._run_block(block, result, bus, pass_index, runtime)
                 if runtime and result.term != before and \
                         not runtime.validate_block(
                             block.name, before, result.term,
@@ -200,7 +248,6 @@ class RewriteEngine:
                     result.term = before
                     del result.trace[trace_mark:]
                     result.applications = apps_mark
-                    self._schema_cache.clear()
                     continue
                 if result.term != before:
                     changed = True
@@ -219,7 +266,7 @@ class RewriteEngine:
 
     # -- one block ----------------------------------------------------------
     def _run_block(self, block: Block, result: RewriteResult,
-                   ctx: RuleContext, bus=None, pass_index: int = 0,
+                   bus=None, pass_index: int = 0,
                    runtime: Optional[ResilienceRuntime] = None) -> None:
         if bus:
             bus.emit(BlockStart(block.name, pass_index, block.limit,
@@ -236,7 +283,7 @@ class RewriteEngine:
                     runtime.degrade(reason, result.applications, bus)
                     break
             application = self._find_application(
-                block, result, ctx, budget, bus, runtime
+                block, result, budget, bus, runtime
             )
             if application is None:
                 break
@@ -253,7 +300,6 @@ class RewriteEngine:
                     budget -= 1
             result.term = new_term
             result.applications += 1
-            self._schema_cache.clear()
             if self.collect_trace:
                 result.trace.append(TraceEntry(
                     block.name, rule_name, path, before, after,
@@ -295,33 +341,47 @@ class RewriteEngine:
             ))
 
     def _find_application(self, block: Block, result: RewriteResult,
-                          ctx: RuleContext, budget: Optional[int],
-                          bus=None,
+                          budget: Optional[int], bus=None,
                           runtime: Optional[ResilienceRuntime] = None):
-        """First (position, rule) application that changes the term."""
-        checks_this_scan = 0
+        """First (position, rule) application that changes the term:
+        positions in pre-order, rules in block order.
+
+        Inside a qualification or projection list a position is scanned
+        under the context of the nearest enclosing operator (its input
+        schemas, so ISA constraints can type attribute references);
+        below a FIX, under an environment that knows the fixpoint's
+        schema.  A subtree scanned to the end without an application is
+        recorded in the block's memo under ``(subterm, context)`` and
+        skipped from then on.  Three events keep a subtree, and every
+        subtree around it, out of the memo: a sandboxed rule raised (it
+        may behave differently next time), an application was dropped
+        as a no-op at the parent (that verdict depends on the
+        ancestors), or the checks budget ended the scan early.
+        """
+        by_root, rootless = block.rule_index()
+        clean = self._clean.setdefault(block, set())
+        root = result.term
         sandbox = runtime is not None and runtime.policy.sandbox
         quarantined = runtime.quarantined if runtime else ()
-        for path, subterm, schemas, fix_env in _positions(
-                result.term, ctx, self._schema_cache):
-            for rule in block.rules:
+        checks_left = budget if block.count == "checks" else None
+        checks_this_scan = 0
+        unclean = 0
+        found = None
+
+        def attempt(rules, subterm: Term, path: tuple,
+                    local_ctx: RuleContext) -> bool:
+            """Try ``rules`` at one position; True ends the scan."""
+            nonlocal checks_this_scan, unclean, found
+            for rule in rules:
                 if quarantined and rule.name in quarantined:
                     continue
                 if not rule.quick_applicable(subterm):
                     continue
                 checks_this_scan += 1
                 result.checks += 1
-                if block.count == "checks" and budget is not None and \
-                        checks_this_scan > budget:
-                    return None
-                local_ctx = RuleContext(
-                    catalog=ctx.catalog,
-                    schemas=schemas,
-                    constraint_evaluator=ctx.constraint_evaluator,
-                    methods=ctx.methods,
-                    fix_env=fix_env,
-                    obs=bus,
-                )
+                if checks_left is not None and \
+                        checks_this_scan > checks_left:
+                    return True  # the budget ran out mid-scan
                 if bus:
                     attempt_t0 = perf_counter()
                 if sandbox:
@@ -330,6 +390,7 @@ class RewriteEngine:
                     except Exception as error:
                         # one bad rule must not take down the rewrite:
                         # record, maybe quarantine, and keep scanning
+                        unclean += 1
                         runtime.record_failure(
                             block.name, rule.name, path, error, bus,
                         )
@@ -343,106 +404,146 @@ class RewriteEngine:
                     application = rule.apply(subterm, local_ctx)
                 if application is not None:
                     after, __ = application
-                    new_term = replace_at(result.term, path, after)
-                    if new_term == result.term:
-                        # a no-op once re-normalised at the parent (AC
-                        # deduplication): not an application at all
+                    new_term = replace_at(root, path, after)
+                    if new_term != root:
                         if bus:
+                            apply_time = perf_counter() - attempt_t0
                             bus.emit(RuleAttempt(
-                                block.name, rule.name, path, False,
-                                perf_counter() - attempt_t0,
+                                block.name, rule.name, path, True,
+                                apply_time,
                             ))
-                        continue
-                    if bus:
-                        apply_time = perf_counter() - attempt_t0
-                        bus.emit(RuleAttempt(
-                            block.name, rule.name, path, True, apply_time,
-                        ))
-                    else:
-                        apply_time = 0.0
-                    return (path, subterm, after, rule.name,
-                            checks_this_scan, new_term, apply_time)
+                        else:
+                            apply_time = 0.0
+                        found = (path, subterm, after, rule.name,
+                                 checks_this_scan, new_term, apply_time)
+                        return True
+                    # a no-op once re-normalised at the parent (AC
+                    # deduplication): not an application at all
+                    unclean += 1
                 if bus:
                     bus.emit(RuleAttempt(
                         block.name, rule.name, path, False,
                         perf_counter() - attempt_t0,
                     ))
+            return False
+
+        def scan(t: Term, path: tuple, here: RuleContext,
+                 top: RuleContext) -> bool:
+            """Scan the subtree at ``path``; True ends the scan.
+            ``here`` is the context of this position, ``top`` the one
+            relations are scanned under in the same environment."""
+            if not isinstance(t, Fun):
+                return bool(rootless) and attempt(rootless, t, path, here)
+            key = (t, here)
+            if key in clean:
+                return False
+            mark = unclean
+            name = t.name
+            rules = by_root.get(name, rootless)
+            if rules and attempt(rules, t, path, here):
+                return True
+            if name == "SEARCH" or name == "JOIN":
+                rels = ops.rel_list(t)
+                for i, r in enumerate(rels):
+                    if scan(r, path + (0, i), top, top):
+                        return True
+                inner = self._inner_context(rels, top)
+                for i in (1, 2) if name == "SEARCH" else (1,):
+                    if scan(t.args[i], path + (i,), inner, top):
+                        return True
+            elif name in _RELATION_ARGS:
+                last = _RELATION_ARGS[name]
+                for i in range(last):
+                    if scan(t.args[i], path + (i,), top, top):
+                        return True
+                inner = self._inner_context(t.args[:last], top)
+                if scan(t.args[last], path + (last,), inner, top):
+                    return True
+            elif name == "FIX":
+                body_top = self._fix_context(t, top)
+                if scan(t.args[1], path + (1,), body_top, body_top):
+                    return True
+            else:
+                for i, a in enumerate(t.args):
+                    if scan(a, path + (i,), here, top):
+                        return True
+            if unclean == mark:
+                clean.add(key)
+            return False
+
+        scan(root, (), self._root_top, self._root_top)
+        return found
+
+    # -- contexts and schemas of one rewrite ----------------------------------
+    def _top_context(self, fix_env: dict) -> RuleContext:
+        """The context relations are scanned under in one fixpoint
+        environment, interned by the environment's value: a FIX rebuilt
+        with the same schema keeps the memo of its body."""
+        key = tuple(sorted(fix_env.items(), key=lambda kv: kv[0]))
+        top = self._tops.get(key)
+        if top is None:
+            top = self._tops[key] = self._context(fix_env)
+        return top
+
+    def _inner_context(self, rels: tuple, top: RuleContext) -> RuleContext:
+        """The context of the qualification and projection list of an
+        operator over ``rels``; the input schemas are computed when a
+        rule first reads them."""
+        key = (rels, top)
+        inner = self._inners.get(key)
+        if inner is None:
+            inner = self._inners[key] = self._context(top.fix_env)
+            cache = self._schema_cache
+            inner.defer_schemas(lambda: _input_schemas(cache, rels, top))
+        return inner
+
+    def _fix_context(self, fix: Fun, top: RuleContext) -> RuleContext:
+        """The top context of a FIX body: the fixpoint's own schema
+        joins the environment under the relation's name."""
+        schema = _schema(self._schema_cache, fix, top)
+        if schema is None:
+            return top
+        fix_env = dict(top.fix_env)
+        fix_env[str(fix.args[0].value)] = schema  # type: ignore
+        return self._top_context(fix_env)
+
+    def _context(self, fix_env: dict) -> RuleContext:
+        base = self._base
+        return RuleContext(
+            catalog=base.catalog,
+            constraint_evaluator=base.constraint_evaluator,
+            methods=base.methods,
+            fix_env=fix_env,
+            obs=self._bus,
+        )
+
+
+def _schema(cache: dict, term: Term, top: RuleContext) -> Optional[Schema]:
+    """``schema_of(term)`` in ``top``'s environment (None when it has
+    none), through the rewrite's cache."""
+    key = (term, top)
+    try:
+        return cache[key]
+    except KeyError:
+        pass
+    schema = None
+    if top.catalog is not None:
+        try:
+            schema = schema_of(term, top.catalog, top.fix_env)
+        except ReproError:
+            pass
+    cache[key] = schema
+    return schema
+
+
+def _input_schemas(cache: dict, rels: tuple,
+                   top: RuleContext) -> Optional[list[Schema]]:
+    if top.catalog is None:
         return None
-
-
-def _positions(term: Term, ctx: RuleContext, cache: dict):
-    """Pre-order traversal yielding (path, subterm, schemas, fix_env).
-
-    ``schemas`` carries the input schemas of the nearest enclosing
-    operator when the position lies inside a qualification or a
-    projection list, so ISA constraints can type attribute references.
-    """
-    def input_schemas(rels, fix_env) -> Optional[list[Schema]]:
-        if ctx.catalog is None:
+    schemas = []
+    for r in rels:
+        schema = _schema(cache, r, top)
+        if schema is None:
             return None
-        out = []
-        for r in rels:
-            key = (r, tuple(sorted(fix_env.items(), key=lambda kv: kv[0])))
-            if key not in cache:
-                try:
-                    cache[key] = schema_of(r, ctx.catalog, fix_env)
-                except ReproError:
-                    cache[key] = None
-            if cache[key] is None:
-                return None
-            out.append(cache[key])
-        return out
-
-    def rec(t: Term, path: tuple, schemas, fix_env):
-        yield path, t, schemas, fix_env
-        if not isinstance(t, Fun):
-            return
-
-        if t.name == "SEARCH":
-            rels = ops.rel_list(t)
-            inner = input_schemas(rels, fix_env)
-            rel_holder = t.args[0]
-            for i, r in enumerate(rel_holder.args):  # type: ignore
-                yield from rec(r, path + (0, i), None, fix_env)
-            yield from rec(t.args[1], path + (1,), inner, fix_env)
-            yield from rec(t.args[2], path + (2,), inner, fix_env)
-            return
-
-        if t.name == "JOIN":
-            rels = ops.rel_list(t)
-            inner = input_schemas(rels, fix_env)
-            rel_holder = t.args[0]
-            for i, r in enumerate(rel_holder.args):  # type: ignore
-                yield from rec(r, path + (0, i), None, fix_env)
-            yield from rec(t.args[1], path + (1,), inner, fix_env)
-            return
-
-        if t.name in ("FILTER", "PROJECTION"):
-            inner = input_schemas([t.args[0]], fix_env)
-            yield from rec(t.args[0], path + (0,), None, fix_env)
-            yield from rec(t.args[1], path + (1,), inner, fix_env)
-            return
-
-        if t.name in ("SEMIJOIN", "ANTIJOIN"):
-            inner = input_schemas([t.args[0], t.args[1]], fix_env)
-            yield from rec(t.args[0], path + (0,), None, fix_env)
-            yield from rec(t.args[1], path + (1,), None, fix_env)
-            yield from rec(t.args[2], path + (2,), inner, fix_env)
-            return
-
-        if t.name == "FIX":
-            rel_const = t.args[0]
-            name = str(rel_const.value)  # type: ignore[union-attr]
-            inner_env = dict(fix_env)
-            if ctx.catalog is not None:
-                try:
-                    inner_env[name] = schema_of(t, ctx.catalog, fix_env)
-                except ReproError:
-                    pass
-            yield from rec(t.args[1], path + (1,), None, inner_env)
-            return
-
-        for i, a in enumerate(t.args):
-            yield from rec(a, path + (i,), schemas, fix_env)
-
-    yield from rec(term, (), None, dict(ctx.fix_env or {}))
+        schemas.append(schema)
+    return schemas

@@ -35,6 +35,8 @@ class SemijoinProjectionPruningRule(NativeRule):
     core and renumbers the references above it.
     """
 
+    root_name = "SEARCH"
+
     def __init__(self, name: str = "semijoin_prune"):
         super().__init__(name)
 
@@ -94,6 +96,8 @@ class SemijoinProjectionPruningRule(NativeRule):
 
 class SelfJoinEliminationRule(NativeRule):
     """Drop a base-relation input joined to its own copy on the key."""
+
+    root_name = "SEARCH"
 
     def __init__(self, name: str = "key_self_join"):
         super().__init__(name)

@@ -40,7 +40,13 @@ _STRUCTURAL = frozenset({
 
 
 class NativeRule:
-    """Base class; subclasses implement :meth:`apply`."""
+    """Base class; subclasses implement :meth:`apply`.
+
+    A subclass that only ever fires on one root functor may name it in
+    a ``root_name`` class attribute: the block's rule index then offers
+    it positions under that functor only.  Without one the rule is
+    offered every position and :meth:`quick_applicable` decides.
+    """
 
     def __init__(self, name: str):
         self.name = name

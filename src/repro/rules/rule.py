@@ -21,8 +21,7 @@ qualifications.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.errors import RuleError
 from repro.rules.constraints import ConstraintEvaluator
@@ -30,31 +29,52 @@ from repro.rules.methods import MethodRegistry
 from repro.terms.match import match
 from repro.terms.parser import ParsedRule, parse_rule_text
 from repro.terms.subst import collvar_key, instantiate
-from repro.terms.term import (CollVar, Fun, Term, collvars_of, is_fun,
-                              mk_fun, variables_of, walk)
+from repro.terms.term import (CollVar, Fun, Term, collvars_of, mk_fun,
+                              variables_of, walk)
 
 __all__ = ["RewriteRule", "RuleContext", "compile_rule", "rule_from_text"]
 
 _REST_VAR = "rest_ac"
 
 
-@dataclass
 class RuleContext:
     """Everything constraint and method evaluation may need.
 
     ``schemas`` carries the input schemas of the enclosing operator when
     the rule is being tried inside a qualification or projection list
-    (set by the rewrite engine during traversal); it is None elsewhere.
+    (supplied by the rewrite engine, which shares one context among all
+    positions under the same operator inputs and fixpoint environment
+    and computes the schemas only when a rule first reads them); it is
+    None elsewhere.
     ``obs`` is the engine's event bus (or None): constraint and method
     evaluation emit ``ConstraintCheck`` / ``MethodCall`` events on it.
     """
 
-    catalog: object = None
-    schemas: Optional[list] = None
-    constraint_evaluator: Optional[ConstraintEvaluator] = None
-    methods: Optional[MethodRegistry] = None
-    fix_env: dict = field(default_factory=dict)
-    obs: object = None
+    def __init__(self, catalog: object = None,
+                 schemas: Optional[list] = None,
+                 constraint_evaluator: Optional[ConstraintEvaluator] = None,
+                 methods: Optional[MethodRegistry] = None,
+                 fix_env: Optional[dict] = None, obs: object = None):
+        self.catalog = catalog
+        self._schemas = schemas
+        self._resolve_schemas: Optional[Callable[[], Optional[list]]] = None
+        self.constraint_evaluator = constraint_evaluator
+        self.methods = methods
+        self.fix_env = {} if fix_env is None else fix_env
+        self.obs = obs
+
+    @property
+    def schemas(self) -> Optional[list]:
+        resolve = self._resolve_schemas
+        if resolve is not None:
+            self._resolve_schemas = None
+            self._schemas = resolve()
+        return self._schemas
+
+    def defer_schemas(self,
+                      resolve: Callable[[], Optional[list]]) -> None:
+        """Have ``schemas`` computed by ``resolve()`` on first read."""
+        self._resolve_schemas = resolve
 
     def evaluator(self) -> ConstraintEvaluator:
         if self.constraint_evaluator is None:
@@ -80,10 +100,18 @@ class RewriteRule:
         self.methods = methods
         self.source = source
         from repro.terms.term import FUNVARS
-        self._root_name = (
+        # what a block's rule index and quick_applicable read: the root
+        # functor (None: a generic or variable root, tried everywhere)
+        # and the fixed function symbols strictly inside the left term
+        self.root_name = (
             lhs.name
             if isinstance(lhs, Fun) and lhs.name not in FUNVARS
             else None
+        )
+        self.inner_symbols = frozenset(
+            t.name for t in walk(lhs)
+            if t is not lhs and isinstance(t, Fun)
+            and t.name not in FUNVARS
         )
         self._validate()
 
@@ -124,10 +152,17 @@ class RewriteRule:
 
     # -- application ----------------------------------------------------------
     def quick_applicable(self, subject: Term) -> bool:
-        """Root-symbol discriminator, used by the engine to skip cheaply."""
-        if self._root_name is None:
-            return True
-        return is_fun(subject, self._root_name)
+        """Symbol-level discriminator, used by the engine to skip
+        cheaply: the matcher only ever matches a fixed-name pattern
+        node against a subject node of the same name, so the root must
+        agree and every fixed symbol inside the left term must occur
+        inside the subject."""
+        if not isinstance(subject, Fun):
+            return self.root_name is None and not self.inner_symbols
+        if self.root_name is not None and subject.name != self.root_name:
+            return False
+        return (not self.inner_symbols
+                or self.inner_symbols <= subject.symbols)
 
     def applications(self, subject: Term,
                      ctx: RuleContext) -> Iterator[tuple[Term, dict]]:

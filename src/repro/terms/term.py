@@ -171,7 +171,7 @@ class AttrRef(Term):
 class Fun(Term):
     """A function application.  Use :func:`mk_fun` to build instances."""
 
-    __slots__ = ("name", "args")
+    __slots__ = ("name", "args", "_symbols")
 
     def __init__(self, name: str, args: tuple):
         # Raw constructor: no normalisation.  Library code should call
@@ -180,6 +180,7 @@ class Fun(Term):
         self.name = name
         self.args = args
         self._hash = hash(("fun", name, args))
+        self._symbols = None
 
     def __eq__(self, other: Any) -> bool:
         return (isinstance(other, Fun) and self.name == other.name
@@ -191,6 +192,21 @@ class Fun(Term):
     @property
     def arity(self) -> int:
         return len(self.args)
+
+    @property
+    def symbols(self) -> frozenset:
+        """The function symbols strictly below this node (computed on
+        first use).  A pattern whose fixed inner symbols are not all
+        in here cannot match this term, whatever the bindings."""
+        found = self._symbols
+        if found is None:
+            below: set = set()
+            for a in self.args:
+                if isinstance(a, Fun):
+                    below.add(a.name)
+                    below |= a.symbols
+            found = self._symbols = frozenset(below)
+        return found
 
 
 class Seq:

@@ -58,6 +58,70 @@ class TestPipeline:
         assert "ABS(#" not in term_to_str(out.final)
 
 
+class TestFinalPassSkipped:
+    """The final type-checking pass exists for what fired rules add;
+    when the rewrite hands back the typed term itself it is skipped,
+    which is sound only because type checking is idempotent."""
+
+    def test_typecheck_is_idempotent_on_generated_queries(self):
+        from random import Random
+
+        from repro.lera.typecheck import typecheck
+        from repro.qa.harness import case_seed
+        from repro.qa.oracle import DifferentialOracle
+        from repro.qa.query_gen import random_case
+
+        oracle = DifferentialOracle(antipattern=True)
+        checked = 0
+        for index in range(150):
+            case, __ = random_case(Random(case_seed(20260808, index)))
+            db = oracle.build_db(case)
+            try:
+                try:
+                    term = db._translate_single(case.query)
+                except Exception:
+                    continue  # a generator miss
+                typed, schema = typecheck(term, db.catalog)
+                again, schema_again = typecheck(typed, db.catalog)
+                assert again == typed, case.query
+                assert schema_again == schema, case.query
+                # ... and on what the rules leave behind
+                final = db.optimizer.optimize(term).final
+                assert typecheck(final, db.catalog)[0] == final, case.query
+            finally:
+                db.close()
+            checked += 1
+        assert checked >= 140
+
+    def test_no_second_pass_when_nothing_fired(self, cat, monkeypatch):
+        from repro.core import optimizer as module
+        from repro.obs.bus import EventBus
+        calls = []
+        real = module.typecheck
+        monkeypatch.setattr(
+            module, "typecheck",
+            lambda term, catalog: calls.append(term) or real(term, catalog))
+        quiet = parse_term("SEARCH(LIST(R), #1.1 = 2, LIST(#1.2))")
+        firing = parse_term("SEARCH(LIST(R), #1.1 = 2 + 3, LIST(#1.2))")
+        listening = EventBus()
+        listening.subscribe(lambda event: None)
+        assert listening  # a bus without subscribers is the bus-less path
+        for obs in (None, listening):
+            optimizer = Optimizer(cat)
+            del calls[:]
+            out = optimizer.optimize(quiet, obs=obs)
+            assert out.applications == 0 and len(calls) == 1
+            assert out.final is out.typed is out.rewritten
+            assert out.schema.names == ("B",)
+            del calls[:]
+            out = optimizer.optimize(firing, obs=obs)
+            assert out.applications and len(calls) == 2
+            assert out.schema.names == ("B",)
+            del calls[:]
+            out = optimizer.optimize(firing, rewrite=False, obs=obs)
+            assert len(calls) == 1 and out.final is out.typed
+
+
 class TestExplain:
     def test_explain_sections(self, cat):
         optimizer = Optimizer(cat)

@@ -9,9 +9,11 @@ from repro.terms.parser import parse_term
 
 SHRINK = rule_from_text("shrink: P(P(x)) --> P(x)")
 GROW = rule_from_text("grow: Q(x) --> Q(P(x))")
-# same root symbol as SHRINK, so it consumes a condition check at
-# every P(...) position without ever matching
-DECOY = rule_from_text("decoy: P(Q(x)) --> x")
+# same root and inner symbols as SHRINK, one level deeper: it reaches
+# the matcher (and so consumes a condition check) at every P(P(...))
+# position without matching P(P(Z)).  (A decoy like P(Q(x)) is turned
+# away by the symbol test before it costs a check.)
+DECOY = rule_from_text("decoy: P(P(P(x))) --> x")
 
 
 def engine_for(rules, limit=None, passes=1, count="applications",

@@ -198,6 +198,61 @@ class TestTraversal:
         assert not is_ground(mk_fun("F", [CollVar("x")]))
 
 
+class TestSymbolsBelow:
+    """``Fun.symbols``: the function symbols strictly below a node,
+    the set rules test their fixed inner symbols against."""
+
+    def test_strictly_below(self):
+        t = mk_fun("F", [mk_fun("G", [mk_fun("H", [num(1)])]), Var("x")])
+        assert t.symbols == {"G", "H"}  # not F itself
+        assert t.args[0].symbols == {"H"}
+        assert t.args[0].args[0].symbols == frozenset()
+
+    def test_same_symbol_below_itself(self):
+        assert mk_fun("P", [mk_fun("P", [sym("Z")])]).symbols == {"P"}
+        assert mk_fun("P", [sym("Z")]).symbols == frozenset()
+
+    def test_ac_flattening_drops_the_nested_connective(self):
+        inner = mk_fun("AND", [mk_fun("P", [num(1)]),
+                               mk_fun("Q", [num(2)])])
+        assert inner.symbols == {"P", "Q"}
+        flat = mk_fun("AND", [inner, mk_fun("R", [num(3)])])
+        # AND(AND(p, q), r) is AND(p, q, r): no AND below the root
+        assert flat.symbols == {"P", "Q", "R"}
+        kept = mk_fun("OR", [inner, mk_fun("R", [num(3)])])
+        assert kept.symbols == {"AND", "P", "Q", "R"}
+
+    def test_singleton_collapse_and_dedup(self):
+        p = mk_fun("P", [mk_fun("G", [num(1)])])
+        assert mk_fun("AND", [p, p, TRUE]) is p
+        assert mk_fun("W", [mk_fun("AND", [p, p])]).symbols == {"P", "G"}
+
+    def test_replace_at_rebuilds_the_ancestors_only(self):
+        left = mk_fun("K", [mk_fun("L", [num(1)])])
+        t = mk_fun("F", [left, mk_fun("G", [mk_fun("H", [num(2)])])])
+        assert t.symbols == {"K", "L", "G", "H"}  # cached from here on
+        out = replace_at(t, (1, 0), mk_fun("M", [mk_fun("N", [num(3)])]))
+        assert out.symbols == {"K", "L", "G", "M", "N"}
+        assert out.args[1].symbols == {"M", "N"}
+        assert out.args[0] is left  # untouched subtree: same node
+        assert t.symbols == {"K", "L", "G", "H"}  # the old term keeps its own
+
+    def test_replace_at_through_a_renormalising_parent(self):
+        t = mk_fun("W", [mk_fun("AND", [mk_fun("P", [num(1)]),
+                                        mk_fun("Q", [num(1)])])])
+        assert t.symbols == {"AND", "P", "Q"}
+        # P(1) -> Q(1) makes AND(Q(1), Q(1)), which collapses to Q(1)
+        out = replace_at(t, (0, 0), mk_fun("Q", [num(1)]))
+        assert out == mk_fun("W", [mk_fun("Q", [num(1)])])
+        assert out.symbols == {"Q"}
+
+    def test_equal_terms_agree(self):
+        a = mk_fun("F", [mk_fun("G", [num(1)])])
+        b = mk_fun("F", [mk_fun("G", [num(1)])])
+        assert a == b and a is not b
+        assert a.symbols == b.symbols == {"G"}
+
+
 class TestSortKey:
     def test_total_order_is_deterministic(self):
         terms = [num(2), Var("a"), sym("R"), string("z"), TRUE,
