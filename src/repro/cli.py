@@ -169,31 +169,17 @@ class Shell:
         if not statement:
             return []
         try:
-            upper = statement.upper()
-            is_query = (upper.startswith("SELECT")
-                        or upper.startswith("(SELECT"))
+            # one call for every statement: the engine classifies
+            # (ast.is_query), so queries come back as results and
+            # anything else as nothing
             if self.server is not None:
-                sid = self.session.id
-                if is_query:
-                    result = self.server.query(statement, session=sid)
-                    return [result.to_table()]
-                self.server.execute(statement, session=sid)
-                return ["ok"]
-            s = self.settings
-            if is_query:
-                result = self.db.query(
-                    statement, rewrite=s.rewrite, checked=s.checked,
-                    deadline_ms=s.deadline_ms,
-                    timeout_ms=s.timeout_ms, row_budget=s.row_budget,
-                    memory_budget=s.memory_budget, degrade=s.degrade,
+                results = self.server.execute(
+                    statement, session=self.session.id
                 )
-                return [result.to_table()]
-            self.db.execute(
-                statement, timeout_ms=s.timeout_ms,
-                row_budget=s.row_budget,
-                memory_budget=s.memory_budget, degrade=s.degrade,
-            )
-            return ["ok"]
+            else:
+                results = self.db.execute(statement,
+                                          options=self.settings)
+            return [result.to_table() for result in results] or ["ok"]
         except ReproError as error:
             return [f"error: {error}"]
 
@@ -382,11 +368,8 @@ class Shell:
             if not argument:
                 return ["usage: .explain SELECT ..."]
             try:
-                s = self.settings
-                return [self.db.explain(
-                    argument, profile=s.profile, checked=s.checked,
-                    deadline_ms=s.deadline_ms,
-                )]
+                return [self.db.explain(argument,
+                                        options=self.settings)]
             except ReproError as error:
                 return [f"error: {error}"]
         if command == ".fuzz":
@@ -399,11 +382,9 @@ class Shell:
                 from repro.obs.profile import Profiler
                 profiler = Profiler()
             try:
-                s = self.settings
                 result, stats, optimized = self.db.query_with_stats(
-                    argument, rewrite=s.rewrite,
-                    obs=profiler.bus if profiler else None,
-                    checked=s.checked, deadline_ms=s.deadline_ms,
+                    argument, obs=profiler.bus if profiler else None,
+                    options=self.settings,
                 )
             except ReproError as error:
                 return [f"error: {error}"]
@@ -642,10 +623,8 @@ class Shell:
                     argument, session=self.session.id, analyze=True,
                 )
             else:
-                s = self.settings
                 report = self.db.explain_json(
-                    argument, analyze=True, rewrite=s.rewrite,
-                    checked=s.checked, deadline_ms=s.deadline_ms,
+                    argument, analyze=True, options=self.settings,
                 )
         except ReproError as error:
             return [f"error: {error}"]

@@ -14,11 +14,13 @@ is skipped when the rewrite handed the typed term back untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Optional
 
 from repro.engine.catalog import Catalog
 from repro.lera.schema import Schema
 from repro.lera.typecheck import typecheck
+from repro.obs.events import PhaseEnd, PhaseStart
 from repro.core.rewriter import QueryRewriter
 from repro.rules.control import RewriteResult
 from repro.terms.term import Term
@@ -103,39 +105,29 @@ class Optimizer:
             resilience, deadline_ms, max_applications, checked,
         )
         bus = obs if obs else None
-        if bus is None:
-            typed, schema = typecheck(term, self.catalog)
-            if rewrite and self.dynamic_limits:
-                result = self._rewrite_dynamic(typed, resilience=policy)
-            elif rewrite:
-                result = self.rewriter.rewrite(typed, resilience=policy)
-            else:
-                result = RewriteResult(typed)
-            final, schema = self._final_pass(typed, schema, result)
-        else:
-            from time import perf_counter
-
-            from repro.obs.events import PhaseEnd, PhaseStart
+        if bus:
             bus.emit(PhaseStart("optimize"))
             t_opt = perf_counter()
             bus.emit(PhaseStart("typecheck"))
             t0 = perf_counter()
-            typed, schema = typecheck(term, self.catalog)
+        typed, schema = typecheck(term, self.catalog)
+        if bus:
             bus.emit(PhaseEnd("typecheck", perf_counter() - t0))
             bus.emit(PhaseStart("rewrite"))
             t0 = perf_counter()
-            if rewrite and self.dynamic_limits:
-                result = self._rewrite_dynamic(typed, bus,
-                                               resilience=policy)
-            elif rewrite:
-                result = self.rewriter.rewrite(typed, obs=bus,
-                                               resilience=policy)
-            else:
-                result = RewriteResult(typed)
+        if rewrite and self.dynamic_limits:
+            result = self._rewrite_dynamic(typed, bus, resilience=policy)
+        elif rewrite:
+            result = self.rewriter.rewrite(typed, obs=bus,
+                                           resilience=policy)
+        else:
+            result = RewriteResult(typed)
+        if bus:
             bus.emit(PhaseEnd("rewrite", perf_counter() - t0))
             bus.emit(PhaseStart("typecheck_final"))
             t0 = perf_counter()
-            final, schema = self._final_pass(typed, schema, result)
+        final, schema = self._final_pass(typed, schema, result)
+        if bus:
             bus.emit(PhaseEnd("typecheck_final", perf_counter() - t0))
             bus.emit(PhaseEnd("optimize", perf_counter() - t_opt))
         ledger = self.ledger

@@ -21,11 +21,13 @@ from typing import Optional
 from repro.core.explain import explain_json, explain_text
 from repro.core.extension import Extension
 from repro.obs.profile import Profiler
+from repro.obs.telemetry import current_trace, use_trace
 from repro.core.optimizer import OptimizedQuery, Optimizer
 from repro.core.rewriter import QueryRewriter, RewriteLedger
 from repro.engine.analyze import AnalyzeCollector
 from repro.engine.catalog import Catalog
 from repro.engine.evaluate import Evaluator, Result
+from repro.engine.options import StatementOptions, collect
 from repro.engine.stats import EvalStats
 from repro.errors import (BudgetExceeded, DurabilityError, QueryCancelled,
                           TranslationError)
@@ -48,16 +50,6 @@ __all__ = ["Database"]
 # order rebuilds the catalog schema (snapshots store them verbatim)
 _DDL_STATEMENTS = (ast.EnumTypeDef, ast.TupleTypeDef, ast.CollTypeDef,
                    ast.TableDef, ast.ViewDef, ast.DropStmt)
-
-
-def _as_collector(analyze) -> Optional[AnalyzeCollector]:
-    """Normalize an ``analyze=`` argument: falsy -> None (analyze off),
-    True -> a fresh collector, a collector -> itself."""
-    if not analyze:
-        return None
-    if isinstance(analyze, AnalyzeCollector):
-        return analyze
-    return AnalyzeCollector()
 
 
 class Database:
@@ -121,11 +113,9 @@ class Database:
         # is fully bypassed (null-sink style, see docs/durability.md)
         self.obs = obs
         self._ddl_history: list[str] = []
-        self._replaying = False
         # serving: None until enable_serving() installs a
-        # ConcurrencyGuard; every lock site branches on None first so
-        # the single-threaded path stays lock-free (null-object fast
-        # path, see docs/server.md)
+        # ConcurrencyGuard; the statement path and the admin hold are
+        # the only lock sites (see docs/server.md)
         self.guard = None
         self.durability = None
         self.recovery = None
@@ -192,9 +182,12 @@ class Database:
             self.guard = guard if guard is not None else ConcurrencyGuard()
         return self.guard
 
-    def _read_guard(self):
+    def _exclusive(self):
+        """The admin hold: checkpoint, fsck and extension changes
+        quiesce a served database (exclusive side, no version bump);
+        unserved, there is nobody to exclude."""
         guard = self.guard
-        return nullcontext() if guard is None else guard.read()
+        return nullcontext() if guard is None else guard.exclusive()
 
     # -- lifecycle governance --------------------------------------------------
     def kill(self, query_id: str, reason: str = "kill") -> bool:
@@ -206,24 +199,23 @@ class Database:
 
     @contextmanager
     def _statement_context(self, source: str = "",
-                           timeout_ms: Optional[float] = None,
-                           row_budget: Optional[int] = None,
-                           memory_budget: Optional[int] = None,
-                           degrade: Optional[bool] = None,
-                           session: str = ""):
+                           options: Optional[StatementOptions] = None,
+                           session: str = "", statement=None):
         """Mint, register and retire the :class:`QueryContext` of one
-        governed statement.
+        governed statement.  ``options`` are *resolved* options (the
+        database defaults when omitted).
 
         Yields None on the ungoverned fast path (no budget knob set,
         no chaos injector, not served) so every downstream site stays
         one ``is None`` test.  An ambient context -- installed by an
         outer layer such as a test harness or the server -- is adopted
         as-is instead of minting a nested one, which is how DML
-        subquery evaluators and script statements share the statement's
-        budget.
+        subquery evaluators and a pooled read's in-process fallback
+        share the statement's budget.
 
         The statement's template fingerprint (see
-        :mod:`repro.esql.fingerprint`) is computed here -- memoized on
+        :mod:`repro.esql.fingerprint`) is computed here -- from the
+        parsed ``statement`` when the caller has it, and memoized on
         the source text, so a repeated statement costs one dict lookup
         -- and installed for the statement's extent, stamped into the
         ambient trace context when one exists.  Nested statements
@@ -235,35 +227,27 @@ class Database:
         if ambient is not None:
             yield ambient
             return
+        opts = options if options is not None else collect().resolved(self)
         with ExitStack() as scope:
+            trace = current_trace()
             if source:
-                fp = fingerprint_source(source)
+                fp = fingerprint_source(source, statement)
                 scope.enter_context(use_fingerprint(fp))
-                from repro.obs.telemetry import current_trace, use_trace
-                trace = current_trace()
                 if trace is not None and not trace.fingerprint:
-                    scope.enter_context(
+                    trace = scope.enter_context(
                         use_trace(trace.stamped(fp.fingerprint))
                     )
-            use_timeout = (self.statement_timeout_ms if timeout_ms is None
-                           else timeout_ms)
-            use_rows = self.row_budget if row_budget is None else row_budget
-            use_memory = (self.memory_budget if memory_budget is None
-                          else memory_budget)
-            use_degrade = self.degrade if degrade is None else degrade
             chaos = self.chaos
-            if (use_timeout is None and use_rows is None
-                    and use_memory is None and chaos is None
+            if (opts.timeout_ms is None and opts.row_budget is None
+                    and opts.memory_budget is None and chaos is None
                     and self.guard is None and not self.govern_statements):
                 yield None
                 return
-            from repro.obs.telemetry import current_trace
-            trace = current_trace()
             context = self.lifecycle.begin(
                 session=session,
                 trace_id=trace.trace_id if trace is not None else "",
-                timeout_ms=use_timeout, row_budget=use_rows,
-                memory_budget=use_memory, degrade=use_degrade,
+                timeout_ms=opts.timeout_ms, row_budget=opts.row_budget,
+                memory_budget=opts.memory_budget, degrade=opts.degrade,
                 source=source,
             )
             if chaos is not None:
@@ -318,12 +302,14 @@ class Database:
             self.workload.note(fp.fingerprint, fp.template, outcome)
 
     # -- statements ------------------------------------------------------------
-    def execute(self, script: str, obs=None,
+    def execute(self, script, obs=None,
                 timeout_ms: Optional[float] = None,
                 row_budget: Optional[int] = None,
                 memory_budget: Optional[int] = None,
                 degrade: Optional[bool] = None,
-                session: str = "") -> list[Result]:
+                session: str = "",
+                options: Optional[StatementOptions] = None
+                ) -> list[Result]:
         """Run an ESQL script; returns the results of any queries.
 
         Each mutating statement is atomic: it either fully applies or --
@@ -342,67 +328,93 @@ class Database:
         set, a chaos injector mounted, or serving enabled): a
         mid-script kill cancels the in-flight statement at a statement
         boundary, leaving prior statements committed.
+
+        ``options`` hands over every per-statement knob as one
+        :class:`~repro.engine.options.StatementOptions` (the keywords
+        are collected into it); ``script`` may also be the pairs
+        ``parse_script_with_sources`` returned to a caller.
         """
-        guard = self.guard
+        options = collect(options, timeout_ms=timeout_ms,
+                          row_budget=row_budget,
+                          memory_budget=memory_budget, degrade=degrade)
+        if isinstance(script, str):
+            script = parse_script_with_sources(script)
         results = []
-        for statement, source in parse_script_with_sources(script):
-            with self._statement_context(
-                source=source, timeout_ms=timeout_ms,
-                row_budget=row_budget, memory_budget=memory_budget,
-                degrade=degrade, session=session,
-            ) as ctx:
-                if guard is None:
-                    term = self._apply_statement(statement, source)
-                    if term is not None:
-                        results.append(
-                            self._run(term, self.rewrite_default,
-                                      obs=obs)[0]
-                        )
-                elif ast.is_query(statement):
-                    with guard.read():
-                        term = self._apply_statement(statement, source)
-                        results.append(
-                            self._run(term, self.rewrite_default,
-                                      obs=obs)[0]
-                        )
-                else:
-                    if ctx is not None:
-                        ctx.enter_phase("write")
-                    with guard.write():
-                        self._apply_statement(statement, source)
+        for statement, source in script:
+            result = self._statement(statement, source, options,
+                                     session=session, obs=obs)[0]
+            if result is not None:
+                results.append(result)
         return results
 
-    def _apply_statement(self, statement, source: str) -> Optional[Term]:
-        """Execute one parsed statement atomically, then commit-log it."""
+    def _statement(self, statement, source: str,
+                   options: Optional[StatementOptions] = None, *,
+                   session: str = "", obs=None,
+                   stats: Optional[EvalStats] = None,
+                   evaluate: bool = True, finish=None,
+                   replay: bool = False) -> tuple:
+        """The one statement path: every public entry point, the
+        serving layer, pool workers and WAL / snapshot replay run this
+        (``docs/architecture.md``, "The statement path").
+
+        Stages: resolve the options -> fingerprint + statement context
+        -> guard (shared for a query, exclusive otherwise; entered
+        once) -> for a query plan, evaluate, record; for anything else
+        undo-logged apply, WAL append, commit hooks, record.  Stages
+        are switched off by argument: ``evaluate=False`` stops after
+        the plan; ``replay=True`` is the apply stage alone (recovery
+        and log shipping: no context, nothing re-logged, and no lock
+        -- nothing else runs yet); ``finish(optimized, analyze_nodes)``
+        builds the caller's report *inside* the statement's extent.
+        Returns ``(result or report, optimized)``; both None for a
+        write.
+        """
+        if replay:
+            self._apply(statement, source, commit=False)
+            return None, None
+        opts = options.resolved(self)
+        is_query = ast.is_query(statement)
+        guard = self.guard
+        hold = (nullcontext() if guard is None
+                else guard.read() if is_query else guard.write())
+        with self._statement_context(source, opts, session,
+                                     statement) as ctx:
+            if ctx is not None and not is_query:
+                ctx.enter_phase("write")
+            with hold:
+                if is_query:
+                    return self._plan_and_evaluate(
+                        statement, opts, ctx, obs, stats, evaluate, finish
+                    )
+                self._apply(statement, source)
+                return None, None
+
+    def _apply(self, statement, source: str, commit: bool = True) -> None:
+        """The apply stage: execute one mutating statement atomically
+        (undo-logged), then -- unless replaying -- commit-log it."""
         from repro.durability.atomic import UndoLog
         undo = UndoLog()
         try:
-            term = self.translator.execute(statement, undo=undo)
+            self.translator.execute(statement, undo=undo)
         except BaseException:
             undo.rollback()
             raise
-        if term is None:
-            if isinstance(statement, _DDL_STATEMENTS):
-                self._ddl_history.append(source)
-            if not self._replaying:
-                if self.durability is not None:
-                    self.durability.log_statement(source)
-                for hook in self.commit_hooks:
-                    hook(source)
-                fp = current_fingerprint()
-                if fp:
-                    # writes have no eval stage; still count the call
-                    self.workload.record_call(fp.fingerprint, fp.template)
-        return term
+        if isinstance(statement, _DDL_STATEMENTS):
+            self._ddl_history.append(source)
+        if commit:
+            if self.durability is not None:
+                self.durability.log_statement(source)
+            for hook in self.commit_hooks:
+                hook(source)
+            fp = current_fingerprint()
+            if fp:
+                # writes have no eval stage; still count the call
+                self.workload.record_call(fp.fingerprint, fp.template)
 
     def _replay_statement(self, source: str) -> None:
         """Re-execute a WAL/snapshot statement without re-logging it."""
-        self._replaying = True
-        try:
-            for statement, text in parse_script_with_sources(source):
-                self._apply_statement(statement, text)
-        finally:
-            self._replaying = False
+        for statement, text in parse_script_with_sources(source):
+            self._statement(statement, text, replay=True)
 
     # -- durability ------------------------------------------------------------
     def checkpoint(self):
@@ -416,20 +428,14 @@ class Database:
                 "checkpoint needs a durable database; open one with "
                 "Database(path=...)"
             )
-        guard = self.guard
-        if guard is None:
-            return self.durability.checkpoint(self)
-        with guard.exclusive():
+        with self._exclusive():
             return self.durability.checkpoint(self)
 
     def fsck(self):
         """Run the invariant checker; returns a
         :class:`repro.durability.FsckReport`."""
         from repro.durability.check import check_database
-        guard = self.guard
-        if guard is None:
-            return check_database(self)
-        with guard.exclusive():
+        with self._exclusive():
             return check_database(self)
 
     @property
@@ -451,7 +457,7 @@ class Database:
         if self.durability is not None:
             self.durability.close()
 
-    def query(self, source: str, rewrite: Optional[bool] = None,
+    def query(self, source, rewrite: Optional[bool] = None,
               stats: Optional[EvalStats] = None,
               checked: Optional[bool] = None,
               deadline_ms: Optional[float] = None,
@@ -461,7 +467,8 @@ class Database:
               degrade: Optional[bool] = None,
               session: str = "",
               obs=None,
-              analyze=False) -> Result:
+              analyze=False,
+              options: Optional[StatementOptions] = None) -> Result:
         """Run one SELECT and return its result.
 
         ``checked`` / ``deadline_ms`` override the database-wide
@@ -478,87 +485,82 @@ class Database:
         :class:`~repro.engine.analyze.AnalyzeCollector` to inspect
         afterwards): per-operator actuals land in ``sys.plan_nodes``;
         result rows are unchanged.
+
+        The knob keywords are collected into one
+        :class:`~repro.engine.options.StatementOptions`; ``options``
+        hands one over whole (a keyword actually passed wins).
+        ``source`` may also be a ``(statement, source)`` pair already
+        parsed.  Anything but a query is refused before it executes.
         """
-        collector = _as_collector(analyze)
-        with self._statement_context(
-            source=source, timeout_ms=timeout_ms, row_budget=row_budget,
-            memory_budget=memory_budget, degrade=degrade,
-            session=session,
-        ):
-            guard = self.guard
-            if guard is None:
-                return self._query_term(
-                    self._translate_single(source), rewrite, stats,
-                    checked=checked, deadline_ms=deadline_ms, obs=obs,
-                    analyze=collector,
-                )
-            with guard.read():
-                return self._query_term(
-                    self._translate_single(source), rewrite, stats,
-                    checked=checked, deadline_ms=deadline_ms, obs=obs,
-                    analyze=collector,
-                )
+        options = collect(
+            options, rewrite=rewrite, checked=checked,
+            deadline_ms=deadline_ms, timeout_ms=timeout_ms,
+            row_budget=row_budget, memory_budget=memory_budget,
+            degrade=degrade, analyze=analyze or None,
+        )
+        return self._statement(*self._parse_query(source), options,
+                               session=session, obs=obs, stats=stats)[0]
 
     def query_with_stats(
-        self, source: str, rewrite: Optional[bool] = None,
+        self, source, rewrite: Optional[bool] = None,
         obs=None, checked: Optional[bool] = None,
         deadline_ms: Optional[float] = None,
+        options: Optional[StatementOptions] = None,
     ) -> tuple[Result, EvalStats, OptimizedQuery]:
         """Run one SELECT, returning work counters and the optimization."""
         stats = EvalStats()
-        with self._statement_context(source=source), self._read_guard():
-            term = self._translate_single(source)
-            use_rewrite = (self.rewrite_default if rewrite is None
-                           else rewrite)
-            result, optimized = self._optimize_and_evaluate(
-                term, use_rewrite, stats, checked, deadline_ms, obs
-            )
+        options = collect(options, rewrite=rewrite, checked=checked,
+                          deadline_ms=deadline_ms)
+        result, optimized = self._statement(
+            *self._parse_query(source), options, obs=obs, stats=stats
+        )
         return result, stats, optimized
 
-    def optimize(self, source: str,
+    def optimize(self, source,
                  rewrite: bool = True, obs=None,
                  deadline_ms: Optional[float] = None,
-                 checked: Optional[bool] = None) -> OptimizedQuery:
+                 checked: Optional[bool] = None,
+                 options: Optional[StatementOptions] = None
+                 ) -> OptimizedQuery:
         """Optimize one SELECT without executing it.
 
         ``deadline_ms`` / ``checked`` override the database-wide
-        resilience defaults for this one call.
+        resilience defaults for this one call; ``rewrite`` is on
+        unless switched off *here* (neither the database default nor
+        ``options`` turns an EXPLAIN's rewrite off).
         """
-        with self._read_guard():
-            return self.optimizer.optimize(
-                self._translate_single(source), rewrite=rewrite,
-                obs=obs,
-                **self._resilience_kwargs(checked, deadline_ms),
-            )
+        options = collect(options, rewrite=rewrite, checked=checked,
+                          deadline_ms=deadline_ms)
+        return self._statement(*self._parse_query(source), options,
+                               obs=obs, evaluate=False)[1]
 
-    def explain(self, source: str, verbose: bool = False,
+    def explain(self, source, verbose: bool = False,
                 profile: bool = False,
                 checked: Optional[bool] = None,
-                deadline_ms: Optional[float] = None) -> str:
+                deadline_ms: Optional[float] = None,
+                options: Optional[StatementOptions] = None) -> str:
         """Human-readable EXPLAIN; ``profile=True`` attaches a
         :class:`~repro.obs.profile.Profiler` and appends its telemetry
         section (the CLI's ``.profile on`` mode)."""
-        if not profile:
-            return explain_text(
-                self.optimize(source, checked=checked,
-                              deadline_ms=deadline_ms),
-                verbose=verbose,
-            )
-        profiler = Profiler()
+        options = collect(options, checked=checked,
+                          deadline_ms=deadline_ms, profile=profile or None)
+        profiler = Profiler() if options.profile else None
         optimized = self.optimize(
-            source, obs=profiler.bus, checked=checked,
-            deadline_ms=deadline_ms,
+            source, obs=profiler.bus if profiler else None,
+            options=options,
         )
         return explain_text(
-            optimized, verbose=verbose, profile=profiler.report()
+            optimized, verbose=verbose,
+            profile=profiler.report() if profiler else None,
         )
 
-    def explain_json(self, source: str, execute: bool = False,
+    def explain_json(self, source, execute: bool = False,
                      rewrite: Optional[bool] = None,
                      checked: Optional[bool] = None,
                      deadline_ms: Optional[float] = None,
                      session: str = "",
-                     analyze=False) -> dict:
+                     analyze=False,
+                     options: Optional[StatementOptions] = None) -> dict:
         """The machine-readable EXPLAIN report (one schema for the CLI
         and ``benchmarks/report.py``; see ``docs/observability.md``).
 
@@ -570,57 +572,29 @@ class Database:
         schema-v8 ``analyze`` section and logged to ``sys.plan_nodes``.
         """
         profiler = Profiler()
-        use_rewrite = self.rewrite_default if rewrite is None else rewrite
-        collector = _as_collector(analyze)
-        if collector is not None:
-            execute = True
-        with self._statement_context(source=source, session=session) \
-                as ctx, self._read_guard():
-            if ctx is not None:
-                ctx.enter_phase("optimize")
-            t0 = perf_counter()
-            optimized = self.optimize(
-                source, rewrite=use_rewrite, obs=profiler.bus,
-                checked=checked, deadline_ms=deadline_ms,
-            )
-            rewrite_s = perf_counter() - t0
-            stats = None
-            nodes = None
-            if execute:
-                if ctx is not None:
-                    ctx.enter_phase("evaluate")
-                stats = EvalStats()
-                t1 = perf_counter()
-                result = Evaluator(
-                    self.catalog, stats=stats,
-                    semi_naive=self.semi_naive,
-                    hash_joins=self.hash_joins, obs=profiler.bus,
-                    analyze=collector,
-                ).evaluate(optimized.final)
-                eval_s = perf_counter() - t1
-                profiler.absorb_eval_stats(stats)
-                if collector is not None:
-                    nodes = collector.snapshot()
-                self._record_statement(
-                    result, optimized, rewrite_s, eval_s, nodes
-                )
-            # inside the statement extent on purpose: the report's
+        options = collect(options, rewrite=rewrite, checked=checked,
+                          deadline_ms=deadline_ms, analyze=analyze or None)
+        stats = EvalStats() if execute or options.analyze else None
+
+        def report(optimized: OptimizedQuery, nodes) -> dict:
+            # runs inside the statement extent on purpose: the report's
             # lifecycle section reads the ambient QueryContext
-            return explain_json(
-                optimized, profile=profiler, eval_stats=stats,
-                analyze=nodes,
-            )
+            if stats is not None:
+                profiler.absorb_eval_stats(stats)
+            return explain_json(optimized, profile=profiler,
+                                eval_stats=stats, analyze=nodes)
+
+        return self._statement(
+            *self._parse_query(source), options, session=session,
+            obs=profiler.bus, stats=stats, evaluate=stats is not None,
+            finish=report,
+        )[0]
 
     # -- extensions -------------------------------------------------------------
     def add_integrity_constraint(self, source: str) -> None:
         """Declare a Figure 10 integrity constraint (rule-language text)."""
         rule = compile_integrity_constraint(source)
-        guard = self.guard
-        if guard is None:
-            self.catalog.integrity_constraints.append(rule)
-            self.regenerate_optimizer()
-            return
-        with guard.exclusive():
+        with self._exclusive():
             self.catalog.integrity_constraints.append(rule)
             self.regenerate_optimizer()
 
@@ -631,55 +605,47 @@ class Database:
         (exclusive hold): optimizer regeneration must never race a
         query holding a reference to the old rewriter.
         """
-        guard = self.guard
-        if guard is None:
-            self._install(extension)
-            return
-        with guard.exclusive():
-            self._install(extension)
-
-    def _install(self, extension: Extension) -> None:
         from repro.rules.rule import rule_from_text
-        for fdef in extension.functions:
-            self.catalog.registry.register(fdef, replace=True)
-        for source in extension.integrity_constraints:
-            self.catalog.integrity_constraints.append(
-                compile_integrity_constraint(source)
-            )
-        self.regenerate_optimizer()
-        optimizer = self.optimizer  # force rebuild, then decorate it
-        for block, source in extension.rule_texts:
-            optimizer.rewriter.add_rule(rule_from_text(source), block)
-        for name, arity, impl in extension.methods:
-            optimizer.rewriter.add_method(name, arity, impl)
-        for name, impl in extension.predicates:
-            optimizer.rewriter.add_predicate(name, impl)
+        with self._exclusive():
+            for fdef in extension.functions:
+                self.catalog.registry.register(fdef, replace=True)
+            for source in extension.integrity_constraints:
+                self.catalog.integrity_constraints.append(
+                    compile_integrity_constraint(source)
+                )
+            self.regenerate_optimizer()
+            optimizer = self.optimizer  # force rebuild, then decorate it
+            for block, source in extension.rule_texts:
+                optimizer.rewriter.add_rule(rule_from_text(source), block)
+            for name, arity, impl in extension.methods:
+                optimizer.rewriter.add_method(name, arity, impl)
+            for name, impl in extension.predicates:
+                optimizer.rewriter.add_predicate(name, impl)
 
     # -- plumbing ---------------------------------------------------------------
-    def _translate_single(self, source: str) -> Term:
-        statements = parse_script_with_sources(source)
-        if len(statements) != 1:
+    @staticmethod
+    def _parse_query(source) -> tuple:
+        """The ``(statement, source)`` pair of a query-only entry
+        point (text is parsed once; an already-parsed pair passes
+        through), classified *before* anything executes: DDL/DML is
+        refused with the database untouched."""
+        pairs = (parse_script_with_sources(source)
+                 if isinstance(source, str) else [source])
+        if len(pairs) != 1:
             raise TranslationError("expected exactly one statement")
-        term = self.translator.execute(statements[0][0])
-        if term is None:
+        if not ast.is_query(pairs[0][0]):
             raise TranslationError("the statement is not a query")
-        return term
+        return pairs[0]
 
-    def _query_term(self, term: Term, rewrite: Optional[bool],
-                    stats: Optional[EvalStats],
-                    checked: Optional[bool] = None,
-                    deadline_ms: Optional[float] = None,
-                    obs=None, analyze=None) -> Result:
-        use_rewrite = self.rewrite_default if rewrite is None else rewrite
-        return self._run(term, use_rewrite, stats,
-                         checked=checked, deadline_ms=deadline_ms,
-                         obs=obs, analyze=analyze)[0]
+    def _translate_single(self, source) -> Term:
+        """The LERA term of one query text (the qa oracle's and the
+        rule tests' way in; refuses anything but a query)."""
+        return self.translator.execute(self._parse_query(source)[0])
 
     def _resilience_kwargs(self, checked: Optional[bool] = None,
                            deadline_ms: Optional[float] = None) -> dict:
-        """The resilience settings for optimize(): the database-wide
-        defaults, overridden per call by ``checked``/``deadline_ms``
-        (``None`` defers -- this is what per-session settings ride on).
+        """The resilience settings for optimize(), from the statement's
+        resolved ``checked`` / ``deadline_ms``.
 
         ``resilient=True`` activates rule sandboxing and divergence
         detection even when no deadline or checked mode is configured
@@ -692,83 +658,61 @@ class Database:
         budget is cut off rather than granted its full configured
         deadline.
         """
-        use_checked = self.checked if checked is None else checked
-        use_deadline = (self.deadline_ms if deadline_ms is None
-                        else deadline_ms)
         context = current_context()
         if context is not None:
             remaining = context.remaining_ms()
             if remaining is not None:
-                use_deadline = (remaining if use_deadline is None
-                                else min(use_deadline, remaining))
-        if self.resilient and use_deadline is None and not use_checked:
+                deadline_ms = (remaining if deadline_ms is None
+                               else min(deadline_ms, remaining))
+        if self.resilient and deadline_ms is None and not checked:
             from repro.resilience import ResiliencePolicy
             return {"resilience": ResiliencePolicy()}
-        return {"deadline_ms": use_deadline, "checked": use_checked}
+        return {"deadline_ms": deadline_ms, "checked": checked}
 
-    def _run(self, term: Term, rewrite: bool,
-             stats: Optional[EvalStats] = None,
-             checked: Optional[bool] = None,
-             deadline_ms: Optional[float] = None,
-             obs=None, analyze=None,
-             ) -> tuple[Result, OptimizedQuery]:
-        guard = self.guard
-        if guard is None:
-            return self._optimize_and_evaluate(
-                term, rewrite, stats, checked, deadline_ms, obs, analyze
-            )
-        with guard.read():
-            return self._optimize_and_evaluate(
-                term, rewrite, stats, checked, deadline_ms, obs, analyze
-            )
-
-    def _optimize_and_evaluate(
-        self, term: Term, rewrite: bool,
-        stats: Optional[EvalStats],
-        checked: Optional[bool], deadline_ms: Optional[float],
-        obs, analyze=None,
-    ) -> tuple[Result, OptimizedQuery]:
-        context = current_context()
+    def _plan_and_evaluate(self, statement, opts: StatementOptions,
+                           context, obs, stats: Optional[EvalStats],
+                           evaluate: bool, finish) -> tuple:
+        """The query stages, inside the statement's context and lock:
+        plan (translate + optimize), evaluate, record."""
+        term = self.translator.execute(statement)
         if context is not None:
             context.enter_phase("optimize")
         t0 = perf_counter()
         optimized = self.optimizer.optimize(
-            term, rewrite=rewrite, obs=obs,
-            **self._resilience_kwargs(checked, deadline_ms),
+            term, rewrite=opts.rewrite, obs=obs,
+            **self._resilience_kwargs(opts.checked, opts.deadline_ms),
         )
         rewrite_s = perf_counter() - t0
-        if context is not None:
-            context.enter_phase("evaluate")
-        evaluator = Evaluator(
-            self.catalog, stats=stats, semi_naive=self.semi_naive,
-            hash_joins=self.hash_joins, obs=obs, analyze=analyze,
-        )
-        t1 = perf_counter()
-        result = evaluator.evaluate(optimized.final)
-        self._record_statement(
-            result, optimized, rewrite_s, perf_counter() - t1,
-            analyze.snapshot() if analyze is not None else None,
-        )
+        result = nodes = None
+        if evaluate:
+            if context is not None:
+                context.enter_phase("evaluate")
+            # analyze: off, on (a fresh collector) or the caller's own
+            collector = (AnalyzeCollector() if opts.analyze is True
+                         else opts.analyze or None)
+            evaluator = Evaluator(
+                self.catalog, stats=stats, semi_naive=self.semi_naive,
+                hash_joins=self.hash_joins, obs=obs, analyze=collector,
+            )
+            t1 = perf_counter()
+            result = evaluator.evaluate(optimized.final)
+            eval_s = perf_counter() - t1
+            # record: fold the execution into the workload views
+            fp = current_fingerprint()
+            if fp:
+                self.workload.record_call(
+                    fp.fingerprint, fp.template,
+                    rewrite_ms=rewrite_s * 1000.0, eval_ms=eval_s * 1000.0,
+                    rows=len(result.rows),
+                    rule_firings=len(optimized.rewrite_result.trace),
+                )
+            if collector is not None:
+                nodes = collector.snapshot()
+                trace = current_trace()
+                self.plan_log.push(
+                    fp.fingerprint if fp else "",
+                    trace.trace_id if trace is not None else "", nodes,
+                )
+        if finish is not None:
+            result = finish(optimized, nodes)
         return result, optimized
-
-    def _record_statement(self, result: Result, optimized: OptimizedQuery,
-                          rewrite_s: float, eval_s: float,
-                          analyze_nodes: Optional[list] = None) -> None:
-        """Fold one completed execution into the workload views."""
-        fp = current_fingerprint()
-        if fp:
-            self.workload.record_call(
-                fp.fingerprint, fp.template,
-                rewrite_ms=rewrite_s * 1000.0,
-                eval_ms=eval_s * 1000.0,
-                rows=len(result.rows),
-                rule_firings=len(optimized.rewrite_result.trace),
-            )
-        if analyze_nodes is not None:
-            from repro.obs.telemetry import current_trace
-            trace = current_trace()
-            self.plan_log.push(
-                fp.fingerprint if fp else "",
-                trace.trace_id if trace is not None else "",
-                analyze_nodes,
-            )

@@ -53,6 +53,10 @@ class Fingerprint(NamedTuple):
 
     template: str
     fingerprint: str
+    # ast.is_query of the statement it was rendered from (False for the
+    # raw fallbacks): a holder of only the text can classify a repeated
+    # statement from the memo, without parsing it again
+    is_query: bool = False
 
     def __bool__(self) -> bool:  # Fingerprint("", "") is falsy
         return bool(self.fingerprint)
@@ -214,7 +218,8 @@ def fingerprint_statement(statement) -> Fingerprint:
         template = _Renderer().statement(statement)
     except _Unrenderable:
         template = f"{type(statement).__name__}"
-    return Fingerprint(template, _digest(template))
+    return Fingerprint(template, _digest(template),
+                       ast.is_query(statement))
 
 
 # -- source-level API, memoized ------------------------------------------------
@@ -224,8 +229,12 @@ _memo: dict[str, Fingerprint] = {}
 _memo_lock = threading.Lock()
 
 
-def fingerprint_source(source: str) -> Fingerprint:
+def fingerprint_source(source: str, statement=None) -> Fingerprint:
     """Fingerprint one statement's source text (bounded memo).
+
+    ``statement`` is the already-parsed statement of ``source``, when
+    the caller has one: a memo miss then renders it instead of parsing
+    the text a second time.
 
     Unparseable text and multi-statement scripts degrade to a
     whitespace-collapsed raw template: still a stable grouping key
@@ -235,12 +244,13 @@ def fingerprint_source(source: str) -> Fingerprint:
     if hit is not None:
         return hit
     try:
-        from repro.esql.parser import parse_script_with_sources
-        statements = parse_script_with_sources(source)
-        if len(statements) == 1:
-            fingerprint = fingerprint_statement(statements[0][0])
-        else:
-            raise _Unrenderable("script")
+        if statement is None:
+            from repro.esql.parser import parse_script_with_sources
+            statements = parse_script_with_sources(source)
+            if len(statements) != 1:
+                raise _Unrenderable("script")
+            statement = statements[0][0]
+        fingerprint = fingerprint_statement(statement)
     except Exception:
         template = "!" + " ".join(source.split())
         fingerprint = Fingerprint(template, _digest(template))

@@ -16,7 +16,9 @@ Message taxonomy (``type`` field):
 supervisor -> worker
 ``boot``        first frame: snapshot-codable database state, the
                 statement feed, heartbeat config
-``execute``     one statement: source, sync delta, budgets, trace ids
+``execute``     one statement: source, sync delta, the statement's
+                resolved options as one object, the parent's benched
+                rule names
 ``cancel``      pull the cancel token of the in-flight statement
 ``shutdown``    drain and exit 0
 ``stall``       test/chaos hook: stop heartbeating and sleep (simulates

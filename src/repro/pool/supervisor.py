@@ -64,8 +64,10 @@ import repro.errors as errors_mod
 from repro.adt.types import ANY, BOOLEAN, CHAR, INT, NUMERIC, REAL
 from repro.durability.snapshot import decode_value, snapshot_state
 from repro.engine.evaluate import Result
+from repro.engine.options import collect
 from repro.errors import (PoolUnavailable, QueryCancelled, ReproError,
                           WorkerCrashed)
+from repro.esql.fingerprint import fingerprint_source
 from repro.lera.schema import Schema
 from repro.pool.protocol import FrameError, recv_frame, send_frame
 
@@ -237,11 +239,15 @@ class Supervisor:
                     self._feed_base = floor
 
     # -- eligibility -----------------------------------------------------------
-    def eligible(self, source: str) -> bool:
-        """Pool-routable statements: anything not about the ``sys.*``
-        catalog (a worker's replica has its own -- empty -- registry
-        and metrics, so introspection must stay in-process)."""
-        return "sys." not in source.lower()
+    def eligible(self, source: str, statement=None) -> bool:
+        """Pool-routable statements: queries -- classified from the
+        fingerprint memo, or from ``statement`` / one parse on a miss;
+        anything else is applied or refused in-process, never shipped
+        to a replica -- that are not about the ``sys.*`` catalog (a
+        worker's replica has its own -- empty -- registry and metrics,
+        so introspection must stay in-process)."""
+        return ("sys." not in source.lower()
+                and fingerprint_source(source, statement).is_query)
 
     # -- dispatch --------------------------------------------------------------
     def submit(self, source: str, request_class: str = "read",
@@ -249,7 +255,11 @@ class Supervisor:
         """Execute one statement on a worker; the server's pooled read
         path.  Reads retry transparently on :class:`WorkerCrashed` up
         to the budget; anything else fails fast (the matrix in
-        ``docs/robustness.md``)."""
+        ``docs/robustness.md``).  ``settings`` (a
+        :class:`~repro.engine.options.StatementOptions`) is resolved
+        against *this* database here and shipped whole, so the replica
+        never applies defaults of its own."""
+        settings = collect(settings).resolved(self.db)
         attempts = 0
         while True:
             attempts += 1
@@ -267,7 +277,6 @@ class Supervisor:
                     raise
                 self.retries += 1
                 self._inc("pool.retries")
-                from repro.esql.fingerprint import fingerprint_source
                 fp = fingerprint_source(source)
                 self.db.workload.note(fp.fingerprint, fp.template,
                                       "retries")
@@ -341,17 +350,12 @@ class Supervisor:
         message = {
             "type": "execute", "id": request_id, "source": source,
             "sync": sync, "version": version,
-            "timeout_ms": (context.remaining_ms()
-                           if context is not None else None),
-            "row_budget": getattr(context, "row_budget", None),
-            "memory_budget": getattr(context, "memory_budget", None),
-            "degrade": getattr(context, "degrade", None),
+            "options": dict(vars(settings)),
+            "quarantine": sorted(self.db.quarantine.rules()),
         }
-        if settings is not None:
-            message["rewrite"] = settings.rewrite
-            message["checked"] = settings.checked
-            message["deadline_ms"] = settings.deadline_ms
-            message["analyze"] = getattr(settings, "analyze", False)
+        if context is not None:
+            # the replica gets what is left of the statement's budget
+            message["options"]["timeout_ms"] = context.remaining_ms()
         try:
             try:
                 send_frame(slot.proc.stdin, message)
@@ -440,7 +444,6 @@ class Supervisor:
             trace = current_trace()
             fingerprint = (statement or {}).get("fingerprint", "")
             if not fingerprint and source:
-                from repro.esql.fingerprint import fingerprint_source
                 fingerprint = fingerprint_source(source).fingerprint
             self.db.plan_log.push(
                 fingerprint, trace.trace_id if trace else "", nodes,
@@ -640,12 +643,18 @@ class Supervisor:
             "type": "boot", "state": state, "feed": [],
             "version": version,
             "heartbeat_interval_s": self.config.heartbeat_interval_s,
+            # the replica's constructor arguments: every engine-level
+            # setting the parent has
             "engine": {
                 "rewrite": db.rewrite_default,
                 "semantic_limit": db.semantic_limit,
                 "semi_naive": db.semi_naive,
                 "hash_joins": db.hash_joins,
                 "dynamic_limits": db.dynamic_limits,
+                "antipattern": db.antipattern,
+                "checked": db.checked,
+                "deadline_ms": db.deadline_ms,
+                "resilient": db.resilient,
             },
         }
         try:

@@ -41,7 +41,9 @@ import threading
 import time
 
 from repro.durability.snapshot import encode_value, restore_state
+from repro.engine.analyze import AnalyzeCollector
 from repro.engine.database import Database
+from repro.engine.options import StatementOptions, collect
 from repro.errors import ReproError, error_payload
 from repro.esql import ast
 from repro.esql.parser import parse_script_with_sources
@@ -79,14 +81,8 @@ class _Worker:
         self.heartbeat_interval_s = float(
             frame.get("heartbeat_interval_s", 0.2)
         )
-        engine = frame.get("engine") or {}
-        db = Database(
-            rewrite=engine.get("rewrite", True),
-            semantic_limit=engine.get("semantic_limit"),
-            semi_naive=engine.get("semi_naive", True),
-            hash_joins=engine.get("hash_joins", False),
-            dynamic_limits=engine.get("dynamic_limits", False),
-        )
+        # the parent's engine-level settings, as constructor arguments
+        db = Database(**(frame.get("engine") or {}))
         # every statement killable: the supervisor's cancel frame pulls
         # the local registry's token from the reader thread
         db.govern_statements = True
@@ -166,35 +162,32 @@ class _Worker:
         self.send(reply)
 
     def _run_statement(self, frame: dict) -> dict:
+        """One statement under the *parent's* resolved options and
+        quarantine (both ride the frame whole), parsed once and run
+        through the replica's ``Database.query`` / ``execute``."""
         db = self.db
-        source = frame["source"]
-        statements = parse_script_with_sources(source)
-        is_read = (len(statements) == 1
-                   and ast.is_query(statements[0][0]))
-        budgets = {
-            "timeout_ms": frame.get("timeout_ms"),
-            "row_budget": frame.get("row_budget"),
-            "memory_budget": frame.get("memory_budget"),
-            "degrade": frame.get("degrade"),
-        }
-        if not is_read:
+        options = StatementOptions(**(frame.get("options") or {}))
+        # mirror the parent's bench: a rule benched there must not fire
+        # here, and a later lift is honoured on the next frame
+        benched = frozenset(frame.get("quarantine", ()))
+        mine = db.quarantine.rules()
+        for rule in mine - benched:
+            db.quarantine.lift(rule)
+        for rule in benched - mine:
+            db.quarantine.note("", rule, "benched on the parent", "parent")
+        statements = parse_script_with_sources(frame["source"])
+        if not (len(statements) == 1 and ast.is_query(statements[0][0])):
             # the isolation-test path: DML applies to this worker's
             # private copy under its own undo log; the parent database
             # is untouched (the server never routes DML here)
-            db.execute(source, **budgets)
+            db.execute(statements, options=options)
             return {"type": "result", "rows": None, "columns": [],
                     "types": [], **self._work_counters(),
-                    **self._statement_record(source)}
-        collector = None
-        if frame.get("analyze"):
-            from repro.engine.analyze import AnalyzeCollector
-            collector = AnalyzeCollector()
-        result = db.query(
-            source, rewrite=frame.get("rewrite"),
-            checked=frame.get("checked"),
-            deadline_ms=frame.get("deadline_ms"),
-            analyze=collector, **budgets,
-        )
+                    **self._statement_record(frame["source"])}
+        query = statements[0]
+        collector = AnalyzeCollector() if options.analyze else None
+        result = db.query(query,
+                          options=collect(options, analyze=collector))
         reply = {
             "type": "result",
             "rows": [[encode_value(v) for v in row]
@@ -203,7 +196,7 @@ class _Worker:
             "types": [getattr(t, "name", None) or str(t)
                       for __, t in result.schema],
             **self._work_counters(),
-            **self._statement_record(source),
+            **self._statement_record(query[1]),
         }
         if collector is not None:
             # per-operator actuals ride the reply so the supervisor can

@@ -195,45 +195,37 @@ class Server:
         rather than failing the request.
         """
         sess = self._resolve(session)
-        pool = self.pool
-        if pool is not None and pool.eligible(source):
-            return self._serve(
-                "read", sess, lambda: self._pool_read(sess, source),
-                source=source,
-            )
-        return self._serve("read", sess, lambda: sess.query(source),
+        return self._serve("read", sess, lambda: self._read(sess, source),
                            source=source)
 
-    def _pool_read(self, sess: Session, source: str):
-        """One pooled read: mint the governed context here (so
+    def _read(self, sess: Session, source):
+        """One admitted read (text, or a pair ``execute`` parsed).
+        Only a query is pool-eligible, so anything else takes the
+        in-process path, which refuses it: no replica ever sees a
+        write.  A pooled read's governed context is minted here (so
         ``Server.kill`` / the watchdog can cancel the statement while
-        it executes out of process), dispatch, and fall back to the
-        in-process session path when the pool cannot take it."""
+        it executes out of process), and a pool that cannot take it
+        falls back in-process under that same context."""
+        statement, text = ((None, source) if isinstance(source, str)
+                           else source)
         pool = self.pool
+        if pool is None or not pool.eligible(text, statement):
+            return sess.query(source)
         sess.touch()
-        s = sess.settings
         db = self.db
-        with db._statement_context(
-            source=source, timeout_ms=s.timeout_ms,
-            row_budget=s.row_budget, memory_budget=s.memory_budget,
-            degrade=s.degrade, session=sess.id,
-        ) as context:
-            if pool is not None:
-                try:
-                    return pool.submit(source, "read",
-                                       context=context, settings=s)
-                except PoolUnavailable:
-                    self.metrics.inc("pool.fallbacks")
+        options = sess.settings.resolved(db)
+        with db._statement_context(text, options, sess.id,
+                                   statement) as context:
+            try:
+                return pool.submit(text, "read", context=context,
+                                   settings=options)
+            except PoolUnavailable:
+                self.metrics.inc("pool.fallbacks")
             if context is not None:
                 context.worker = ""
                 context.enter_phase("parse")
-            return db.query(
-                source, rewrite=s.rewrite, checked=s.checked,
-                deadline_ms=s.deadline_ms, obs=sess.obs,
-                timeout_ms=s.timeout_ms, row_budget=s.row_budget,
-                memory_budget=s.memory_budget, degrade=s.degrade,
-                session=sess.id,
-            )
+            return db.query(source, options=options, session=sess.id,
+                            obs=sess.obs)
 
     def execute(self, script: str, session: Optional[str] = None):
         """Serve a script, admitting each statement under its own
@@ -241,17 +233,16 @@ class Server:
         never holding a write slot across its read statements."""
         sess = self._resolve(session)
         results = []
-        for statement, source in parse_script_with_sources(script):
-            klass = classify_statement(statement)
-            if klass == "read":
+        for parsed in parse_script_with_sources(script):
+            if classify_statement(parsed[0]) == "read":
                 results.append(self._serve(
-                    "read", sess, lambda s=source: sess.query(s),
-                    source=source,
+                    "read", sess, lambda p=parsed: self._read(sess, p),
+                    source=parsed[1],
                 ))
             else:
                 self._serve(
-                    "write", sess, lambda s=source: sess.execute(s),
-                    source=source,
+                    "write", sess, lambda p=parsed: sess.execute([p]),
+                    source=parsed[1],
                 )
         return results
 

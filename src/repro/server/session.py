@@ -3,9 +3,10 @@
 The CLI used to toggle ``.checked`` / ``.deadline`` by mutating the
 shared :class:`~repro.engine.database.Database` -- which leaks one
 caller's settings into every other caller the moment the database is
-served.  A :class:`Session` owns those knobs instead and passes them as
-per-call overrides, so two sessions with different deadlines can share
-one database without observing each other.
+served.  A :class:`Session` owns those knobs instead -- one
+:class:`~repro.engine.options.StatementOptions` object, handed whole
+to every database call -- so two sessions with different deadlines can
+share one database without observing each other.
 
 :class:`SessionManager` is the thread-safe registry: sessions are
 opened (optionally under a caller-chosen id), looked up per request,
@@ -19,60 +20,18 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from dataclasses import dataclass
 from typing import Callable, Optional
 
+from repro.engine.options import StatementOptions
 from repro.errors import SessionExpired
 
 __all__ = ["SessionSettings", "Session", "SessionManager"]
 
 
-@dataclass
-class SessionSettings:
-    """The per-session knobs (``None`` defers to the database default).
-
-    ``rewrite``/``checked``/``deadline_ms`` mirror the CLI toggles;
-    ``profile`` drives whether the session's EXPLAIN output embeds
-    telemetry.  ``timeout_ms``/``row_budget``/``memory_budget``/
-    ``degrade`` are the lifecycle-governance knobs (whole-statement
-    wall clock, row and byte budgets, truncate-don't-fail); see
-    ``docs/robustness.md``.  Mutable on purpose: the CLI flips these
-    in place.
-    """
-
-    rewrite: Optional[bool] = None
-    checked: Optional[bool] = None
-    deadline_ms: Optional[float] = None
-    profile: bool = False
-    timeout_ms: Optional[float] = None
-    row_budget: Optional[int] = None
-    memory_budget: Optional[int] = None
-    degrade: Optional[bool] = None
-    # EXPLAIN ANALYZE mode: queries collect per-operator actuals into
-    # sys.plan_nodes (pool workers ship theirs back in the reply frame)
-    analyze: bool = False
-
-    def describe(self) -> str:
-        parts = []
-        if self.rewrite is not None:
-            parts.append(f"rewrite={'on' if self.rewrite else 'off'}")
-        if self.checked is not None:
-            parts.append(f"checked={'on' if self.checked else 'off'}")
-        if self.deadline_ms is not None:
-            parts.append(f"deadline={self.deadline_ms:g}ms")
-        if self.profile:
-            parts.append("profile=on")
-        if self.timeout_ms is not None:
-            parts.append(f"timeout={self.timeout_ms:g}ms")
-        if self.row_budget is not None:
-            parts.append(f"rows={self.row_budget}")
-        if self.memory_budget is not None:
-            parts.append(f"memory={self.memory_budget}B")
-        if self.degrade is not None:
-            parts.append(f"degrade={'on' if self.degrade else 'off'}")
-        if self.analyze:
-            parts.append("analyze=on")
-        return ", ".join(parts) or "defaults"
+# the per-session knobs *are* the engine's per-statement options: one
+# declaration (repro.engine.options), exported here under its serving
+# name
+SessionSettings = StatementOptions
 
 
 class Session:
@@ -109,50 +68,32 @@ class Session:
         return self._clock() - self.last_used
 
     # -- the database surface, with per-session overrides ---------------------
-    def query(self, source: str):
+    def query(self, source):
         self.touch()
-        s = self.settings
-        return self.db.query(
-            source, rewrite=s.rewrite, checked=s.checked,
-            deadline_ms=s.deadline_ms, obs=self.obs,
-            timeout_ms=s.timeout_ms, row_budget=s.row_budget,
-            memory_budget=s.memory_budget, degrade=s.degrade,
-            session=self.id, analyze=s.analyze,
-        )
+        return self.db.query(source, options=self.settings,
+                             session=self.id, obs=self.obs)
 
-    def execute(self, script: str):
+    def execute(self, script):
         self.touch()
-        s = self.settings
-        return self.db.execute(
-            script, obs=self.obs, timeout_ms=s.timeout_ms,
-            row_budget=s.row_budget, memory_budget=s.memory_budget,
-            degrade=s.degrade, session=self.id,
-        )
+        return self.db.execute(script, options=self.settings,
+                               session=self.id, obs=self.obs)
 
     def query_with_stats(self, source: str, obs=None):
         self.touch()
-        s = self.settings
-        return self.db.query_with_stats(
-            source, rewrite=s.rewrite, obs=obs, checked=s.checked,
-            deadline_ms=s.deadline_ms,
-        )
+        return self.db.query_with_stats(source, obs=obs,
+                                        options=self.settings)
 
     def explain(self, source: str, verbose: bool = False) -> str:
         self.touch()
-        s = self.settings
-        return self.db.explain(
-            source, verbose=verbose, profile=s.profile,
-            checked=s.checked, deadline_ms=s.deadline_ms,
-        )
+        return self.db.explain(source, verbose=verbose,
+                               options=self.settings)
 
     def explain_json(self, source: str, execute: bool = False,
                      analyze: bool = False) -> dict:
         self.touch()
-        s = self.settings
         return self.db.explain_json(
-            source, execute=execute, rewrite=s.rewrite,
-            checked=s.checked, deadline_ms=s.deadline_ms,
-            session=self.id, analyze=analyze or s.analyze,
+            source, execute=execute, analyze=analyze,
+            options=self.settings, session=self.id,
         )
 
     def __repr__(self) -> str:

@@ -38,6 +38,18 @@ class TestStatements:
         out = run(shell, "SELECT Dst FROM EDGE WHERE Src = 1")
         assert "(1 row)" in out[0]
 
+    def test_comment_before_select_still_prints_rows(self, shell):
+        # regression: the shell sniffed a SELECT prefix, so a leading
+        # comment made it print "ok" and drop the rows; the engine's
+        # ast.is_query now decides what comes back
+        (out,) = run(shell, "-- note\nSELECT Dst FROM EDGE WHERE Src = 1;")
+        assert "Dst" in out and "(1 row)" in out
+
+    def test_mixed_line_prints_the_query_result(self, shell):
+        (out,) = run(shell, "INSERT INTO EDGE VALUES (3, 4); "
+                            "SELECT Dst FROM EDGE WHERE Src = 3;")
+        assert "(1 row)" in out
+
     def test_error_reported_not_raised(self, shell):
         (out,) = run(shell, "SELECT Nope FROM EDGE;")
         assert out.startswith("error:")
