@@ -1,8 +1,9 @@
 """R1 -- resilience overhead: sandboxing and divergence tracking.
 
 The resilience layer is strictly opt-in: with no policy installed the
-engine takes the exact same code paths as before (no history, no
-try/except around rule application, no budget checks).  These
+engine runs its rules bare (no history, no try/except around rule
+application, no validation; only the governor's poll before each block
+and each application search remains).  These
 benchmarks pin that contract down -- the "off" and "policy on" numbers
 should be within noise of each other on a realistic rewrite workload,
 and the sandboxed run with a hostile rule quantifies what surviving a

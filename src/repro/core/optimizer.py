@@ -72,7 +72,7 @@ class Optimizer:
     def __init__(self, catalog: Catalog,
                  rewriter: Optional[QueryRewriter] = None,
                  dynamic_limits: bool = False,
-                 ledger=None, quarantine=None):
+                 ledger=None):
         self.catalog = catalog
         self.rewriter = rewriter or QueryRewriter(catalog)
         self.dynamic_limits = dynamic_limits
@@ -80,30 +80,19 @@ class Optimizer:
         # lands there, stamped with the current trace context, feeding
         # sys.rewrites / sys.rule_heat
         self.ledger = ledger
-        # the database's QuarantineRegistry (or None): benched rules
-        # are pre-quarantined into every policy, and checked-mode
-        # blame reports back into it (see _bind_quarantine)
-        self.quarantine = quarantine
 
     def optimize(self, term: Term, rewrite: bool = True,
-                 obs=None, deadline_ms: Optional[float] = None,
-                 max_applications: Optional[int] = None,
-                 checked: bool = False,
-                 resilience=None) -> OptimizedQuery:
+                 obs=None, resilience=None) -> OptimizedQuery:
         """Run the pipeline; ``obs`` (an event bus) sees ``PhaseStart``
         / ``PhaseEnd`` around each stage plus the engine's own events.
 
-        ``deadline_ms`` / ``max_applications`` bound the rewrite
-        cooperatively: on exhaustion the best-so-far term is kept and
-        the result is flagged ``degraded=True`` instead of raising.
-        ``checked=True`` enables differential validation of each block
-        against a sampled database.  ``resilience`` supplies a full
-        :class:`~repro.resilience.ResiliencePolicy` directly (the
-        other three arguments are conveniences that build one).
+        ``resilience`` is the rewrite's
+        :class:`~repro.resilience.ResiliencePolicy` or None (the
+        statement path decides it: ``Database._rewrite_policy``).  A
+        rewrite whose budget -- or whose statement's deadline -- runs
+        out keeps the best-so-far term and is flagged
+        ``degraded=True`` instead of raising.
         """
-        policy = self._resilience_policy(
-            resilience, deadline_ms, max_applications, checked,
-        )
         bus = obs if obs else None
         if bus:
             bus.emit(PhaseStart("optimize"))
@@ -116,10 +105,10 @@ class Optimizer:
             bus.emit(PhaseStart("rewrite"))
             t0 = perf_counter()
         if rewrite and self.dynamic_limits:
-            result = self._rewrite_dynamic(typed, bus, resilience=policy)
+            result = self._rewrite_dynamic(typed, bus, resilience)
         elif rewrite:
             result = self.rewriter.rewrite(typed, obs=bus,
-                                           resilience=policy)
+                                           resilience=resilience)
         else:
             result = RewriteResult(typed)
         if bus:
@@ -158,54 +147,10 @@ class Optimizer:
             return typed, schema
         return typecheck(result.term, self.catalog)
 
-    def _resilience_policy(self, resilience, deadline_ms,
-                           max_applications, checked):
-        """Resolve the optimize() convenience arguments to a policy."""
-        if resilience is not None:
-            return self._bind_quarantine(resilience)
-        if deadline_ms is None and max_applications is None \
-                and not checked:
-            return self._bind_quarantine(None)
-        from repro.resilience import (ResiliencePolicy,
-                                      make_checked_validator)
-        return self._bind_quarantine(ResiliencePolicy(
-            deadline_ms=deadline_ms,
-            max_applications=max_applications,
-            validator=(make_checked_validator(self.catalog)
-                       if checked else None),
-        ))
-
-    def _bind_quarantine(self, policy):
-        """Wire the persistent quarantine registry into a policy.
-
-        With benched rules on file, even a policy-free rewrite gets a
-        minimal policy carrying them -- a rule caught changing answers
-        must not fire in *any* later statement, checked or not.  The
-        registry's ``note`` is installed as the quarantine sink so
-        checked-mode blame persists.  With an empty registry the
-        policy passes through untouched (the common fast path).
-        """
-        registry = self.quarantine
-        if registry is None:
-            return policy
-        if policy is None and not registry:
-            return None  # nothing benched, nothing to sink into
-        from dataclasses import replace as _replace
-
-        from repro.resilience import ResiliencePolicy
-        if policy is None:
-            policy = ResiliencePolicy()
-        benched = registry.rules() | set(policy.prequarantined)
-        return _replace(
-            policy,
-            prequarantined=tuple(sorted(benched)),
-            quarantine_sink=policy.quarantine_sink or registry.note,
-        )
-
-    def _rewrite_dynamic(self, typed: Term, obs=None,
-                         resilience=None) -> RewriteResult:
+    def _rewrite_dynamic(self, typed: Term, obs,
+                         resilience) -> RewriteResult:
         from repro.core.complexity import allocate_limits, assess
-        from repro.rules.control import RewriteEngine, Seq
+        from repro.rules.control import Seq
 
         allocation = allocate_limits(assess(typed))
         if not allocation["enabled"]:
@@ -215,9 +160,7 @@ class Optimizer:
             if block.name == "semantic" else block
             for block in self.rewriter.seq.blocks
         ]
-        seq = Seq(blocks, passes=allocation["passes"])
-        engine = RewriteEngine(
-            seq, collect_trace=self.rewriter.collect_trace, obs=obs,
-            resilience=resilience,
+        return self.rewriter.rewrite(
+            typed, obs=obs, resilience=resilience,
+            seq=Seq(blocks, passes=allocation["passes"]),
         )
-        return engine.rewrite(typed, self.rewriter.context())

@@ -199,12 +199,17 @@ class QueryRewriter:
     semantic_limit:
         Budget of the semantic block when the default sequence is used
         (the conclusion's tunable trade-off).
+    quarantine:
+        The :class:`~repro.resilience.QuarantineRegistry` every rewrite
+        skips the rules of and benches into (the database hands over
+        its own); None gives each rewrite a private, empty one.
     """
 
     def __init__(self, catalog: Catalog, seq: Optional[Seq] = None,
                  semantic_limit: Optional[int] = DEFAULT_SEMANTIC_LIMIT,
-                 collect_trace: bool = True):
+                 collect_trace: bool = True, quarantine=None):
         self.catalog = catalog
+        self.quarantine = quarantine
         self.constraint_evaluator = ConstraintEvaluator()
         self.methods = default_method_registry()
         if seq is None:
@@ -279,9 +284,10 @@ class QueryRewriter:
             methods=self.methods,
         )
 
-    def rewrite(self, term: Term, obs=None,
-                resilience=None) -> RewriteResult:
-        """Rewrite a LERA term through the configured sequence.
+    def rewrite(self, term: Term, obs=None, resilience=None,
+                seq: Optional[Seq] = None) -> RewriteResult:
+        """Rewrite a LERA term through the configured sequence (or
+        ``seq``, a variant of it for this one rewrite).
 
         ``obs`` is an optional :class:`~repro.obs.bus.EventBus`; the
         engine emits block/pass/rule events on it (and constraint and
@@ -292,8 +298,9 @@ class QueryRewriter:
         ``docs/robustness.md``).
         """
         engine = RewriteEngine(
-            self.seq, collect_trace=self.collect_trace, obs=obs,
-            resilience=resilience,
+            self.seq if seq is None else seq,
+            collect_trace=self.collect_trace, obs=obs,
+            resilience=resilience, quarantine=self.quarantine,
         )
         return engine.rewrite(term, self.context())
 

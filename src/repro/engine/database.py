@@ -40,6 +40,8 @@ from repro.lifecycle.context import (current_context, pending_dispatch,
 from repro.lifecycle.registry import StatementRegistry
 from repro.esql.translate import Translator
 from repro.obs.workload import PlanLog, StatementStats
+from repro.resilience import (QuarantineRegistry, ResiliencePolicy,
+                              make_checked_validator)
 from repro.rules.library import DEFAULT_SEMANTIC_LIMIT
 from repro.rules.semantic import compile_integrity_constraint
 from repro.terms.term import Term
@@ -78,8 +80,8 @@ class Database:
         self.semi_naive = semi_naive
         self.hash_joins = hash_joins
         self.dynamic_limits = dynamic_limits
-        # resilience defaults, applied to every optimize (all three are
-        # re-read per query, so the CLI's .checked / .deadline toggles
+        # resilience defaults (all three are re-read per statement by
+        # _rewrite_policy, so the CLI's .checked / .deadline toggles
         # take effect immediately); see docs/robustness.md
         self.checked = checked
         self.deadline_ms = deadline_ms
@@ -88,11 +90,10 @@ class Database:
         # DISTINCT, double negation, trivial arithmetic); installed
         # into every regenerated optimizer when True
         self.antipattern = antipattern
-        # persistent rule quarantine: rules confirmed to change
-        # answers (checked-mode blame, the repro.qa harness) are
-        # benched here and pre-quarantined into every later rewrite;
-        # owned by the database so it survives regenerate_optimizer()
-        from repro.resilience.quarantine import QuarantineRegistry
+        # the rule quarantine: the one bench every rewrite of this
+        # database skips and benches into (checked-mode blame, crashes
+        # past the sandbox threshold, operators); owned here so it
+        # survives regenerate_optimizer()
         self.quarantine = QuarantineRegistry()
         # lifecycle governance defaults: any knob set (or a chaos
         # injector mounted, or serving enabled) makes statements run
@@ -150,7 +151,8 @@ class Database:
         """The optimizer, regenerated after any extension change."""
         if self._optimizer is None:
             rewriter = QueryRewriter(
-                self.catalog, semantic_limit=self.semantic_limit
+                self.catalog, semantic_limit=self.semantic_limit,
+                quarantine=self.quarantine,
             )
             if self.antipattern:
                 from repro.rules.antipattern import antipattern_block
@@ -160,7 +162,6 @@ class Database:
                 self.catalog, rewriter,
                 dynamic_limits=self.dynamic_limits,
                 ledger=self.ledger,
-                quarantine=self.quarantine,
             )
         return self._optimizer
 
@@ -192,9 +193,9 @@ class Database:
     # -- lifecycle governance --------------------------------------------------
     def kill(self, query_id: str, reason: str = "kill") -> bool:
         """Pull the cancel token of one in-flight statement (by its
-        ``sys.queries`` id); the evaluating thread raises
+        ``sys.queries`` id); the statement's thread raises
         :class:`~repro.errors.QueryCancelled` at its next cooperative
-        check.  Safe from any thread."""
+        check, rewriting or evaluating.  Safe from any thread."""
         return self.lifecycle.kill(query_id, reason)
 
     @contextmanager
@@ -642,32 +643,22 @@ class Database:
         rule tests' way in; refuses anything but a query)."""
         return self.translator.execute(self._parse_query(source)[0])
 
-    def _resilience_kwargs(self, checked: Optional[bool] = None,
-                           deadline_ms: Optional[float] = None) -> dict:
-        """The resilience settings for optimize(), from the statement's
-        resolved ``checked`` / ``deadline_ms``.
-
-        ``resilient=True`` activates rule sandboxing and divergence
-        detection even when no deadline or checked mode is configured
-        (those two imply a policy of their own, with sandboxing on).
-
-        Unified budget: inside a governed statement with a wall-clock
-        timeout, the rewrite deadline is clamped to the statement's
-        remaining allowance -- time the rewrite burns is gone for
-        evaluation, and a rewrite that overruns the whole statement
-        budget is cut off rather than granted its full configured
-        deadline.
-        """
-        context = current_context()
-        if context is not None:
-            remaining = context.remaining_ms()
-            if remaining is not None:
-                deadline_ms = (remaining if deadline_ms is None
-                               else min(deadline_ms, remaining))
-        if self.resilient and deadline_ms is None and not checked:
-            from repro.resilience import ResiliencePolicy
-            return {"resilience": ResiliencePolicy()}
-        return {"deadline_ms": deadline_ms, "checked": checked}
+    def _rewrite_policy(self, opts: StatementOptions
+                        ) -> Optional[ResiliencePolicy]:
+        """The rewrite policy of one statement -- the one place it is
+        decided.  ``checked`` and ``deadline_ms`` each ask for one
+        (sandboxing and divergence detection come with it),
+        ``resilient`` for those two protections alone; a statement
+        timeout, a kill or a benched rule does not (the engine reads
+        the ambient :class:`QueryContext` and the quarantine itself)."""
+        if not (opts.checked or opts.deadline_ms is not None
+                or self.resilient):
+            return None
+        return ResiliencePolicy(
+            deadline_ms=opts.deadline_ms,
+            validator=(make_checked_validator(self.catalog)
+                       if opts.checked else None),
+        )
 
     def _plan_and_evaluate(self, statement, opts: StatementOptions,
                            context, obs, stats: Optional[EvalStats],
@@ -680,7 +671,7 @@ class Database:
         t0 = perf_counter()
         optimized = self.optimizer.optimize(
             term, rewrite=opts.rewrite, obs=obs,
-            **self._resilience_kwargs(opts.checked, opts.deadline_ms),
+            resilience=self._rewrite_policy(opts),
         )
         rewrite_s = perf_counter() - t0
         result = nodes = None

@@ -184,8 +184,8 @@ class QueryContext:
         Attribution for ``sys.queries`` (empty outside serving).
     timeout_ms:
         Wall-clock budget for the *whole* statement -- rewrite and
-        evaluation share it (the unified budget: rewrite overruns
-        shrink the evaluation allowance through :meth:`remaining_ms`).
+        evaluation read the one deadline instant (the rewrite engine's
+        :meth:`poll` degrades it, the evaluator's :meth:`check` trips).
     row_budget:
         Cap on rows charged (scanned + produced) during evaluation.
     memory_budget:
@@ -258,9 +258,9 @@ class QueryContext:
     def remaining_ms(self) -> Optional[float]:
         """Milliseconds left on the statement budget (None: unbounded).
 
-        This is the unified-budget read: the optimizer's rewrite
-        deadline is clamped to it, so time the rewrite burns is gone
-        for evaluation too.
+        For carrying the budget to another process -- a pool replica
+        has its own clock, so the supervisor ships a duration; inside
+        this process everything reads the deadline instant itself.
         """
         if self._deadline is None:
             return None
@@ -311,6 +311,16 @@ class QueryContext:
         chaos = self.chaos
         if chaos is not None:
             chaos.maybe_inject(self)
+        if self.poll():
+            self._trip("deadline", self.timeout_ms, self.elapsed_ms())
+
+    def poll(self) -> bool:
+        """:meth:`check` without the chaos hook and without the trip --
+        what the rewrite engine asks between rule applications (fault
+        injection stays an evaluation-phase hook, and a late rewrite
+        degrades instead of failing): raises
+        :class:`~repro.errors.QueryCancelled` once the token is pulled,
+        True once the deadline has passed."""
         if self._flagged:
             raise QueryCancelled(
                 f"query {self.query_id} cancelled "
@@ -319,9 +329,8 @@ class QueryContext:
                 reason=self.cancel_reason or "kill",
                 phase=self.phase, elapsed_ms=self.elapsed_ms(),
             )
-        if self._deadline is not None \
-                and time.perf_counter() > self._deadline:
-            self._trip("deadline", self.timeout_ms, self.elapsed_ms())
+        return (self._deadline is not None
+                and time.perf_counter() > self._deadline)
 
     # -- budgets --------------------------------------------------------------
     def charge_rows(self, n: int) -> None:

@@ -438,6 +438,12 @@ class Supervisor:
         statement = reply.get("statement")
         if statement:
             self.db.workload.merge_call(statement)
+        # a rule the replica benched (checked-mode blame, a crash past
+        # the threshold) is benched for every tier: the next frame to
+        # any replica lists it
+        for entry in reply.get("quarantine", ()):
+            self.db.quarantine.note(entry["block"], entry["rule"],
+                                    entry["detail"], entry["source"])
         nodes = reply.get("analyze")
         if nodes:
             from repro.obs.telemetry import current_trace

@@ -63,6 +63,8 @@ class _Worker:
         self.heartbeat_interval_s = 0.2
         self.heartbeat_paused = False
         self.statements = 0
+        # the bench the parent's last frame listed (see _mirror_bench)
+        self.parent_bench: frozenset = frozenset()
 
     # -- framing ---------------------------------------------------------------
     def send(self, message: dict) -> None:
@@ -167,14 +169,8 @@ class _Worker:
         through the replica's ``Database.query`` / ``execute``."""
         db = self.db
         options = StatementOptions(**(frame.get("options") or {}))
-        # mirror the parent's bench: a rule benched there must not fire
-        # here, and a later lift is honoured on the next frame
         benched = frozenset(frame.get("quarantine", ()))
-        mine = db.quarantine.rules()
-        for rule in mine - benched:
-            db.quarantine.lift(rule)
-        for rule in benched - mine:
-            db.quarantine.note("", rule, "benched on the parent", "parent")
+        self._mirror_bench(benched)
         statements = parse_script_with_sources(frame["source"])
         if not (len(statements) == 1 and ast.is_query(statements[0][0])):
             # the isolation-test path: DML applies to this worker's
@@ -183,7 +179,8 @@ class _Worker:
             db.execute(statements, options=options)
             return {"type": "result", "rows": None, "columns": [],
                     "types": [], **self._work_counters(),
-                    **self._statement_record(frame["source"])}
+                    **self._statement_record(frame["source"]),
+                    **self._benched_here(benched)}
         query = statements[0]
         collector = AnalyzeCollector() if options.analyze else None
         result = db.query(query,
@@ -197,12 +194,36 @@ class _Worker:
                       for __, t in result.schema],
             **self._work_counters(),
             **self._statement_record(query[1]),
+            **self._benched_here(benched),
         }
         if collector is not None:
             # per-operator actuals ride the reply so the supervisor can
             # fold them into the parent's sys.plan_nodes ring
             reply["analyze"] = collector.snapshot()
         return reply
+
+    def _mirror_bench(self, benched: frozenset) -> None:
+        """Make the parent's bench this replica's: a rule benched there
+        must not fire here, and a rule the parent listed before and no
+        longer does was lifted there, so it is lifted here.  A rule
+        this replica benched itself stays until the parent has heard
+        of it (listed it once); from then on the parent decides."""
+        registry = self.db.quarantine
+        mine = registry.rules()
+        for rule in (mine & self.parent_bench) - benched:
+            registry.lift(rule)
+        for rule in benched - mine:
+            registry.note("", rule, "benched on the parent", "parent")
+        self.parent_bench = benched
+
+    def _benched_here(self, benched: frozenset) -> dict:
+        """What this replica benched itself (checked-mode blame, a
+        crash past the threshold) rides home in every reply until a
+        frame lists it: the supervisor notes it in the parent's
+        registry."""
+        entries = [entry.as_dict() for entry in self.db.quarantine.entries()
+                   if entry.rule not in benched]
+        return {"quarantine": entries} if entries else {}
 
     def _statement_record(self, source: str) -> dict:
         """The statement's per-call workload record (this replica's

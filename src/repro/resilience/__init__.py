@@ -10,10 +10,11 @@ rewriter survive bad extensions:
   constraints, running methods or building the right-hand side
   quarantines the offending rule (after a configurable failure
   threshold) instead of aborting the whole rewrite;
-* **deadlines and work budgets** -- ``optimize(deadline_ms=...,
-  max_applications=...)`` is enforced cooperatively in the block loop
-  and returns the best term found so far with ``degraded=True`` rather
-  than raising;
+* **deadlines and work budgets** -- ``ResiliencePolicy(deadline_ms=...,
+  max_applications=...)`` is enforced cooperatively in the block loop,
+  beside the deadline and cancel token of the statement the rewrite
+  belongs to, and returns the best term found so far with
+  ``degraded=True`` rather than raising;
 * **divergence detection** -- hash-based term-history tracking spots
   oscillation cycles (A -> B -> A) and unbounded growth inside a block
   and halts the block with a report naming the offending rules;
@@ -21,9 +22,12 @@ rewriter survive bad extensions:
   pre- and post-block terms against a small sampled database and rolls
   back a block whose results diverge.
 
-Everything is opt-in through :class:`ResiliencePolicy`; an engine
-without a policy pays nothing (the same null-sink discipline as
-``repro.obs``).  Outcomes surface as ``repro.obs`` events and in the
+Everything is opt-in through :class:`ResiliencePolicy`, which the
+statement path builds in one place (``Database._rewrite_policy``); an
+engine without a policy pays nothing (the same null-sink discipline as
+``repro.obs``).  Rules found crashing or unsound are benched in the one
+:class:`QuarantineRegistry` and fire nowhere until lifted.  Outcomes
+surface as ``repro.obs`` events and in the
 ``resilience`` section of ``explain_json`` (schema version 2); see
 ``docs/robustness.md``.
 """

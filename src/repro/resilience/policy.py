@@ -3,8 +3,9 @@
 :class:`ResiliencePolicy` is the immutable configuration attached to a
 :class:`~repro.rules.control.RewriteEngine`; one
 :class:`ResilienceRuntime` is created per ``rewrite()`` call and holds
-the mutable state (failure counts, the quarantine set, the deadline,
-the aggregated :class:`ResilienceReport`).
+what governs it (the policy, the statement's ``QueryContext``, the
+quarantine registry) and its mutable state (failure counts, the
+deadline, the aggregated :class:`ResilienceReport`).
 
 The module deliberately depends only on ``repro.terms`` and
 ``repro.obs`` so the rule engine can import it without touching the
@@ -55,7 +56,8 @@ class ResiliencePolicy:
         Wall-clock budget for one rewrite; checked cooperatively
         before each block and before each application search.  On
         expiry the engine stops and returns the best-so-far term with
-        ``degraded=True``.
+        ``degraded=True``.  A governed statement's own deadline cuts
+        the rewrite the same way, with or without a policy.
     max_applications:
         Global cap on rule applications across all blocks and passes
         (distinct from per-block limits); exhaustion degrades rather
@@ -64,8 +66,8 @@ class ResiliencePolicy:
         Quarantine rules whose application raises instead of aborting
         the rewrite.
     failure_threshold:
-        Failures of one rule before it is quarantined for the rest of
-        the rewrite (1 quarantines on first failure).
+        Failures of one rule within a rewrite before it is benched in
+        the engine's quarantine registry (1 benches on first failure).
     detect_divergence:
         Track per-block term history and halt a block on oscillation
         or unbounded growth.
@@ -77,16 +79,6 @@ class ResiliencePolicy:
         run after every block that changed the term.  A non-None
         return is a divergence description and rolls the block back.
         See :func:`repro.resilience.make_checked_validator`.
-    prequarantined:
-        Rule names banned before the rewrite even starts -- the
-        database's persistent
-        :class:`~repro.resilience.quarantine.QuarantineRegistry`
-        seeds this, so a rule benched by one statement never fires in
-        any later one.
-    quarantine_sink:
-        Called as ``sink(block, rule, detail)`` when checked-mode
-        blame localizes a rollback to one rule; the registry's
-        ``note`` hangs here, making in-rewrite quarantine persistent.
     """
 
     deadline_ms: Optional[float] = None
@@ -97,8 +89,11 @@ class ResiliencePolicy:
     growth_factor: float = 8.0
     growth_slack: int = 64
     validator: Optional[Callable[[Term, Term], Optional[str]]] = None
-    prequarantined: tuple = ()
-    quarantine_sink: Optional[Callable[[str, str, str], None]] = None
+
+
+# what a rewrite without a policy runs under: every protection off, so
+# only its statement's deadline and cancel token bound it
+_NO_POLICY = ResiliencePolicy(sandbox=False, detect_divergence=False)
 
 
 @dataclass(frozen=True)
@@ -241,12 +236,19 @@ def _unique(names) -> list[str]:
 
 
 class ResilienceRuntime:
-    """Mutable per-rewrite state: deadline, quarantine, the report."""
+    """Mutable per-rewrite state: budgets, failure counts, the report.
 
-    def __init__(self, policy: ResiliencePolicy):
-        self.policy = policy
+    ``policy`` None is a rewrite asked only to obey its statement,
+    whose :class:`QueryContext` is ``context`` (None when ungoverned);
+    ``registry`` is the quarantine the engine skips and benches into.
+    """
+
+    def __init__(self, policy: Optional[ResiliencePolicy], registry,
+                 context=None):
+        self.policy = policy = policy or _NO_POLICY
+        self.registry = registry
+        self.context = context
         self.report = ResilienceReport()
-        self.quarantined: set[str] = set(policy.prequarantined)
         self._failures: dict[str, int] = {}
         self._started = perf_counter()
         self.deadline = (
@@ -255,23 +257,29 @@ class ResilienceRuntime:
         )
 
     # -- budgets -------------------------------------------------------------
-    def exhausted(self, applications: int) -> Optional[str]:
-        """The degradation reason when a budget ran out, else None."""
-        if self.deadline is not None and perf_counter() >= self.deadline:
-            return "deadline"
-        if self.policy.max_applications is not None and \
+    def exhausted(self, applications: int, bus=None) -> bool:
+        """The poll before each block and each application search:
+        raises :class:`~repro.errors.QueryCancelled` once the
+        statement's cancel token is pulled; True (the report flagged
+        degraded) once the rewrite's deadline, its statement's or the
+        work budget ran out."""
+        context = self.context
+        if (context is not None and context.poll()) or (
+                self.deadline is not None
+                and perf_counter() >= self.deadline):
+            reason = "deadline"
+        elif self.policy.max_applications is not None and \
                 applications >= self.policy.max_applications:
-            return "max_applications"
-        return None
-
-    def degrade(self, reason: str, applications: int, bus=None) -> None:
-        if self.report.degraded:
-            return
-        self.report.degraded = True
-        self.report.degraded_reason = reason
-        if bus:
-            bus.emit(Degraded(reason, applications,
-                              perf_counter() - self._started))
+            reason = "max_applications"
+        else:
+            return False
+        if not self.report.degraded:
+            self.report.degraded = True
+            self.report.degraded_reason = reason
+            if bus:
+                bus.emit(Degraded(reason, applications,
+                                  perf_counter() - self._started))
+        return True
 
     # -- sandboxing ----------------------------------------------------------
     def record_failure(self, block: str, rule: str, path: tuple,
@@ -284,12 +292,17 @@ class ResilienceRuntime:
         if bus:
             bus.emit(RuleFailed(block, rule, path,
                                 type(error).__name__, count))
-        if count >= self.policy.failure_threshold and \
-                rule not in self.quarantined:
-            self.quarantined.add(rule)
+        if count >= self.policy.failure_threshold:
+            self._bench(block, rule, f"raised {count} time(s), last "
+                        f"{type(error).__name__}: {error}", "sandbox",
+                        count, bus)
+
+    def _bench(self, block: str, rule: str, detail: str, source: str,
+               failures: int, bus) -> None:
+        if self.registry.note(block, rule, detail, source):
             self.report.quarantined.append(rule)
             if bus:
-                bus.emit(RuleQuarantined(block, rule, count))
+                bus.emit(RuleQuarantined(block, rule, failures))
 
     # -- divergence ----------------------------------------------------------
     def history_for(self, term: Term) -> Optional[TermHistory]:
@@ -317,10 +330,9 @@ class ResilienceRuntime:
         self.report.checked_validations += 1
         try:
             problem = validator(before, after)
-        except Exception as error:  # a broken validator must fail open
+        except Exception:  # a broken validator must fail open
             self.report.checked_errors += 1
             problem = None
-            _ = error
         if problem is None:
             return True
         self.report.rollbacks.append(CheckedRollbackRecord(
@@ -337,11 +349,9 @@ class ResilienceRuntime:
         ``entries`` are the block's trace entries (each holds the
         rewritten subterm and its path).  Replaying them sequentially
         from ``before`` rebuilds every intermediate whole term; the
-        first intermediate the validator refutes blames its rule.  The
-        blamed rule is quarantined for the rest of this rewrite *and*
-        reported through ``policy.quarantine_sink``, which the
-        database wires to its persistent registry -- one confirmed
-        wrong answer benches the rule everywhere.
+        first intermediate the validator refutes blames its rule,
+        which is benched in the registry -- one confirmed wrong answer
+        benches the rule for every later statement.
 
         Returns the blamed rule name, or None when localization was
         not possible (no trace collected, or only the combination of
@@ -369,17 +379,6 @@ class ResilienceRuntime:
                 detail=detail or "block-level divergence "
                                  "(no single rule localized)",
             ))
-        if blamed is None:
-            return None
-        if blamed not in self.quarantined:
-            self.quarantined.add(blamed)
-            self.report.quarantined.append(blamed)
-            if bus:
-                bus.emit(RuleQuarantined(block, blamed, 1))
-        sink = self.policy.quarantine_sink
-        if sink is not None:
-            try:
-                sink(block, blamed, detail)
-            except Exception:
-                pass  # a broken sink must not break the rewrite
+        if blamed is not None:
+            self._bench(block, blamed, detail, "checked", 1, bus)
         return blamed

@@ -1,13 +1,15 @@
-"""Persistent rule quarantine: unsound rules stay benched.
+"""The rule quarantine: a rule shown unsound or crashing stays benched.
 
-The per-rewrite :class:`~repro.resilience.policy.ResilienceRuntime`
-already quarantines a rule *within one rewrite* (crashes past the
-failure threshold, checked-mode blame).  This registry is the layer
-above: owned by the :class:`~repro.engine.database.Database`, it
-outlives individual statements and optimizer regenerations, and every
-subsequent rewrite starts with its rules pre-quarantined -- so once a
-rule is caught changing an answer, *no* later statement lets it fire
-again, checked or not.
+One :class:`QuarantineRegistry` is the only bench there is.  The
+:class:`~repro.engine.database.Database` owns one (so it outlives
+statements and optimizer regenerations) and hands it to its rewriter;
+the rewrite engine skips every rule on it -- policy or no policy -- and
+benches into it: checked-mode blame (``source="checked"``) and crashes
+past the failure threshold (``"sandbox"``) land beside what an operator
+(``"manual"``) or, on a pool replica, the parent database
+(``"parent"``) put there.  Once a rule is benched no later statement
+lets it fire until it is lifted.  An engine built without a registry
+gets a private one that lasts its own lifetime.
 
 Entries carry provenance (who benched the rule and why) and surface as
 the ``sys.quarantine`` introspection relation.
@@ -28,7 +30,7 @@ class QuarantineEntry:
 
     rule: str
     block: str
-    source: str   # "checked" | "fuzz" | "manual"
+    source: str   # "checked" | "sandbox" | "manual" | "parent"
     detail: str
     benched_at: float
 
@@ -43,47 +45,47 @@ class QuarantineEntry:
 class QuarantineRegistry:
     """Thread-safe set of rule names banned from rewriting.
 
-    ``note`` is the callback shape the resilience policy's
-    ``quarantine_sink`` expects, so a registry can be handed to a
-    policy directly.
+    Writers serialize on a lock and replace the name set whole, so
+    :meth:`rules` -- what the rewrite engine reads before every scan --
+    takes no lock and is falsy while nothing is benched.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._entries: dict[str, QuarantineEntry] = {}
+        self._names: frozenset = frozenset()
 
     def note(self, block: str, rule: str, detail: str,
-             source: str = "checked") -> None:
-        """Bench ``rule``; later notes for the same rule are ignored
-        (the first confirmed divergence is the evidence that counts)."""
+             source: str = "checked") -> bool:
+        """Bench ``rule``; True when this call benched it.  Later notes
+        for the same rule are ignored (the first confirmed divergence
+        is the evidence that counts)."""
         with self._lock:
             if rule in self._entries:
-                return
+                return False
             self._entries[rule] = QuarantineEntry(
                 rule=rule, block=block, source=source, detail=detail,
                 benched_at=time.time(),
             )
+            self._names = frozenset(self._entries)
+            return True
 
     def lift(self, rule: str) -> bool:
         """Un-bench a rule (operator override); True when it was benched."""
         with self._lock:
-            return self._entries.pop(rule, None) is not None
+            lifted = self._entries.pop(rule, None) is not None
+            self._names = frozenset(self._entries)
+            return lifted
 
     def rules(self) -> frozenset:
-        with self._lock:
-            return frozenset(self._entries)
+        return self._names
 
     def entries(self) -> list[QuarantineEntry]:
         with self._lock:
             return sorted(self._entries.values(), key=lambda e: e.rule)
 
     def __contains__(self, rule: str) -> bool:
-        with self._lock:
-            return rule in self._entries
+        return rule in self._names
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
+        return len(self._names)

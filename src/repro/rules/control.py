@@ -47,10 +47,12 @@ from typing import Iterable, Optional, Sequence
 from repro.errors import ReproError, RewriteError
 from repro.lera import ops
 from repro.lera.schema import Schema, schema_of
+from repro.lifecycle.context import current_context
 from repro.obs.events import (BlockEnd, BlockStart, PassEnd, RuleAttempt,
                               RuleFired)
 from repro.resilience.policy import (ResiliencePolicy, ResilienceRuntime,
                                      term_snippet)
+from repro.resilience.quarantine import QuarantineRegistry
 from repro.rules.rule import RewriteRule, RuleContext
 from repro.terms.term import Fun, Term, replace_at, term_size
 
@@ -90,10 +92,11 @@ class TraceEntry:
 class RewriteResult:
     """The outcome of running a rewrite program.
 
-    ``degraded`` is True when a deadline or a global work budget
-    expired before saturation: ``term`` is then the best term found so
-    far, not a fixpoint (the graceful-degradation contract of
-    ``docs/robustness.md``).  ``resilience`` carries the
+    ``degraded`` is True when a deadline (the rewrite's or its
+    statement's) or a global work budget expired before saturation:
+    ``term`` is then the best term found so far, not a fixpoint (the
+    graceful-degradation contract of ``docs/robustness.md``).
+    ``resilience`` carries the rewrite's
     :class:`~repro.resilience.policy.ResilienceReport` when the engine
     ran with a resilience policy, else None.
     """
@@ -196,16 +199,27 @@ class RewriteEngine:
     event construction sits behind a truthiness test of the bus (the
     null-sink fast path), so an engine without subscribers pays only a
     handful of ``None`` checks per block.
+
+    Three things govern a rewrite, each read where it lives: the
+    optional ``resilience`` policy, the ambient
+    :class:`~repro.lifecycle.context.QueryContext` of the statement
+    (its deadline and cancel token, polled before each block and each
+    application search) and the ``quarantine`` registry, whose rules
+    are skipped and into which this engine benches -- the database's
+    when a rewriter hands it over, else one private to this engine.
     """
 
     def __init__(self, seq: Seq, safety_limit: int = _SAFETY_LIMIT,
                  collect_trace: bool = True, obs=None,
-                 resilience: Optional[ResiliencePolicy] = None):
+                 resilience: Optional[ResiliencePolicy] = None,
+                 quarantine: Optional[QuarantineRegistry] = None):
         self.seq = seq
         self.safety_limit = safety_limit
         self.collect_trace = collect_trace
         self.obs = obs
         self.resilience = resilience
+        self.quarantine = (quarantine if quarantine is not None
+                           else QuarantineRegistry())
 
     def rewrite(self, term: Term, ctx: RuleContext) -> RewriteResult:
         result = RewriteResult(term)
@@ -218,28 +232,26 @@ class RewriteEngine:
         self._inners: dict = {}        # see _inner_context
         self._clean: dict = {}         # block -> {(subterm, context)}
         self._root_top = self._top_context(dict(ctx.fix_env or {}))
-        runtime = (ResilienceRuntime(self.resilience)
-                   if self.resilience is not None else None)
+        runtime = ResilienceRuntime(self.resilience, self.quarantine,
+                                    current_context())
         for pass_index in range(self.seq.passes):
             changed = False
             result.passes += 1
             pass_t0 = perf_counter() if bus else 0.0
             for block in self.seq.blocks:
-                if runtime:
-                    reason = runtime.exhausted(result.applications)
-                    if reason is not None:
-                        runtime.degrade(reason, result.applications, bus)
-                        break
+                if runtime.exhausted(result.applications, bus):
+                    break
                 before = result.term
                 trace_mark = len(result.trace)
                 apps_mark = result.applications
                 self._run_block(block, result, bus, pass_index, runtime)
-                if runtime and result.term != before and \
-                        not runtime.validate_block(
-                            block.name, before, result.term,
-                            result.applications - apps_mark, bus):
+                if result.term == before:
+                    continue
+                if not runtime.validate_block(
+                        block.name, before, result.term,
+                        result.applications - apps_mark, bus):
                     # checked mode refuted this block: localize blame
-                    # (step-replay over the trace quarantines the one
+                    # (step-replay over the trace benches the one
                     # unsound rule) and roll it back
                     runtime.blame_rollback(
                         block.name, before, result.trace[trace_mark:],
@@ -249,25 +261,22 @@ class RewriteEngine:
                     del result.trace[trace_mark:]
                     result.applications = apps_mark
                     continue
-                if result.term != before:
-                    changed = True
+                changed = True
             if bus:
                 bus.emit(PassEnd(pass_index, changed,
                                  perf_counter() - pass_t0))
-            if runtime and runtime.report.degraded:
+            if runtime.report.degraded or not changed:
                 break
-            if not changed:
-                break
-        if runtime:
+        if self.resilience is not None:
             result.resilience = runtime.report
-            result.degraded = runtime.report.degraded
-            result.degraded_reason = runtime.report.degraded_reason
+        result.degraded = runtime.report.degraded
+        result.degraded_reason = runtime.report.degraded_reason
         return result
 
     # -- one block ----------------------------------------------------------
     def _run_block(self, block: Block, result: RewriteResult,
-                   bus=None, pass_index: int = 0,
-                   runtime: Optional[ResilienceRuntime] = None) -> None:
+                   bus, pass_index: int,
+                   runtime: ResilienceRuntime) -> None:
         if bus:
             bus.emit(BlockStart(block.name, pass_index, block.limit,
                                 block.count))
@@ -275,13 +284,10 @@ class RewriteEngine:
             apps_before, checks_before = result.applications, result.checks
         budget = block.limit
         exhausted = False
-        history = runtime.history_for(result.term) if runtime else None
+        history = runtime.history_for(result.term)
         while budget is None or budget > 0:
-            if runtime:
-                reason = runtime.exhausted(result.applications)
-                if reason is not None:
-                    runtime.degrade(reason, result.applications, bus)
-                    break
+            if runtime.exhausted(result.applications, bus):
+                break
             application = self._find_application(
                 block, result, budget, bus, runtime
             )
@@ -341,8 +347,8 @@ class RewriteEngine:
             ))
 
     def _find_application(self, block: Block, result: RewriteResult,
-                          budget: Optional[int], bus=None,
-                          runtime: Optional[ResilienceRuntime] = None):
+                          budget: Optional[int], bus,
+                          runtime: ResilienceRuntime):
         """First (position, rule) application that changes the term:
         positions in pre-order, rules in block order.
 
@@ -361,8 +367,8 @@ class RewriteEngine:
         by_root, rootless = block.rule_index()
         clean = self._clean.setdefault(block, set())
         root = result.term
-        sandbox = runtime is not None and runtime.policy.sandbox
-        quarantined = runtime.quarantined if runtime else ()
+        sandbox = runtime.policy.sandbox
+        quarantined = self.quarantine.rules()
         checks_left = budget if block.count == "checks" else None
         checks_this_scan = 0
         unclean = 0
@@ -371,7 +377,7 @@ class RewriteEngine:
         def attempt(rules, subterm: Term, path: tuple,
                     local_ctx: RuleContext) -> bool:
             """Try ``rules`` at one position; True ends the scan."""
-            nonlocal checks_this_scan, unclean, found
+            nonlocal checks_this_scan, unclean, found, quarantined
             for rule in rules:
                 if quarantined and rule.name in quarantined:
                     continue
@@ -394,6 +400,7 @@ class RewriteEngine:
                         runtime.record_failure(
                             block.name, rule.name, path, error, bus,
                         )
+                        quarantined = self.quarantine.rules()  # benched?
                         if bus:
                             bus.emit(RuleAttempt(
                                 block.name, rule.name, path, False,

@@ -5,9 +5,13 @@ import pytest
 
 from repro import Database
 from repro.core.explain import validate_explain
+from repro.engine.options import StatementOptions
 from repro.engine.stats import EvalStats
-from repro.errors import BudgetExceeded, QueryCancelled
+from repro.errors import BudgetExceeded, QueryCancelled, RuleError
 from repro.lifecycle import QueryContext, use_context
+
+from tests.resilience.chaos import (SALE_QUERY, AlwaysRaisingRule,
+                                    StallingRule, sale_db)
 
 
 @pytest.fixture
@@ -79,32 +83,124 @@ class TestMemoryBudget:
         assert done.memory.peak > 0
 
 
+@pytest.fixture
+def view_db(db):
+    """``db`` plus a view, so the rewrite has rules to fire."""
+    db.execute("CREATE VIEW V (A, B) AS SELECT A, B FROM T WHERE A > 10")
+    assert db.optimize(VIEW_QUERY).applications > 0
+    return db
+
+
+VIEW_QUERY = "SELECT A FROM V WHERE B > 30"
+
+
 class TestUnifiedBudget:
-    def test_expired_statement_budget_blocks_evaluation(self, db):
-        # an already-exhausted ambient budget trips before any rows flow
+    """One deadline: the rewrite reads its statement's deadline instant
+    beside its own budget, whichever comes first cuts it."""
+
+    def test_expired_statement_budget_blocks_evaluation(self, view_db):
+        # an already-exhausted ambient budget degrades the rewrite at
+        # its first poll, then trips before any rows flow
         ctx = QueryContext(timeout_ms=0.000001)
         with use_context(ctx):
+            optimized = view_db.optimize(VIEW_QUERY)
             with pytest.raises(BudgetExceeded) as err:
-                db.query("SELECT A FROM T")
+                view_db.query(VIEW_QUERY)
+        assert optimized.degraded is True
+        assert optimized.rewrite_result.degraded_reason == "deadline"
+        assert optimized.applications == 0
+        assert optimized.resilience is None  # a timeout is not a policy
         assert err.value.resource == "deadline"
 
-    def test_rewrite_deadline_clamped_to_statement_budget(self, db):
-        # with a 10s statement budget and no explicit rewrite deadline,
-        # the optimizer must receive a clamped, finite deadline
-        ctx = QueryContext(timeout_ms=10_000)
-        with use_context(ctx):
-            kwargs = db._resilience_kwargs(None, None)
-        assert kwargs["deadline_ms"] is not None
-        assert kwargs["deadline_ms"] <= 10_000
-        # an explicit rewrite deadline smaller than the statement
-        # budget survives; a larger one is clamped down
-        with use_context(QueryContext(timeout_ms=10_000)):
-            assert db._resilience_kwargs(None, 50.0)["deadline_ms"] == 50.0
-            big = db._resilience_kwargs(None, 60_000)["deadline_ms"]
-        assert big <= 10_000
+    def test_rewrite_budget_in_a_longer_statement_is_kept(self, view_db):
+        # 50 ms of rewrite inside a 10 s statement stays 50 ms: the
+        # stalled rewrite is cut, the statement goes on to answer
+        view_db.optimizer.rewriter.add_rule(StallingRule(delay_s=0.06),
+                                            "canonicalize")
+        rows = view_db.query(VIEW_QUERY, deadline_ms=50.0,
+                             timeout_ms=10_000).rows
+        assert sorted(rows) == [(a,) for a in range(16, 60)]
+        done = view_db.lifecycle.recent()[-1]
+        assert done.phase == "done" and done.elapsed_ms() < 5_000
+        report = view_db.explain_json(VIEW_QUERY, deadline_ms=50.0,
+                                      options=StatementOptions(
+                                          timeout_ms=10_000))
+        assert report["resilience"]["degraded_reason"] == "deadline"
 
-    def test_no_clamp_outside_governed_statement(self, db):
-        assert db._resilience_kwargs(None, None)["deadline_ms"] is None
+    def test_statement_deadline_cuts_long_rewrite_budget(self, view_db):
+        with use_context(QueryContext(timeout_ms=0.000001)):
+            optimized = view_db.optimize(VIEW_QUERY, deadline_ms=60_000)
+        assert optimized.applications == 0
+        assert optimized.resilience.degraded_reason == "deadline"
+
+    def test_unexpired_budgets_leave_the_rewrite_alone(self, view_db):
+        with use_context(QueryContext(timeout_ms=10_000)):
+            optimized = view_db.optimize(VIEW_QUERY, deadline_ms=60_000)
+        assert optimized.degraded is False
+        assert optimized.applications > 0
+
+
+def _bomb_db(**flags):
+    db = sale_db(**flags)
+    db.optimizer.rewriter.add_rule(AlwaysRaisingRule(), "simplify")
+    return db
+
+
+class TestRewritePolicyDecidedOnce:
+    """Only ``checked`` / ``deadline_ms`` / ``resilient`` make a rewrite
+    policy; a statement timeout or a benched rule must not switch
+    sandboxing on behind the caller's back."""
+
+    def test_bare_path_propagates_and_reports_nothing(self):
+        with pytest.raises(RuleError):
+            _bomb_db().query(SALE_QUERY)
+        assert sale_db().explain_json(SALE_QUERY)["resilience"] is None
+
+    def test_statement_timeout_alone_is_not_a_policy(self):
+        with pytest.raises(RuleError):
+            _bomb_db(statement_timeout_ms=60_000).query(SALE_QUERY)
+        report = sale_db(statement_timeout_ms=60_000).explain_json(
+            SALE_QUERY)
+        assert report["resilience"] is None
+        assert report["lifecycle"] is not None
+
+    def test_a_benched_rule_alone_is_not_a_policy(self):
+        db = _bomb_db()
+        db.quarantine.note("merge", "search_merge", "benched by hand",
+                           source="manual")
+        with pytest.raises(RuleError):
+            db.query(SALE_QUERY)
+        db.quarantine.lift("search_merge")
+        db.quarantine.note("simplify", "bomb", "benched by hand",
+                           source="manual")
+        # the benched bomb is skipped, with no policy to sandbox it
+        report = db.explain_json(SALE_QUERY, execute=True)
+        assert report["resilience"] is None
+        assert "bomb" not in {e["rule"] for e in report["rewrite"]["trace"]}
+
+    @pytest.mark.parametrize("flags", [
+        {"resilient": True}, {"checked": True}, {"deadline_ms": 60_000.0},
+    ], ids=lambda flags: next(iter(flags)))
+    def test_each_resilience_knob_is_a_policy(self, flags):
+        from repro.obs.bus import EventBus
+        from repro.obs.events import RuleFailed, RuleQuarantined
+        db = _bomb_db(**flags)
+        events = []
+        bus = EventBus()
+        bus.subscribe(events.append, kinds=[RuleFailed, RuleQuarantined])
+        assert sorted(db.query(SALE_QUERY, obs=bus).rows) \
+            == [(15,), (25,), (40,)]
+        assert [type(e) for e in events] \
+            == [RuleFailed] * 3 + [RuleQuarantined]
+        # the crash benching is on the one bench, with its source
+        assert db.query(
+            "SELECT Rule, Block, Source FROM sys.quarantine"
+        ).rows == [("bomb", "simplify", "sandbox")]
+        # ... so the next statement skips the rule and reports a clean
+        # rewrite: explain and sys.quarantine tell one story
+        report = db.explain_json(SALE_QUERY)
+        assert report["resilience"]["rule_failures"] == []
+        assert report["resilience"]["quarantined"] == []
 
 
 class TestCancellation:

@@ -4,6 +4,8 @@ or the watchdog -- within one cooperative check interval; mid-flight
 aborts leave a durable database fsck-clean with a gap-free WAL and a
 released writer lock."""
 
+import io
+import os
 import threading
 import time
 
@@ -12,7 +14,11 @@ import pytest
 from repro import Database
 from repro.durability.wal import scan_wal
 from repro.errors import BudgetExceeded, QueryCancelled
+from repro.pool.protocol import recv_frame, send_frame
+from repro.pool.worker import _Worker
 from repro.server import Server
+
+from tests.resilience.chaos import SALE_QUERY, StallingRule, sale_db
 
 # generous bound for "the victim thread died after the kill": actual
 # latency is one cooperative check interval (64 ticks) of pure-python
@@ -149,6 +155,81 @@ class TestKillRunaway:
         assert recent.phase == "cancelled"
         assert len(db.query("SELECT Src FROM EDGE WHERE Src = 0").rows) \
             == 1
+
+
+def _stalling_db():
+    """Every block scan of SALE_QUERY's rewrite stalls 20 ms per
+    position and fires nothing new: seconds of ``phase=optimize``."""
+    db = sale_db()
+    db.govern_statements = True
+    rewriter = db.optimizer.rewriter
+    for block in rewriter.seq.blocks:
+        rewriter.add_rule(StallingRule(), block.name)
+    return db
+
+
+class TestKillDuringRewrite:
+    """The rewrite polls its statement's cancel token before each block
+    and each application search, so a kill is seen in the optimize
+    phase and the statement never reaches the evaluator."""
+
+    def test_db_kill_lands_in_the_optimize_phase(self):
+        db = _stalling_db()
+        outcome = {}
+
+        def run():
+            try:
+                outcome["rows"] = db.query(SALE_QUERY).rows
+            except QueryCancelled as error:
+                outcome["error"] = error
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        victim = _wait_for_phase(db.lifecycle, "optimize")
+        # the token Server.kill, Ctrl-C and the watchdog's
+        # reap_overdue all pull
+        assert db.kill(victim.query_id) is True
+        thread.join(timeout=_JOIN_TIMEOUT_S)
+        assert not thread.is_alive(), "kill did not stop the rewrite"
+        error = outcome["error"]
+        assert error.phase == "optimize"
+        assert error.query_id == victim.query_id
+        assert victim.rows_charged == 0  # no evaluator ever ran
+        assert db.lifecycle.recent()[-1].phase == "cancelled"
+
+    def test_cancel_frame_unwinds_a_worker_mid_rewrite(self):
+        # no SIGKILL escalation needed: the reader thread pulls the
+        # replica's token and the statement answers with a typed error
+        read_end, write_end = os.pipe()
+        stdin, feeder = os.fdopen(read_end, "rb"), os.fdopen(write_end, "wb")
+        stdout = io.BytesIO()
+        worker = _Worker(stdin, stdout)
+        worker.db = _stalling_db()
+        reader = threading.Thread(target=worker.reader, daemon=True)
+        reader.start()
+        statement = threading.Thread(
+            target=worker.execute,
+            args=({"type": "execute", "id": 1, "source": SALE_QUERY},),
+            daemon=True,
+        )
+        statement.start()
+        try:
+            _wait_for_phase(worker.db.lifecycle, "optimize")
+            send_frame(feeder, {"type": "cancel", "reason": "kill"})
+            statement.join(timeout=_JOIN_TIMEOUT_S)
+            assert not statement.is_alive(), "the worker did not unwind"
+        finally:
+            feeder.close()  # EOF ends the reader thread
+            reader.join(timeout=_JOIN_TIMEOUT_S)
+            stdin.close()
+        assert not reader.is_alive()
+        stdout.seek(0)
+        reply = recv_frame(stdout)
+        assert reply["type"] == "error" and reply["id"] == 1
+        payload = reply["payload"]
+        assert payload["error"] == "QueryCancelled"
+        assert payload["phase"] == "optimize"
+        assert worker.db.lifecycle.recent()[-1].rows_charged == 0
 
 
 class TestAbortLeavesDatabaseClean:

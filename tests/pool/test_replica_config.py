@@ -8,10 +8,16 @@ pooled as in-process, whatever the parent was configured with.
 
 import io
 
+import pytest
+
 from repro.engine.database import Database
+from repro.errors import BudgetExceeded
 from repro.pool import supervisor as supervisor_mod
 from repro.pool.protocol import send_frame
+from repro.pool.supervisor import Supervisor, _Pending, _Slot
 from repro.pool.worker import _Worker
+from repro.resilience.checked import CheckedValidator
+from repro.rules.rule import rule_from_text
 from repro.server import Server, SessionSettings
 
 OR_CHAIN = "SELECT A FROM K WHERE A = 1 OR A = 2 OR A = 3"
@@ -97,7 +103,7 @@ class TestEngineSettingsReachTheReplica:
         optimize = worker.db.optimizer.optimize
 
         def spy(term, **kwargs):
-            seen.append(kwargs.get("checked"))
+            seen.append(kwargs["resilience"].validator)
             return optimize(term, **kwargs)
 
         worker.db.optimizer.optimize = spy
@@ -105,7 +111,8 @@ class TestEngineSettingsReachTheReplica:
         options = SessionSettings().resolved(parent)
         worker._run_statement({"source": OR_CHAIN,
                                "options": dict(vars(options))})
-        assert seen == [True]
+        (validator,) = seen
+        assert isinstance(validator, CheckedValidator)
 
 
 class TestQuarantineReachesTheReplica:
@@ -124,6 +131,75 @@ class TestQuarantineReachesTheReplica:
             assert _firings(db) == 2
         finally:
             server.close()
+
+
+class TestReplicaBenchingsReachTheParent:
+    """A rule a replica benches (checked-mode blame here; a crash past
+    the sandbox threshold takes the same road) is benched on the
+    parent, and so on every tier."""
+
+    QUERY = "SELECT A FROM K WHERE A > 2"
+
+    def _checked_replica(self):
+        """A worker whose checked replica holds the planted
+        result-changing rule of tests/qa/test_quarantine.py."""
+        worker = _Worker(io.BytesIO(), io.BytesIO())
+        worker.db = replica = _database(checked=True)
+        replica.optimizer.rewriter.add_rule(
+            rule_from_text("bad_flip: x > y / --> x >= y /"),
+            block="simplify")
+        return worker
+
+    def _frame(self, parent):
+        options = SessionSettings().resolved(parent)
+        return {"source": self.QUERY, "options": dict(vars(options)),
+                "quarantine": sorted(parent.quarantine.rules())}
+
+    def test_blame_rides_home_and_lands_in_the_parents_registry(self):
+        worker = self._checked_replica()
+        parent = _database(checked=True)
+        pool = Supervisor(parent)
+
+        def settle(reply):
+            pending = _Pending()
+            pending.reply = reply
+            return pool._settle(_Slot("w1"), pending, 0, None, self.QUERY)
+
+        reply = worker._run_statement(self._frame(parent))
+        # the block was rolled back: >= 2 would have answered 2 as well
+        assert sorted(reply["rows"]) == [[3], [4]]
+        (entry,) = reply["quarantine"]
+        assert (entry["rule"], entry["block"], entry["source"]) \
+            == ("bad_flip", "simplify", "checked")
+        # a frame built before the parent heard of it lifts nothing
+        again = worker._run_statement(self._frame(parent))
+        assert "bad_flip" in worker.db.quarantine
+        assert [e["rule"] for e in again["quarantine"]] == ["bad_flip"]
+        # the supervisor folds the reply: the parent's bench has the row
+        assert sorted(settle(reply).rows) == [(3,), (4,)]
+        assert parent.query(
+            "SELECT Rule, Block, Source FROM sys.quarantine"
+        ).rows == [("bad_flip", "simplify", "checked")]
+        # the parent lists it now: nothing left to report
+        assert "quarantine" not in worker._run_statement(
+            self._frame(parent))
+        # a parent-side lift is honoured on the next frame ...
+        assert parent.quarantine.lift("bad_flip")
+        reply = worker._run_statement(self._frame(parent))
+        # ... so the rule fired, diverged and was benched again
+        assert [e["rule"] for e in reply["quarantine"]] == ["bad_flip"]
+        settle(reply)
+        assert "bad_flip" in parent.quarantine
+
+    def test_an_error_reply_still_carries_the_verdict_next_time(self):
+        worker = self._checked_replica()
+        parent = _database(checked=True)
+        frame = self._frame(parent)
+        frame["options"]["row_budget"] = 1  # blames, then trips
+        with pytest.raises(BudgetExceeded):
+            worker._run_statement(frame)
+        reply = worker._run_statement(self._frame(parent))
+        assert [e["rule"] for e in reply["quarantine"]] == ["bad_flip"]
 
 
 class TestFallbackKeepsTheOptions:

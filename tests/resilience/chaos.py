@@ -19,9 +19,9 @@ from repro.errors import RuleError
 from repro.rules.rule import rule_from_text
 
 __all__ = [
-    "AlwaysRaisingRule", "FlakyRule", "SlowRule", "looping_pair",
-    "swap_rule", "growing_rule", "shrink_rule", "bad_comparison_rule",
-    "sale_db", "SALE_QUERY",
+    "AlwaysRaisingRule", "FlakyRule", "SlowRule", "StallingRule",
+    "looping_pair", "swap_rule", "growing_rule", "shrink_rule",
+    "bad_comparison_rule", "sale_db", "SALE_QUERY",
 ]
 
 
@@ -82,6 +82,25 @@ class SlowRule:
     def apply(self, subject, ctx):
         time.sleep(self.delay_s)
         return self.inner.apply(subject, ctx)
+
+
+class StallingRule:
+    """Never matches, and takes ``delay_s`` to say so at every position
+    it is offered: a rewrite that is slow while firing nothing (a
+    condition that calls out to something expensive)."""
+
+    def __init__(self, name: str = "stall", delay_s: float = 0.02):
+        self.name = name
+        self.delay_s = delay_s
+        self.attempts = 0
+
+    def quick_applicable(self, subject) -> bool:
+        return True
+
+    def apply(self, subject, ctx):
+        self.attempts += 1
+        time.sleep(self.delay_s)
+        return None
 
 
 def shrink_rule():

@@ -47,8 +47,7 @@ class ReferenceEngine(RewriteEngine):
                           runtime=None):
         ctx = self._base  # the context rewrite() was given
         checks_this_scan = 0
-        sandbox = runtime is not None and runtime.policy.sandbox
-        quarantined = runtime.quarantined if runtime else ()
+        sandbox = runtime.policy.sandbox
 
         def missed(rule, path, attempt_t0):
             if bus:
@@ -60,7 +59,7 @@ class ReferenceEngine(RewriteEngine):
         for path, subterm, schemas, fix_env in positions(
                 result.term, ctx):
             for rule in block.rules:
-                if quarantined and rule.name in quarantined:
+                if rule.name in self.quarantine:
                     continue
                 if not root_applicable(rule, subterm):
                     continue
