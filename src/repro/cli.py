@@ -105,16 +105,21 @@ class Shell:
     """Line-oriented driver around a Database (testable in isolation)."""
 
     def __init__(self, db: Optional[Database] = None):
-        self.db = db or Database()
-        # every interactive statement runs under a QueryContext so
-        # Ctrl-C / .kill always have a cancel token to pull
-        self.db.govern_statements = True
+        self._adopt(db or Database())
         # per-shell settings: applied as per-call overrides, never
         # written into the shared Database (see the module docstring)
         self.settings = SessionSettings(rewrite=True)
         self.server = None    # repro.server.Server when .serve on
         self.session = None   # the active serving Session
         self._buffer: list[str] = []
+
+    def _adopt(self, db: Database) -> None:
+        """Make ``db`` the shell's database (at start and on ``.open``):
+        every interactive statement runs under a QueryContext so
+        Ctrl-C / .kill always have a cancel token to pull and
+        ``.queries`` has a ledger to print."""
+        db.govern_statements = True
+        self.db = db
 
     # legacy aliases (older tests/scripts poke these directly)
     @property
@@ -328,7 +333,7 @@ class Shell:
             except OSError as error:
                 return [f"error: {error}"]
             self.db.close()
-            self.db = db
+            self._adopt(db)
             lines = [f"opened {argument}: {db.recovery.summary()}"]
             if self.server is not None:
                 self._start_serving()

@@ -66,8 +66,9 @@ is this query's slice of the rewrite-provenance ledger: one entry per
 rule firing, in firing order, each carrying the short expression
 hashes and complexity delta that let it be joined -- by hash or by
 ``trace_id`` -- against the ``sys.rewrites`` relation the same
-firings were recorded into.  The entries are produced by the same
-helper the ledger uses, so the two views cannot disagree.
+firings were recorded into.  The entries *are* the ledger's (the
+optimizer derives them once and hands the same objects to both), so
+the two views cannot disagree.
 
 ``trace`` (version 4's addition; see ``docs/observability.md``) names
 the request: ``trace_id`` is the id every event the request emitted
@@ -281,10 +282,12 @@ def _trace_section(profile: Optional[dict],
                    trace: Optional[dict] = None) -> dict:
     """The ``trace`` object of the v4 schema.
 
-    Ids come from the ambient :class:`~repro.obs.telemetry
-    .TraceContext` (a fresh one is minted outside any request, so the
-    section is always present and well-formed); stage timings are
-    recovered from the profile's phase histograms.  ``trace`` lets the
+    Ids and fingerprint come from the ambient :class:`~repro.obs
+    .telemetry.TraceContext` -- the server's, or the one
+    ``Database.explain_json`` planned the statement under (a fresh one
+    is minted for a report built outside both, so the section is
+    always well-formed); stage timings are recovered from the
+    profile's phase histograms.  ``trace`` lets the
     caller pre-populate stages it measured itself (the server's
     ``queue_wait_ms``).
     """
@@ -294,13 +297,6 @@ def _trace_section(profile: Optional[dict],
     if context is None:
         context = TraceContext.new()
     section = context.as_dict()
-    if not section.get("fingerprint"):
-        # direct explain calls have no server-stamped trace; the
-        # statement fingerprint context still knows the identity
-        from repro.esql.fingerprint import current_fingerprint
-        fingerprint = current_fingerprint()
-        section["fingerprint"] = (fingerprint.fingerprint
-                                  if fingerprint else "")
     stages: dict = dict((trace or {}).get("stages") or {})
     histograms = ((profile or {}).get("metrics") or {}) \
         .get("histograms") or {}
@@ -340,9 +336,6 @@ def explain_json(optimized: OptimizedQuery,
     from repro.lifecycle.context import current_context
     context = current_context()
     lifecycle = context.snapshot() if context is not None else None
-    from repro.core.rewriter import provenance_entries
-    provenance = provenance_entries(result, trace_section["trace_id"],
-                                    trace_section.get("fingerprint", ""))
     return {
         "schema_version": EXPLAIN_SCHEMA_VERSION,
         "plans": {
@@ -374,7 +367,8 @@ def explain_json(optimized: OptimizedQuery,
         },
         "provenance": {
             "trace_id": trace_section["trace_id"],
-            "entries": [entry.as_dict() for entry in provenance],
+            "entries": [entry.as_dict()
+                        for entry in optimized.provenance],
         },
         "resilience": (result.resilience.as_dict()
                        if result.resilience is not None else None),

@@ -21,7 +21,7 @@ from repro.engine.catalog import Catalog
 from repro.lera.schema import Schema
 from repro.lera.typecheck import typecheck
 from repro.obs.events import PhaseEnd, PhaseStart
-from repro.core.rewriter import QueryRewriter
+from repro.core.rewriter import QueryRewriter, provenance_entries
 from repro.rules.control import RewriteResult
 from repro.terms.term import Term
 
@@ -38,6 +38,10 @@ class OptimizedQuery:
     final: Term
     schema: Schema
     rewrite_result: RewriteResult
+    # one ProvenanceEntry per firing, stamped with the statement's
+    # trace id and fingerprint: the objects the ledger (sys.rewrites)
+    # holds and the explain report embeds
+    provenance: list = field(default_factory=list)
 
     @property
     def trace(self):
@@ -119,16 +123,18 @@ class Optimizer:
         if bus:
             bus.emit(PhaseEnd("typecheck_final", perf_counter() - t0))
             bus.emit(PhaseEnd("optimize", perf_counter() - t_opt))
-        ledger = self.ledger
-        if ledger is not None and result.trace:
+        provenance = []
+        if result.trace:
             from repro.esql.fingerprint import current_fingerprint
             from repro.obs.telemetry import current_trace
             trace = current_trace()
             fingerprint = current_fingerprint()
-            ledger.record(
+            provenance = provenance_entries(
                 result, trace.trace_id if trace else "",
                 fingerprint.fingerprint if fingerprint else "",
             )
+            if self.ledger is not None:
+                self.ledger.record(provenance)
         return OptimizedQuery(
             original=term,
             typed=typed,
@@ -136,6 +142,7 @@ class Optimizer:
             final=final,
             schema=schema,
             rewrite_result=result,
+            provenance=provenance,
         )
 
     def _final_pass(self, typed: Term, schema: Schema,

@@ -85,10 +85,11 @@ def provenance_entries(result: RewriteResult,
                        fingerprint: str = "") -> list[ProvenanceEntry]:
     """Flatten a rewrite trace into provenance entries.
 
-    Shared by the ledger (which accumulates them across statements)
-    and the explain report (which embeds this query's own entries in
-    the schema-v5 ``provenance`` section) so the two views can never
-    disagree about a firing.
+    Run once per rewrite, by the optimizer: the ledger accumulates the
+    entries across statements and the explain report embeds the same
+    objects (``OptimizedQuery.provenance``) in its schema-v5
+    ``provenance`` section, so the two views cannot disagree about a
+    firing.
     """
     entries = []
     for iteration, t in enumerate(result.trace):
@@ -131,12 +132,7 @@ class RewriteLedger:
         self._heat: dict[tuple[str, str], list] = {}
         self._recorded = 0
 
-    def record(self, result: RewriteResult,
-               trace_id: str = "",
-               fingerprint: str = "") -> list[ProvenanceEntry]:
-        if not result.trace:
-            return []
-        entries = provenance_entries(result, trace_id, fingerprint)
+    def record(self, entries: list[ProvenanceEntry]) -> None:
         with self._lock:
             self._ring.extend(entries)
             self._recorded += len(entries)
@@ -147,7 +143,6 @@ class RewriteLedger:
                 slot[0] += 1
                 slot[1] += e.complexity_delta
                 slot[2] += e.duration_ms
-        return entries
 
     def entries(self) -> list[ProvenanceEntry]:
         """Snapshot of the ring, oldest first."""

@@ -21,7 +21,7 @@ from typing import Optional
 from repro.core.explain import explain_json, explain_text
 from repro.core.extension import Extension
 from repro.obs.profile import Profiler
-from repro.obs.telemetry import current_trace, use_trace
+from repro.obs.telemetry import TraceContext, current_trace, use_trace
 from repro.core.optimizer import OptimizedQuery, Optimizer
 from repro.core.rewriter import QueryRewriter, RewriteLedger
 from repro.engine.analyze import AnalyzeCollector
@@ -585,11 +585,15 @@ class Database:
             return explain_json(optimized, profile=profiler,
                                 eval_stats=stats, analyze=nodes)
 
-        return self._statement(
-            *self._parse_query(source), options, session=session,
-            obs=profiler.bus, stats=stats, evaluate=stats is not None,
-            finish=report,
-        )[0]
+        # plan under the trace the report will name: a direct call
+        # gets one here, so sys.rewrites and the report share ids
+        with (nullcontext() if current_trace() is not None
+              else use_trace(TraceContext.new())):
+            return self._statement(
+                *self._parse_query(source), options, session=session,
+                obs=profiler.bus, stats=stats, evaluate=stats is not None,
+                finish=report,
+            )[0]
 
     # -- extensions -------------------------------------------------------------
     def add_integrity_constraint(self, source: str) -> None:
@@ -686,7 +690,7 @@ class Database:
                 hash_joins=self.hash_joins, obs=obs, analyze=collector,
             )
             t1 = perf_counter()
-            result = evaluator.evaluate(optimized.final)
+            result = evaluator.evaluate(optimized.final, optimized.schema)
             eval_s = perf_counter() - t1
             # record: fold the execution into the workload views
             fp = current_fingerprint()

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
+from repro.adt.values import CollectionValue
 from repro.engine.catalog import Catalog
 from repro.engine.stats import EvalStats
 from repro.errors import EvaluationError
@@ -42,7 +43,7 @@ from repro.lera import ops
 from repro.lifecycle.context import Truncation, current_context
 from repro.lera.schema import Schema, schema_of
 from repro.terms.term import (AttrRef, Const, Fun, Term, conjuncts, is_fun,
-                              mk_fun, sym)
+                              mentions, mk_fun, sym)
 
 __all__ = ["Evaluator", "Result", "evaluate"]
 
@@ -157,7 +158,11 @@ class Evaluator:
         return self.catalog.type_system
 
     # -- public API ---------------------------------------------------------
-    def evaluate(self, term: Term) -> Result:
+    def evaluate(self, term: Term,
+                 schema: Optional[Schema] = None) -> Result:
+        """Run ``term``; ``schema`` is its output schema when the
+        caller already holds it (the statement path does, from the
+        optimizer), derived here otherwise."""
         self._cache: dict[Term, list[tuple]] = {}
         # one snapshot per sys.* relation per evaluation: a plan that
         # scans the same virtual twice (self-join, fixpoint) must see
@@ -166,7 +171,8 @@ class Evaluator:
         ctx = self.context
         if ctx is None:
             rows = self._eval_rel(term, {}, {})
-            schema = schema_of(term, self.catalog)
+            if schema is None:
+                schema = schema_of(term, self.catalog)
             return Result(rows, schema)
         try:
             try:
@@ -176,7 +182,8 @@ class Evaluator:
                 # bare-relation plan): an empty prefix is the result
                 self._note_truncated()
                 rows = []
-            schema = schema_of(term, self.catalog)
+            if schema is None:
+                schema = schema_of(term, self.catalog)
             return Result(rows, schema)
         finally:
             # zero-balance the statement's memory account: every byte
@@ -245,7 +252,8 @@ class Evaluator:
             cache is not None
             and isinstance(term, Fun)
             and term.name in ("FIX", "UNION", "SEARCH", "JOIN", "NEST")
-            and not (fix_rows and _free_symbols(term) & set(fix_rows))
+            and (not fix_rows
+                 or mentions(term).keys().isdisjoint(fix_rows))
         )
         if cacheable and term in cache:
             return cache[term]
@@ -427,18 +435,17 @@ class Evaluator:
                 yield list(env)
                 return
             pos = order[depth]
+            candidates = relations[pos - 1]
             probe = hash_probe[depth]
-            if probe is not None:
-                own_col, other_ref = probe
+            if probe is not None and indexes[depth] is None:
+                indexes[depth] = _hash_index(candidates, probe[0])
                 if indexes[depth] is None:
-                    index: dict = {}
-                    for row in relations[pos - 1]:
-                        index.setdefault(row[own_col - 1], []).append(row)
-                    indexes[depth] = index
+                    probe = hash_probe[depth] = None  # declined: scan
+            if probe is not None:
+                other_ref = probe[1]
                 key = env[other_ref.rel - 1][other_ref.pos - 1]
-                candidates = indexes[depth].get(key, ())
-            else:
-                candidates = relations[pos - 1]
+                if not isinstance(key, CollectionValue):
+                    candidates = indexes[depth].get(key, ())
             for row in candidates:
                 if depth == 0:
                     self.stats.incr("tuples_scanned")
@@ -600,9 +607,12 @@ class Evaluator:
                   fix_env: dict) -> list[tuple]:
         rel_const, body = term.args
         name = str(rel_const.value)  # type: ignore[union-attr]
-        schema = schema_of(term, self.catalog, fix_env)
-        inner_env = dict(fix_env)
-        inner_env[name] = schema
+        inner_env = fix_env
+        if "NEST" in term.symbols:
+            # NEST alone reads the schema environment (to name the
+            # attributes it groups); no NEST below, no schema to derive
+            inner_env = dict(fix_env)
+            inner_env[name] = schema_of(term, self.catalog, fix_env)
 
         if self.semi_naive:
             return self._fix_semi_naive(name, body, fix_rows, inner_env)
@@ -638,18 +648,18 @@ class Evaluator:
     def _fix_semi_naive(self, name: str, body: Term, fix_rows: dict,
                         fix_env: dict) -> list[tuple]:
         delta_name = f"{name}$DELTA"
-        inner_env = dict(fix_env)
-        inner_env[delta_name] = inner_env[name]
+        inner_env = fix_env
+        if name in fix_env:
+            inner_env = dict(fix_env)
+            inner_env[delta_name] = fix_env[name]
 
         if is_fun(body, "UNION"):
             branches = list(ops.relation_inputs(body))
         else:
             branches = [body]
 
-        base_branches = [b for b in branches
-                         if _count_symbol(b, name) == 0]
-        rec_branches = [b for b in branches
-                        if _count_symbol(b, name) > 0]
+        base_branches = [b for b in branches if name not in mentions(b)]
+        rec_branches = [b for b in branches if name in mentions(b)]
 
         ctx = self.context
         total: dict[tuple, None] = {}
@@ -668,8 +678,7 @@ class Evaluator:
             # total).
             variants: list[Term] = []
             for b in rec_branches:
-                occurrences = _count_symbol(b, name)
-                for i in range(occurrences):
+                for i in range(mentions(b)[name]):
                     variants.append(
                         _replace_nth_symbol(b, name, i, delta_name)
                     )
@@ -739,7 +748,6 @@ class Evaluator:
 
     def _eval_unnest(self, term: Fun, fix_rows: dict,
                      fix_env: dict) -> list[tuple]:
-        from repro.adt.values import CollectionValue
         input_term, attr = term.args
         rows = self._eval_rel(input_term, fix_rows, fix_env)
         pos = attr.pos  # type: ignore[union-attr]
@@ -820,6 +828,21 @@ def _estimate_bytes(rows: list) -> int:
     return len(rows) * (48 + 8 * width)
 
 
+def _hash_index(rows: list, col: int) -> Optional[dict]:
+    """``rows`` by their value in column ``col``; None when one of
+    those values is a collection: ``=`` broadcasts over a collection
+    operand, which a dict lookup cannot reproduce, so the probe
+    declines (for a collection key on the probing side as well) and
+    the loop scans."""
+    index: dict = {}
+    for row in rows:
+        key = row[col - 1]
+        if isinstance(key, CollectionValue):
+            return None
+        index.setdefault(key, []).append(row)
+    return index
+
+
 def _equi_probe(conjunct: Term, pos: int, bound: set):
     """(own column, other AttrRef) when ``conjunct`` is an equality
     linking input ``pos`` to a bound input; None otherwise."""
@@ -832,23 +855,6 @@ def _equi_probe(conjunct: Term, pos: int, bound: set):
         if own.rel == pos and other.rel in bound:
             return own.pos, other
     return None
-
-
-def _free_symbols(term: Term) -> set[str]:
-    from repro.terms.term import walk
-    return {
-        str(t.value) for t in walk(term)
-        if isinstance(t, Const) and t.kind == "symbol"
-    }
-
-
-def _count_symbol(term: Term, name: str) -> int:
-    from repro.terms.term import walk
-    return sum(
-        1 for t in walk(term)
-        if isinstance(t, Const) and t.kind == "symbol"
-        and str(t.value) == name
-    )
 
 
 def _replace_nth_symbol(term: Term, name: str, n: int,

@@ -40,6 +40,7 @@ __all__ = [
     "relation", "filter_", "projection", "join", "search", "union",
     "intersection", "difference", "fix", "nest", "unnest", "as_item",
     "is_relation_name", "is_lera_operator", "relation_inputs",
+    "args_with_inputs", "INPUTS_IN_COLLECTION", "SCOPED_ARGS",
     "item_expr", "item_name", "proj_items", "LERA_OPERATORS",
     "search_parts", "rel_list", "values_rel", "empty_rel",
     "empty_width", "semijoin", "antijoin", "distinct",
@@ -50,6 +51,22 @@ LERA_OPERATORS = frozenset({
     "DIFFERENCE", "FIX", "NEST", "UNNEST", "VALUES", "EMPTY",
     "SEMIJOIN", "ANTIJOIN", "DISTINCT",
 })
+
+# Operators whose relation operands (:func:`relation_inputs`) are the
+# members of the LIST / SET at argument 0; the others take them as
+# leading arguments (FIX: its body, after the name).
+INPUTS_IN_COLLECTION = frozenset({"SEARCH", "JOIN", "UNION", "INTERSECTION"})
+
+# Where an operator keeps the expressions scoped over the schemas of
+# its relation operands (:func:`relation_inputs`): the argument
+# positions of its qualification and of its LIST of projection items.
+# The type checker normalises those arguments over the operand schemas
+# and the rewrite engine scans them under a context that knows them;
+# an operator not listed here has none.
+SCOPED_ARGS = {
+    "SEARCH": (1, 2), "JOIN": (1,), "FILTER": (1,), "PROJECTION": (1,),
+    "SEMIJOIN": (2,), "ANTIJOIN": (2,),
+}
 
 _NEST_KINDS = ("SET", "BAG", "LIST", "ARRAY")
 
@@ -259,6 +276,17 @@ def relation_inputs(term: Term) -> tuple[Term, ...]:
         return (term.args[0], term.args[1])
     if name == "FIX":
         return (term.args[1],)
-    if name in ("VALUES", "EMPTY"):
-        return ()
     return ()
+
+
+def args_with_inputs(term: Fun, inputs: Sequence[Term]) -> list[Term]:
+    """The arguments of ``term`` (any operator but FIX) with its
+    relation operands (:func:`relation_inputs`) replaced, where they
+    stand, by ``inputs``; the caller edits the rest and rebuilds with
+    ``mk_fun``."""
+    args = list(term.args)
+    if term.name in INPUTS_IN_COLLECTION:
+        args[0] = mk_fun(args[0].name, inputs)
+    else:
+        args[:len(inputs)] = inputs
+    return args

@@ -19,9 +19,10 @@ from repro.adt.types import (ANY, BOOLEAN, CHAR, CollectionType, DataType,
                              TupleType)
 from repro.errors import SchemaError
 from repro.lera import ops
-from repro.terms.term import AttrRef, Const, Fun, Term, is_fun
+from repro.terms.term import AttrRef, Const, Fun, Term, is_fun, mentions
 
-__all__ = ["Schema", "schema_of", "infer_type", "item_output_name"]
+__all__ = ["Schema", "schema_of", "operator_schema", "infer_type",
+           "item_output_name"]
 
 
 class Schema:
@@ -209,60 +210,51 @@ def schema_of(term: Term, catalog,
     if not isinstance(term, Fun):
         raise SchemaError(f"not a LERA term: {term!r}")
 
-    if term.name == "SEARCH":
-        inputs, __, items = ops.search_parts(term)
-        input_schemas = [schema_of(r, catalog, fix_env) for r in inputs]
-        return _items_schema(items, input_schemas, catalog)
-
-    if term.name == "PROJECTION":
-        input_schema = schema_of(term.args[0], catalog, fix_env)
-        items = ops.proj_items(term)
-        return _items_schema(items, [input_schema], catalog)
-
-    if term.name == "FILTER":
-        return schema_of(term.args[0], catalog, fix_env)
-
-    if term.name == "JOIN":
-        schemas = [schema_of(r, catalog, fix_env)
-                   for r in ops.rel_list(term)]
-        out = schemas[0]
-        for s in schemas[1:]:
-            out = out.concat(s)
-        return out
-
-    if term.name in ("UNION", "INTERSECTION"):
-        inputs = ops.relation_inputs(term)
-        schemas = [schema_of(r, catalog, fix_env) for r in inputs]
-        width = len(schemas[0])
-        for s in schemas[1:]:
-            if len(s) != width:
-                raise SchemaError(
-                    f"{term.name} inputs have different widths: "
-                    f"{width} vs {len(s)}"
-                )
-        return schemas[0]
-
-    if term.name == "DIFFERENCE":
-        left = schema_of(term.args[0], catalog, fix_env)
-        right = schema_of(term.args[1], catalog, fix_env)
-        if len(left) != len(right):
-            raise SchemaError("DIFFERENCE inputs have different widths")
-        return left
-
-    if term.name in ("SEMIJOIN", "ANTIJOIN"):
-        return schema_of(term.args[0], catalog, fix_env)
-
-    if term.name == "DISTINCT":
-        return schema_of(term.args[0], catalog, fix_env)
-
     if term.name == "FIX":
         return _fix_schema(term, catalog, fix_env)
 
-    if term.name == "EMPTY":
+    return operator_schema(
+        term,
+        [schema_of(r, catalog, fix_env) for r in ops.relation_inputs(term)],
+        catalog,
+    )
+
+
+def operator_schema(term: Fun, operand_schemas: list[Schema],
+                    catalog) -> Schema:
+    """The typing rule of every operator but FIX: the schema ``term``
+    yields given the schemas of its relation operands, in
+    :func:`~repro.lera.ops.relation_inputs` order.  :func:`schema_of`
+    and the type checker both derive their answer here."""
+    name = term.name
+
+    if name in ("SEARCH", "PROJECTION"):
+        return _items_schema(ops.proj_items(term), operand_schemas, catalog)
+
+    if name in ("FILTER", "SEMIJOIN", "ANTIJOIN", "DISTINCT"):
+        return operand_schemas[0]
+
+    if name == "JOIN":
+        out = operand_schemas[0]
+        for s in operand_schemas[1:]:
+            out = out.concat(s)
+        return out
+
+    if name in ("UNION", "INTERSECTION", "DIFFERENCE"):
+        width = len(operand_schemas[0])
+        for s in operand_schemas[1:]:
+            if len(s) != width:
+                raise SchemaError(
+                    f"{name} inputs have different widths: "
+                    f"{width} vs {len(s)}"
+                )
+        return operand_schemas[0]
+
+    if name == "EMPTY":
         width = int(term.args[0].value)  # type: ignore[union-attr]
         return Schema([(f"C{i}", ANY) for i in range(1, width + 1)])
 
-    if term.name == "VALUES":
+    if name == "VALUES":
         rows_list = term.args[0]
         if not is_fun(rows_list, "LIST") or not rows_list.args:
             raise SchemaError("malformed VALUES term")
@@ -274,13 +266,13 @@ def schema_of(term: Term, catalog,
             attrs.append((f"V{i}", infer_type(cell, [], catalog)))
         return Schema(attrs)
 
-    if term.name == "NEST":
-        return _nest_schema(term, catalog, fix_env)
+    if name == "NEST":
+        return _nest_schema(term, operand_schemas[0])
 
-    if term.name == "UNNEST":
-        return _unnest_schema(term, catalog, fix_env)
+    if name == "UNNEST":
+        return _unnest_schema(term, operand_schemas[0])
 
-    raise SchemaError(f"unknown LERA operator {term.name!r}")
+    raise SchemaError(f"unknown LERA operator {name!r}")
 
 
 def _items_schema(items, input_schemas: list[Schema], catalog) -> Schema:
@@ -310,8 +302,8 @@ def _fix_schema(term: Fun, catalog, fix_env: dict) -> Schema:
     candidates = []
     if is_fun(body, "UNION"):
         candidates = [b for b in ops.relation_inputs(body)
-                      if not _mentions(b, rel_name)]
-    elif not _mentions(body, rel_name):
+                      if rel_name not in mentions(b)]
+    elif rel_name not in mentions(body):
         candidates = [body]
     if not candidates:
         raise SchemaError(
@@ -329,17 +321,8 @@ def _fix_schema(term: Fun, catalog, fix_env: dict) -> Schema:
     return full
 
 
-def _mentions(term: Term, rel_name: str) -> bool:
-    from repro.terms.term import walk
-    for t in walk(term):
-        if isinstance(t, Const) and t.kind == "symbol" \
-                and str(t.value) == rel_name:
-            return True
-    return False
-
-
-def _nest_parts(term: Fun) -> tuple[Term, tuple[int, ...], str, str]:
-    input_, nested, spec = term.args
+def _nest_parts(term: Fun) -> tuple[tuple[int, ...], str, str]:
+    __, nested, spec = term.args
     if not is_fun(nested, "LIST") or not is_fun(spec, "LIST"):
         raise SchemaError(f"malformed NEST term {term!r}")
     positions = []
@@ -348,13 +331,11 @@ def _nest_parts(term: Fun) -> tuple[Term, tuple[int, ...], str, str]:
             raise SchemaError("NEST nested attributes must be #1.j refs")
         positions.append(a.pos)
     name_const, kind_const = spec.args  # type: ignore[union-attr]
-    return (input_, tuple(positions), str(name_const.value),
-            str(kind_const.value))
+    return tuple(positions), str(name_const.value), str(kind_const.value)
 
 
-def _nest_schema(term: Fun, catalog, fix_env: dict) -> Schema:
-    input_, positions, new_name, kind = _nest_parts(term)
-    base = schema_of(input_, catalog, fix_env)
+def _nest_schema(term: Fun, base: Schema) -> Schema:
+    positions, new_name, kind = _nest_parts(term)
     kept = [p for p in range(1, len(base) + 1) if p not in positions]
     if len(positions) == 1:
         element: DataType = base.attr_type(positions[0])
@@ -369,11 +350,10 @@ def _nest_schema(term: Fun, catalog, fix_env: dict) -> Schema:
     return Schema(attrs)
 
 
-def _unnest_schema(term: Fun, catalog, fix_env: dict) -> Schema:
-    input_, attr = term.args
+def _unnest_schema(term: Fun, base: Schema) -> Schema:
+    attr = term.args[1]
     if not isinstance(attr, AttrRef) or attr.rel != 1:
         raise SchemaError("UNNEST attribute must be a #1.j ref")
-    base = schema_of(input_, catalog, fix_env)
     coll_type = base.attr_type(attr.pos)
     if isinstance(coll_type, CollectionType):
         element = coll_type.element

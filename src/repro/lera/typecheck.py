@@ -21,7 +21,8 @@ from typing import Optional
 from repro.adt.types import CollectionType, DataType, ObjectType, TupleType
 from repro.errors import TypeCheckError
 from repro.lera import ops
-from repro.lera.schema import Schema, infer_type, schema_of
+from repro.lera.schema import (Schema, infer_type, operator_schema,
+                               schema_of)
 from repro.terms.term import (AttrRef, Const, Fun, Term, is_fun, mk_fun,
                               string)
 
@@ -41,61 +42,6 @@ def typecheck(term: Term, catalog,
 
     name = term.name
 
-    if name == "SEARCH":
-        inputs, qual, items = ops.search_parts(term)
-        new_inputs, schemas = _check_inputs(inputs, catalog, fix_env)
-        new_qual = normalize_expression(qual, schemas, catalog)
-        _require_valid(new_qual, schemas, catalog)
-        new_items = tuple(
-            _normalize_item(i, schemas, catalog) for i in items
-        )
-        new_term = ops.search(new_inputs, new_qual, new_items)
-        return new_term, schema_of(new_term, catalog, fix_env)
-
-    if name == "PROJECTION":
-        new_input, schema = typecheck(term.args[0], catalog, fix_env)
-        items = ops.proj_items(term)
-        new_items = tuple(
-            _normalize_item(i, [schema], catalog) for i in items
-        )
-        new_term = ops.projection(new_input, new_items)
-        return new_term, schema_of(new_term, catalog, fix_env)
-
-    if name == "FILTER":
-        new_input, schema = typecheck(term.args[0], catalog, fix_env)
-        new_qual = normalize_expression(term.args[1], [schema], catalog)
-        _require_valid(new_qual, [schema], catalog)
-        return ops.filter_(new_input, new_qual), schema
-
-    if name == "JOIN":
-        inputs = ops.rel_list(term)
-        new_inputs, schemas = _check_inputs(inputs, catalog, fix_env)
-        new_qual = normalize_expression(term.args[1], schemas, catalog)
-        _require_valid(new_qual, schemas, catalog)
-        new_term = ops.join(new_inputs, new_qual)
-        return new_term, schema_of(new_term, catalog, fix_env)
-
-    if name in ("UNION", "INTERSECTION"):
-        inputs = ops.relation_inputs(term)
-        new_inputs, schemas = _check_inputs(inputs, catalog, fix_env)
-        builder = ops.union if name == "UNION" else ops.intersection
-        new_term = builder(new_inputs)
-        return new_term, schema_of(new_term, catalog, fix_env)
-
-    if name == "DIFFERENCE":
-        new_left, left_schema = typecheck(term.args[0], catalog, fix_env)
-        new_right, __ = typecheck(term.args[1], catalog, fix_env)
-        return ops.difference(new_left, new_right), left_schema
-
-    if name in ("SEMIJOIN", "ANTIJOIN"):
-        new_left, left_schema = typecheck(term.args[0], catalog, fix_env)
-        new_right, right_schema = typecheck(term.args[1], catalog, fix_env)
-        new_qual = normalize_expression(
-            term.args[2], [left_schema, right_schema], catalog
-        )
-        _require_valid(new_qual, [left_schema, right_schema], catalog)
-        return mk_fun(name, [new_left, new_right, new_qual]), left_schema
-
     if name == "FIX":
         rel_const, body = term.args
         schema = schema_of(term, catalog, fix_env)
@@ -105,45 +51,39 @@ def typecheck(term: Term, catalog,
         new_term = mk_fun("FIX", [rel_const, new_body])
         return new_term, schema
 
-    if name in ("VALUES", "EMPTY"):
-        return term, schema_of(term, catalog, fix_env)
+    if name not in ops.LERA_OPERATORS:
+        raise TypeCheckError(f"unknown LERA operator {name!r}")
 
-    if name == "DISTINCT":
-        new_input, schema = typecheck(term.args[0], catalog, fix_env)
-        return mk_fun("DISTINCT", [new_input]), schema
-
-    if name in ("NEST", "UNNEST"):
-        new_input, __ = typecheck(term.args[0], catalog, fix_env)
-        new_term = mk_fun(name, (new_input,) + term.args[1:])
-        return new_term, schema_of(new_term, catalog, fix_env)
-
-    raise TypeCheckError(f"unknown LERA operator {name!r}")
-
-
-def _check_inputs(inputs, catalog, fix_env) -> tuple[list[Term], list[Schema]]:
-    new_inputs: list[Term] = []
-    schemas: list[Schema] = []
-    for r in inputs:
-        new_r, s = typecheck(r, catalog, fix_env)
-        new_inputs.append(new_r)
-        schemas.append(s)
-    return new_inputs, schemas
-
-
-def _normalize_item(item: Term, schemas: list[Schema], catalog) -> Term:
-    if is_fun(item, "AS"):
-        expr, name_const = item.args  # type: ignore[union-attr]
-        new_expr = normalize_expression(expr, schemas, catalog)
-        _require_valid(new_expr, schemas, catalog)
-        return mk_fun("AS", [new_expr, name_const])
-    new_expr = normalize_expression(item, schemas, catalog)
-    _require_valid(new_expr, schemas, catalog)
-    return new_expr
+    # every other operator: type the relation operands, put them back
+    # where they were, normalise the expressions scoped over their
+    # schemas, and ask the operator's typing rule with the schemas held
+    typed = [typecheck(r, catalog, fix_env)
+             for r in ops.relation_inputs(term)]
+    schemas = [schema for __, schema in typed]
+    args = ops.args_with_inputs(term, [new for new, __ in typed])
+    for i in ops.SCOPED_ARGS.get(name, ()):
+        if is_fun(args[i], "LIST"):  # the projection items
+            args[i] = mk_fun("LIST", [
+                _normalize_valid(item, schemas, catalog)
+                for item in args[i].args  # type: ignore[union-attr]
+            ])
+        else:
+            args[i] = _normalize_valid(args[i], schemas, catalog)
+    new_term = mk_fun(name, args)
+    if name in ("UNION", "INTERSECTION"):
+        # their SET re-sorted, and merged, the typed operands: line the
+        # schemas up with the operands the new term really has
+        schema_by_operand = dict(typed)
+        schemas = [schema_by_operand[r]
+                   for r in ops.relation_inputs(new_term)]
+    return new_term, operator_schema(new_term, schemas, catalog)
 
 
-def _require_valid(expr: Term, schemas: list[Schema], catalog) -> None:
+def _normalize_valid(expr: Term, schemas: list[Schema], catalog) -> Term:
+    new_expr = normalize_expression(expr, schemas, catalog)
     # forces attribute-range and typing errors to surface here
-    infer_type(expr, schemas, catalog)
+    infer_type(new_expr, schemas, catalog)
+    return new_expr
 
 
 def normalize_expression(expr: Term, input_schemas: list[Schema],

@@ -60,12 +60,6 @@ __all__ = ["Block", "Seq", "RewriteEngine", "RewriteResult", "TraceEntry"]
 
 _SAFETY_LIMIT = 100_000
 
-# operators whose last argument is a qualification or projection list
-# over the relation arguments before it (how many there are)
-_RELATION_ARGS = {"FILTER": 1, "PROJECTION": 1, "SEMIJOIN": 2,
-                  "ANTIJOIN": 2}
-
-
 @dataclass(frozen=True)
 class TraceEntry:
     """One recorded rule application.
@@ -449,23 +443,20 @@ class RewriteEngine:
             rules = by_root.get(name, rootless)
             if rules and attempt(rules, t, path, here):
                 return True
-            if name == "SEARCH" or name == "JOIN":
-                rels = ops.rel_list(t)
+            scoped = ops.SCOPED_ARGS.get(name)
+            if scoped:
+                rels = ops.relation_inputs(t)
+                # operands held in a LIST sit one level down (the LIST
+                # itself is no position)
+                held = path + (0,) if name in ops.INPUTS_IN_COLLECTION \
+                    else path
                 for i, r in enumerate(rels):
-                    if scan(r, path + (0, i), top, top):
+                    if scan(r, held + (i,), top, top):
                         return True
                 inner = self._inner_context(rels, top)
-                for i in (1, 2) if name == "SEARCH" else (1,):
+                for i in scoped:
                     if scan(t.args[i], path + (i,), inner, top):
                         return True
-            elif name in _RELATION_ARGS:
-                last = _RELATION_ARGS[name]
-                for i in range(last):
-                    if scan(t.args[i], path + (i,), top, top):
-                        return True
-                inner = self._inner_context(t.args[:last], top)
-                if scan(t.args[last], path + (last,), inner, top):
-                    return True
             elif name == "FIX":
                 body_top = self._fix_context(t, top)
                 if scan(t.args[1], path + (1,), body_top, body_top):

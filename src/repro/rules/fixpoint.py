@@ -44,7 +44,7 @@ from repro.lera import ops
 from repro.lera.analysis import (attrefs_of, map_attrefs, rels_referenced,
                                  shift_rel_indices)
 from repro.terms.term import (AttrRef, Const, Fun, Seq, Term, conj,
-                              conjuncts, is_fun, mk_fun, num, sym, walk)
+                              conjuncts, is_fun, mentions, mk_fun, num, sym)
 
 __all__ = ["register_fixpoint_methods", "adorn", "build_alexander"]
 
@@ -101,14 +101,6 @@ def _fix_parts(fix_term: Term) -> tuple[str, list[Term]]:
     return name, branches
 
 
-def _count_symbol(term: Term, name: str) -> int:
-    return sum(
-        1 for t in walk(term)
-        if isinstance(t, Const) and t.kind == "symbol"
-        and str(t.value) == name
-    )
-
-
 def _bound_columns(qual: Term, position: int) -> list[tuple[int, Const]]:
     """Columns of input ``position`` equated to a constant in ``qual``.
 
@@ -154,11 +146,11 @@ def adorn(fix_term: Term, qual: Term, position: int,
     if not bound_pairs:
         return None
 
-    rec_branches = [b for b in branches if _count_symbol(b, name) > 0]
+    rec_branches = [b for b in branches if name in mentions(b)]
     if not rec_branches:
         return None
     for b in rec_branches:
-        if not is_fun(b, "SEARCH") or _count_symbol(b, name) != 1:
+        if not is_fun(b, "SEARCH") or mentions(b)[name] != 1:
             return None
 
     bound = [col for col, __ in bound_pairs]
@@ -308,8 +300,8 @@ def build_alexander(fix_term: Term, adornment: Adornment,
 
     width = _fix_width(fix_term, name, branches, catalog)
 
-    rec_branches = [b for b in branches if _count_symbol(b, name) > 0]
-    base_branches = [b for b in branches if _count_symbol(b, name) == 0]
+    rec_branches = [b for b in branches if name in mentions(b)]
+    base_branches = [b for b in branches if name not in mentions(b)]
 
     magic_branches = [
         _magic_branch(b, name, magic_name, bound) for b in rec_branches
@@ -450,7 +442,7 @@ def _method_linearize(inst: list, raw: tuple, binding: dict,
     others = list(x_star.items) if isinstance(x_star, Seq) else []
     if not others:
         return None
-    if any(_count_symbol(b, str(z.value)) for b in others):
+    if any(str(z.value) in mentions(b) for b in others):
         return None  # the other branches must be non-recursive
     base = others[0] if len(others) == 1 else ops.union(others)
     u = ops.search([base, z], f, list(a.args))  # type: ignore[union-attr]
@@ -508,7 +500,7 @@ def _method_fix_bottom(inst: list, raw: tuple, binding: dict,
         branches = list(ops.relation_inputs(e))
     else:
         branches = [e]
-    if any(_count_symbol(b, name) == 0 for b in branches):
+    if any(name not in mentions(b) for b in branches):
         return None  # a base exists; the fixpoint is genuine
     width = None
     for b in branches:

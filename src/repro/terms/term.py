@@ -49,7 +49,7 @@ __all__ = [
     "term_sort_key", "AC_FUNS", "FUNVARS", "is_fun", "conjuncts",
     "disjuncts",
     "subterms", "walk", "replace_at", "term_size", "variables_of",
-    "collvars_of", "is_ground",
+    "collvars_of", "is_ground", "mentions",
 ]
 
 # Function symbols matched/normalised as unordered multisets.
@@ -171,7 +171,7 @@ class AttrRef(Term):
 class Fun(Term):
     """A function application.  Use :func:`mk_fun` to build instances."""
 
-    __slots__ = ("name", "args", "_symbols")
+    __slots__ = ("name", "args", "_symbols", "_mentions")
 
     def __init__(self, name: str, args: tuple):
         # Raw constructor: no normalisation.  Library code should call
@@ -181,6 +181,7 @@ class Fun(Term):
         self.args = args
         self._hash = hash(("fun", name, args))
         self._symbols = None
+        self._mentions = None
 
     def __eq__(self, other: Any) -> bool:
         return (isinstance(other, Fun) and self.name == other.name
@@ -207,6 +208,28 @@ class Fun(Term):
                     below |= a.symbols
             found = self._symbols = frozenset(below)
         return found
+
+
+_NO_MENTIONS: dict = {}
+
+
+def mentions(term: Term) -> dict:
+    """How often ``term`` mentions each symbol constant (relation
+    names above all): ``{name: occurrences}``, the term itself
+    included; read-only.  Like :attr:`Fun.symbols`, computed once per
+    node, on first use."""
+    if isinstance(term, Fun):
+        found = term._mentions
+        if found is None:
+            found = {}
+            for a in term.args:
+                for name, n in mentions(a).items():
+                    found[name] = found.get(name, 0) + n
+            found = term._mentions = found or _NO_MENTIONS
+        return found
+    if isinstance(term, Const) and term.kind == "symbol":
+        return {str(term.value): 1}
+    return _NO_MENTIONS
 
 
 class Seq:

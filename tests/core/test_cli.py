@@ -207,6 +207,42 @@ class TestResilienceCommands:
         assert "(1 row)" in out[0]
 
 
+class TestBudgetCommand:
+    def test_rows_memory_show_off(self, shell):
+        assert run(shell, ".budget") == ["no budgets"]
+        assert run(shell, ".budget rows 1") == ["row budget 1"]
+        assert run(shell, ".budget memory 4096") == \
+            ["memory budget 4096 bytes"]
+        assert (shell.settings.row_budget,
+                shell.settings.memory_budget) == (1, 4096)
+        assert run(shell, ".budget") == ["rows 1, memory 4096 bytes"]
+        # session state, like .checked: the shared database is untouched
+        assert shell.db.row_budget is None
+        assert run(shell, ".budget off") == ["budgets off"]
+        assert (shell.settings.row_budget,
+                shell.settings.memory_budget) == (None, None)
+
+    def test_the_budget_governs_the_next_statement(self, shell):
+        run(shell, ".budget rows 1")
+        (out,) = run(shell, "SELECT Dst FROM EDGE;")
+        assert out.startswith("error:") and "row" in out
+        run(shell, ".degrade on")
+        out = run(shell, "SELECT Dst FROM EDGE;")
+        assert "(1 row)" in out[0]  # a truncated prefix, not an error
+
+    def test_bad_input(self, shell):
+        usage = ["usage: .budget [rows N | memory BYTES | off]"]
+        assert run(shell, ".budget rows") == usage
+        assert run(shell, ".budget cpu 3") == usage
+        assert run(shell, ".budget rows 1 2") == usage
+        assert run(shell, ".budget rows many") == \
+            ["error: 'many' is not an integer"]
+        assert run(shell, ".budget memory 0") == \
+            ["error: the budget must be positive"]
+        assert shell.settings.row_budget is None
+        assert shell.settings.memory_budget is None
+
+
 class TestFuzzCommand:
     def test_fuzz_runs_and_summarizes(self, shell):
         out = run(shell, ".fuzz 3 11")

@@ -40,6 +40,21 @@ class TestOpen:
         run(shell, f".open {tmp_path / 'data'}")
         assert shell.db.hash_joins is True
 
+    def test_open_keeps_statements_governed(self, shell, tmp_path):
+        """The database ``.open`` swaps in is adopted like the first
+        one: without governance ``.queries`` printed ``(no
+        statements)`` and Ctrl-C / ``.kill`` had no token to pull."""
+        assert shell.db.govern_statements is True
+        out = run(shell, f"""
+        .open {tmp_path / 'data'}
+        TABLE T (A : INT);
+        SELECT A FROM T;
+        .queries
+        """)
+        assert shell.db.govern_statements is True
+        assert "(no statements)" not in out
+        assert any("SELECT A FROM T" in line for line in out[3:])
+
     def test_corrupt_snapshot_is_one_error_line(self, shell, tmp_path):
         """Satellite: a corrupt file yields a diagnosis, not a
         traceback, and the shell stays alive."""

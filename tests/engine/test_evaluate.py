@@ -251,6 +251,94 @@ class TestHashJoins:
         assert sorted(nl.rows) == sorted(hj.rows)
 
 
+    @pytest.mark.parametrize("from_list", ["A, B", "B, A"])
+    def test_equality_over_a_collection_column_declines_the_probe(
+            self, from_list):
+        """``=`` broadcasts over a collection operand (SET(1, 2) = 1
+        is SET(true, false), non-empty, so the pair qualifies); a dict
+        probe compares with Python equality and found no pair.  The
+        probe declines whichever side holds the collection."""
+        from repro import Database
+        answers = []
+        for hash_joins in (False, True):
+            db = Database(hash_joins=hash_joins)
+            db.execute("""
+                TABLE A (K : NUMERIC, S : SET OF NUMERIC);
+                TABLE B (K : NUMERIC, V : NUMERIC);
+                INSERT INTO A VALUES (1, SET(1, 2)), (2, SET(3));
+                INSERT INTO B VALUES (1, 1), (2, 5);
+            """)
+            answers.append(sorted(db.query(
+                f"SELECT A.K, B.K FROM {from_list} WHERE A.S = B.V").rows))
+        assert answers[0] == answers[1] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+class TestSchemaHandedOver:
+    """The evaluator uses the schema it is handed and derives one only
+    where something reads it."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        import importlib
+        module = importlib.import_module("repro.engine.evaluate")
+        asked = []
+        real = module.schema_of
+        monkeypatch.setattr(
+            module, "schema_of",
+            lambda term, *rest: asked.append(term) or real(term, *rest))
+        return asked
+
+    REACH = ops.fix("R", ops.union([
+        sym("EDGE"),
+        ops.search([sym("R"), sym("EDGE")], parse_term("#1.2 = #2.1"),
+                   [AttrRef(1, 1), AttrRef(2, 2)]),
+    ]))
+
+    def test_a_fix_over_tables_derives_nothing_when_handed_a_schema(
+            self, cat, counted):
+        from repro.lera.schema import schema_of
+        query = ops.search([self.REACH], parse_term("#1.1 = 1"),
+                           [AttrRef(1, 2)])
+        schema = schema_of(query, cat)
+        result = Evaluator(cat).evaluate(query, schema)
+        assert result.schema is schema
+        assert sorted(result.rows) == [(2,), (3,), (4,)]
+        assert counted == []
+        # a standalone evaluation still derives the one it returns
+        assert Evaluator(cat).evaluate(query).schema == schema
+        assert counted == [query]
+
+    def test_the_statement_path_hands_the_plans_schema_over(
+            self, counted):
+        from repro import Database
+        db = Database()
+        db.execute("""
+            TABLE EDGE (Src : NUMERIC, Dst : NUMERIC);
+            CREATE VIEW REACH (Src, Dst) AS
+            ( SELECT Src, Dst FROM EDGE UNION
+              SELECT R.Src, E.Dst FROM REACH R, EDGE E
+              WHERE R.Dst = E.Src );
+            INSERT INTO EDGE VALUES (1, 2), (2, 3);
+        """)
+        del counted[:]  # (a DML subquery evaluator would count too)
+        result = db.query("SELECT Dst FROM REACH WHERE Src = 1")
+        assert sorted(result.rows) == [(2,), (3,)]
+        assert result.schema.names == ("Dst",)
+        assert counted == []
+
+    def test_a_nest_below_a_fix_still_finds_the_fixpoints_schema(
+            self, cat, counted):
+        """NEST names its grouped attributes from its input's schema,
+        here the recursive relation's."""
+        nested = ops.nest(sym("R"), [AttrRef(1, 2)], "Dsts")
+        body = ops.union([sym("EDGE"), ops.search(
+            [ops.unnest(nested, AttrRef(1, 2))], TRUE,
+            [AttrRef(1, 1), AttrRef(1, 2)])])
+        result = evaluate(ops.fix("R", body), cat)
+        assert sorted(result.rows) == [(1, 2), (2, 3), (2, 4), (3, 4)]
+        assert counted  # the FIX environment was derived for the NEST
+
+
 class TestDistinct:
     def test_removes_duplicates(self, cat):
         t = ops.distinct(ops.projection(sym("EDGE"), [AttrRef(1, 1)]))

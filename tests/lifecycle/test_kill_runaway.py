@@ -37,12 +37,12 @@ def _wait_for_phase(registry, phase, deadline_s=10.0):
     raise AssertionError(f"no active statement reached {phase!r}")
 
 
-def _runaway_server():
+def _runaway_server(**server_kwargs):
     db = Database()
     db.execute("TABLE BIG (Id : NUMERIC, V : NUMERIC, PRIMARY KEY (Id))")
     values = ", ".join(f"({i}, {i * 7})" for i in range(200))
     db.execute(f"INSERT INTO BIG VALUES {values}")
-    return Server(db)
+    return Server(db, **server_kwargs)
 
 
 # an unindexed triple cross product: ~8M probe ticks, far longer than
@@ -113,9 +113,11 @@ class TestKillRunaway:
             server.close()
 
     def test_deadline_self_trips_during_evaluation(self):
-        # the evaluating thread normally beats the watchdog to its own
-        # deadline: the cooperative check trips BudgetExceeded
-        server = _runaway_server()
+        # the evaluating thread reaches its own deadline at a
+        # cooperative check and trips BudgetExceeded.  The watchdog
+        # would cancel the same statement if its sweep came first (the
+        # test above); its interval here is one it cannot win with
+        server = _runaway_server(watchdog_interval_s=3600.0)
         try:
             with pytest.raises(BudgetExceeded) as err:
                 server.db.query(_RUNAWAY, timeout_ms=50.0)

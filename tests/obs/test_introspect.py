@@ -338,6 +338,32 @@ class TestExplainProvenance:
         ]
         assert reported == ledgered
 
+    def test_a_direct_explain_and_sys_rewrites_share_one_trace_id(
+            self, monkeypatch):
+        """The firings are derived once, under the trace context the
+        report names -- minted for a direct call -- so the two views
+        join on TraceId, and nothing is hashed a second time."""
+        import importlib
+        module = importlib.import_module("repro.core.rewriter")
+        hashed = []
+        real = module.term_hash
+        monkeypatch.setattr(
+            module, "term_hash",
+            lambda term: hashed.append(term) or real(term))
+        db = _db()
+        report = db.explain_json(_EXISTS)
+        trace_id = report["trace"]["trace_id"]
+        firings = len(report["provenance"]["entries"])
+        assert firings and len(trace_id) == 32
+        assert len(hashed) == 2 * firings  # before + after, once
+        assert report["provenance"]["trace_id"] == trace_id
+        rows = db.query("SELECT TraceId, Rule FROM sys.rewrites").rows
+        assert [rule for tid, rule in rows if tid == trace_id] == \
+            [e["rule"] for e in report["provenance"]["entries"]]
+        assert validate_explain(report) == []
+        # a second direct call is a second request
+        assert db.explain_json(_EXISTS)["trace"]["trace_id"] != trace_id
+
     def test_validation_rejects_tampered_provenance(self):
         db = _db()
         report = db.explain_json(_EXISTS)

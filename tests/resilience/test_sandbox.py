@@ -110,3 +110,37 @@ class TestEndToEnd:
         counters = profiler.metrics.snapshot()["counters"]
         assert counters["resilience.rule_failures"] >= 1
         assert counters["resilience.quarantined"] == 1
+
+
+class TestExplainTextResilienceSection:
+    """``db.explain``'s ``== resilience ==`` section: rendered only
+    under a policy, and only when something noteworthy happened."""
+
+    def test_checked_explain_names_failures_bench_and_rollback(self):
+        from tests.resilience.chaos import bad_comparison_rule
+        db = sale_db()
+        db.optimizer.rewriter.add_rule(AlwaysRaisingRule(), "simplify")
+        db.optimizer.rewriter.add_rule(bad_comparison_rule(), "simplify")
+        text = db.explain(SALE_QUERY, checked=True)
+        section = text.split("== resilience ==\n")[1].splitlines()
+        failure = ("  rule failure: bomb in simplify "
+                   "(RuleError: injected failure)")
+        assert section.count(failure) == 3  # the quarantine threshold
+        assert "  quarantined: bomb, bad_cmp" in section
+        assert "  checked: 2 validation(s), 1 rollback(s)" in section
+        (rolled_back,) = [line for line in section
+                          if line.startswith("    rolled back")]
+        assert rolled_back.startswith(
+            "    rolled back simplify: results diverge")
+        assert not any("degraded" in line for line in section)
+
+    def test_exhausted_rewrite_budget_reads_degraded(self):
+        text = sale_db().explain(SALE_QUERY, deadline_ms=1e-9)
+        assert text.endswith(
+            "== resilience ==\n"
+            "  degraded: best-so-far plan (deadline exhausted)")
+
+    def test_silent_without_a_policy_or_without_news(self):
+        assert "== resilience ==" not in sale_db().explain(SALE_QUERY)
+        quiet = sale_db(resilient=True).explain(SALE_QUERY)
+        assert "== resilience ==" not in quiet

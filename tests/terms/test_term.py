@@ -6,7 +6,8 @@ from repro.errors import TermError
 from repro.terms.term import (FALSE, TRUE, AttrRef, CollVar, Const, Fun,
                               Seq, Var, boolean, collvars_of, conj,
                               conjuncts, disj, disjuncts, is_fun,
-                              is_ground, mk_fun, num, replace_at, string,
+                              is_ground, mentions, mk_fun, num, replace_at,
+                              string,
                               subterms, sym, term_size, term_sort_key,
                               variables_of, walk)
 
@@ -251,6 +252,39 @@ class TestSymbolsBelow:
         b = mk_fun("F", [mk_fun("G", [num(1)])])
         assert a == b and a is not b
         assert a.symbols == b.symbols == {"G"}
+
+
+class TestMentions:
+    """``mentions``: how often a term names each symbol constant --
+    what the fixpoint code asks about a recursive relation."""
+
+    def test_counts_every_occurrence_the_term_itself_included(self):
+        assert mentions(sym("R")) == {"R": 1}
+        assert mentions(num(1)) == mentions(Var("x")) == {}
+        t = mk_fun("SEARCH", [mk_fun("LIST", [sym("R"), sym("S"), sym("R")]),
+                              mk_fun("=", [AttrRef(1, 1), string("R")]),
+                              mk_fun("LIST", [AttrRef(2, 1)])])
+        assert mentions(t) == {"R": 2, "S": 1}  # the string 'R' is no symbol
+        assert mentions(t.args[1]) == {}
+
+    def test_agrees_with_a_plain_walk_on_generated_plans(self):
+        from collections import Counter
+        from tests.generated_plans import generated_queries
+        compared = 0
+        for db, query in generated_queries(cases=60):
+            for t in walk(db.optimize(query).final):
+                assert mentions(t) == Counter(
+                    str(c.value) for c in walk(t)
+                    if isinstance(c, Const) and c.kind == "symbol")
+                compared += 1
+        assert compared >= 1000
+
+    def test_replace_at_leaves_the_old_terms_answer_alone(self):
+        t = mk_fun("F", [mk_fun("G", [sym("R")]), sym("S")])
+        assert mentions(t) == {"R": 1, "S": 1}  # cached from here on
+        out = replace_at(t, (0, 0), sym("S"))
+        assert mentions(out) == {"S": 2}
+        assert mentions(t) == {"R": 1, "S": 1}
 
 
 class TestSortKey:
