@@ -3,7 +3,7 @@
 ``explain_text`` renders plans, trace and (optionally) a profile
 section for humans; ``explain_json`` produces the structured report
 shared by the CLI, ``Database.explain_json`` and
-``benchmarks/report.py`` -- one schema for interactive EXPLAIN and
+``benchmarks/perf`` -- one schema for interactive EXPLAIN and
 benchmark ingestion (documented in ``docs/observability.md``).
 
 Top-level JSON shape (``schema_version`` 8)::

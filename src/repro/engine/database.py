@@ -563,7 +563,7 @@ class Database:
                      analyze=False,
                      options: Optional[StatementOptions] = None) -> dict:
         """The machine-readable EXPLAIN report (one schema for the CLI
-        and ``benchmarks/report.py``; see ``docs/observability.md``).
+        and ``benchmarks/perf``; see ``docs/observability.md``).
 
         ``execute=True`` also runs the final plan, embedding the
         evaluator's work counters (absorbed into the profile metrics as

@@ -60,6 +60,36 @@ class ParseError(ReproError):
         super().__init__(message + location)
 
 
+class NestingTooDeep(ReproError):
+    """A statement nests deeper than the library admits.
+
+    The parser, the translator and every pass over a plan recurse once
+    per level of nesting, so depth is bounded where it enters -- the
+    expression parser and view expansion -- and fails here, typed,
+    instead of as the interpreter's ``RecursionError`` somewhere
+    downstream.
+
+    Attributes
+    ----------
+    resource:
+        What nested too deep: ``"expression"`` or ``"view"``.
+    limit:
+        The bound that was crossed (a module constant of
+        :mod:`repro.esql.parser` / :mod:`repro.esql.translate`).
+    line, column:
+        Position of the token that crossed it, for an expression.
+    """
+
+    def __init__(self, message: str, resource: str = "expression",
+                 limit: int = 0, line: int | None = None,
+                 column: int | None = None):
+        self.resource = resource
+        self.limit = limit
+        self.line = line
+        self.column = column
+        super().__init__(message)
+
+
 class RuleError(ReproError):
     """Raised for malformed rewrite rules (unbound rhs variables, ...)."""
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.errors import ParseError
+from repro.errors import NestingTooDeep, ParseError
 from repro.esql import ast
 from repro.esql.lexer import SqlToken, tokenize_sql
 
@@ -18,11 +18,35 @@ __all__ = ["parse_script", "parse_script_with_sources", "parse_statement",
 
 _COLLECTION_KINDS = ("SET", "BAG", "LIST", "ARRAY")
 
+# How deep a statement may nest: parentheses, function arguments,
+# subqueries, NOT / unary-minus chains, parenthesised selects and
+# collection types each count one level.  This parser spends nine
+# Python frames on a parenthesis and every later pass recurses over
+# what it builds, so the bound sits well inside the interpreter's
+# recursion limit; flat input (a 3 000-conjunct AND, a long IN list)
+# is parsed by loops and is not nesting.
+MAX_NESTING_DEPTH = 64
+
 
 class _Parser:
     def __init__(self, tokens: list[SqlToken]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
+
+    # Every recursive production enters a level with
+    #     self.depth += 1
+    #     if self.depth > MAX_NESTING_DEPTH: raise self._too_deep()
+    # and leaves it with ``self.depth -= 1`` (inline: select items,
+    # qualifications and negative literals of every statement come
+    # through; a parser that raised is thrown away with its count).
+    def _too_deep(self) -> NestingTooDeep:
+        tok = self.peek()
+        return NestingTooDeep(
+            f"statement nests deeper than {MAX_NESTING_DEPTH} levels "
+            f"at line {tok.line}, column {tok.column}",
+            "expression", MAX_NESTING_DEPTH, tok.line, tok.column,
+        )
 
     # -- token plumbing -----------------------------------------------------
     def peek(self, offset: int = 0) -> SqlToken:
@@ -188,14 +212,19 @@ class _Parser:
 
     def _type_expr(self) -> ast.TypeExpr:
         tok = self.peek()
-        if tok.kind in _COLLECTION_KINDS:
-            self.advance()
-            self.expect("OF")
-            return ast.CollectionOf(tok.kind, self._type_expr())
+        if tok.kind not in _COLLECTION_KINDS and tok.kind != "TUPLE":
+            return ast.NamedType(self.expect_ident())
+        self.advance()
+        self.depth += 1
+        if self.depth > MAX_NESTING_DEPTH:
+            raise self._too_deep()
         if tok.kind == "TUPLE":
-            self.advance()
-            return ast.TupleOf(self._field_list())
-        return ast.NamedType(self.expect_ident())
+            nested = ast.TupleOf(self._field_list())
+        else:
+            self.expect("OF")
+            nested = ast.CollectionOf(tok.kind, self._type_expr())
+        self.depth -= 1
+        return nested
 
     # -- TABLE ---------------------------------------------------------------
     def _table_def(self) -> ast.TableDef:
@@ -300,7 +329,11 @@ class _Parser:
 
     def _select(self) -> ast.Select:
         if self.accept("LPAREN"):
+            self.depth += 1
+            if self.depth > MAX_NESTING_DEPTH:
+                raise self._too_deep()
             inner = self._select()
+            self.depth -= 1
             self.expect("RPAREN")
             return inner
         self.expect("SELECT")
@@ -358,7 +391,12 @@ class _Parser:
 
     # -- expressions ----------------------------------------------------------
     def parse_expression(self) -> ast.Expr:
-        return self._or_expr()
+        self.depth += 1
+        if self.depth > MAX_NESTING_DEPTH:
+            raise self._too_deep()
+        expr = self._or_expr()
+        self.depth -= 1
+        return expr
 
     def _or_expr(self) -> ast.Expr:
         parts = [self._and_expr()]
@@ -378,7 +416,12 @@ class _Parser:
 
     def _not_expr(self) -> ast.Expr:
         if self.accept("NOT"):
-            return ast.NotExpr(self._not_expr())
+            self.depth += 1
+            if self.depth > MAX_NESTING_DEPTH:
+                raise self._too_deep()
+            operand = self._not_expr()
+            self.depth -= 1
+            return ast.NotExpr(operand)
         return self._comparison()
 
     def _comparison(self) -> ast.Expr:
@@ -451,7 +494,11 @@ class _Parser:
 
         if tok.kind == "OP" and tok.text == "-":
             self.advance()
+            self.depth += 1
+            if self.depth > MAX_NESTING_DEPTH:
+                raise self._too_deep()
             operand = self._atom()
+            self.depth -= 1
             if isinstance(operand, ast.NumberLit):
                 return ast.NumberLit(-operand.value)
             return ast.BinOp("-", ast.NumberLit(0), operand)

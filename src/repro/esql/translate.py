@@ -16,13 +16,13 @@ from repro.adt.types import DataType, TypeSystem
 from repro.adt.values import (ArrayValue, BagValue, ListValue, SetValue,
                               TupleValue)
 from repro.engine.catalog import Catalog, ViewDef
-from repro.errors import TranslationError
+from repro.errors import NestingTooDeep, TranslationError
 from repro.esql import ast
 from repro.lera import ops
 from repro.lifecycle.context import current_context
 from repro.lera.schema import Schema, schema_of
 from repro.terms.term import (AttrRef, Term, boolean, conj, disj, mk_fun,
-                              num, string, sym)
+                              num, string, sym, term_depth)
 
 __all__ = ["Translator"]
 
@@ -30,6 +30,16 @@ __all__ = ["Translator"]
 # into NEST collections, the others fold the per-group bag
 _COLLECTION_AGGS = {"MAKESET": "SET", "MAKEBAG": "BAG", "MAKELIST": "LIST"}
 _SCALAR_AGGS = ("COUNT", "SUM", "MIN", "MAX", "AVG")
+
+# How deep a view's expansion may nest, in term levels.  A view stores
+# its definition with every view it reads already expanded, so views
+# stacked on views grow two levels each (150 of them: 302) and every
+# pass over a plan that reads one recurses that deep -- the ledger's
+# printed hash at three interpreter frames a level, the nested-loop
+# evaluation of an unmerged stack at six a view.  Measured from a test
+# runner's stack those reach the interpreter's limit near 157 stacked
+# views; the bound sits below that.
+MAX_VIEW_DEPTH = 304
 
 # correlated references into the enclosing query block are numbered from
 # this base during subquery translation and remapped when the subquery
@@ -384,6 +394,7 @@ class Translator:
         if not recursive:
             term = (base_terms[0] if len(base_terms) == 1
                     else ops.union(base_terms))
+            self._admit_view(vd.name, term)
             self.catalog.define_view(ViewDef(
                 vd.name.upper(), term, anchor_schema, recursive=False,
             ))
@@ -398,10 +409,24 @@ class Translator:
         fix_term = mk_fun(
             "FIX", [sym(name_upper), ops.union(base_terms + rec_terms)]
         )
+        self._admit_view(vd.name, fix_term)
         schema = schema_of(fix_term, self.catalog)
         self.catalog.define_view(ViewDef(
             vd.name.upper(), fix_term, schema, recursive=True,
         ))
+
+    @staticmethod
+    def _admit_view(name: str, term: Term) -> None:
+        """Refuse a view whose expansion nests deeper than any pass
+        over a plan that reads it could follow."""
+        depth = term_depth(term)
+        if depth > MAX_VIEW_DEPTH:
+            raise NestingTooDeep(
+                f"view {name!r}: its expansion nests {depth} levels "
+                f"deep, the limit is {MAX_VIEW_DEPTH} (views stacked "
+                f"on views add two levels each)",
+                "view", MAX_VIEW_DEPTH,
+            )
 
     # -- queries -----------------------------------------------------------------
     def translate_query(self, query: ast.Query,

@@ -18,7 +18,7 @@ The layer has four pieces (see ``docs/observability.md``):
 
 :class:`~repro.obs.profile.Profiler` bundles all of the above behind
 one object; ``Database.explain_json`` and the CLI's ``.profile`` mode
-use it, and ``benchmarks/report.py`` ingests the same JSON schema.
+use it, and ``benchmarks/perf`` reads the same JSON schema.
 
 On top of those, the request-scoped telemetry added for the serving
 layer:

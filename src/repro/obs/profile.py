@@ -1,7 +1,7 @@
 """The standard sink bundle: one bus feeding a tracer and a registry.
 
-:class:`Profiler` is what ``Database.explain_json``, the CLI's
-``.profile`` mode and ``benchmarks/report.py`` all use -- a single
+:class:`Profiler` is what ``Database.explain_json`` and the CLI's
+``.profile`` mode both use -- a single
 object that owns an :class:`~repro.obs.bus.EventBus`, folds the event
 stream into :class:`~repro.obs.metrics.MetricsRegistry` metrics and a
 :class:`~repro.obs.tracer.Tracer` span tree, and renders the combined

@@ -16,7 +16,12 @@ GROUP BY over plain columns, UNION of compatible selects) and is
 * double negation and negated connectives (NNF rules);
 * trivial predicates: ``x + 0``, ``x * 1``, reflexive comparisons,
   subsumed bounds (the trivial-predicate-folding anti-pattern);
-* UNION branches over the same projection (union factoring).
+* UNION branches over the same projection (union factoring);
+* views -- plain, stacked on another view, UNION and recursive
+  (:func:`random_views`) -- read like tables, so a query projects
+  narrower than its view and joins a view with a base table (merging
+  and pushing through view bodies; the bag/set boundary of a UNION
+  view is where ``search_union_push`` went wrong).
 
 A query is represented structurally (:class:`QuerySpec`) so the
 shrinker can drop conjuncts / items / features instead of fumbling
@@ -29,10 +34,10 @@ from dataclasses import dataclass, replace
 from random import Random
 from typing import Optional, Sequence
 
-from repro.qa.schema_gen import (Case, TableSpec, random_schema,
+from repro.qa.schema_gen import (Case, TableSpec, ViewSpec, random_schema,
                                  render_const)
 
-__all__ = ["QuerySpec", "random_query", "random_case"]
+__all__ = ["QuerySpec", "random_query", "random_views", "random_case"]
 
 _INT_CONSTS = tuple(range(0, 7))
 _CHAR_CONSTS = ("a", "b", "c", "d", "e")
@@ -88,6 +93,11 @@ def _numericish(cols: Sequence[tuple[str, str]]) -> list[tuple[str, str]]:
     return [(n, t) for n, t in cols if t != "CHAR"]
 
 
+def _kind(col_type: str) -> str:
+    """Comparable columns share a kind: the numeric types, or CHAR."""
+    return "CHAR" if col_type == "CHAR" else "NUM"
+
+
 # -- conjunct builders -------------------------------------------------------
 # each takes (rng, cols, schema, outer_tables) and returns a conjunct
 # string, or None when its preconditions do not hold for this draw
@@ -103,8 +113,7 @@ def _cmp_const(rng, cols, schema, outer):
 def _col_eq_col(rng, cols, schema, outer):
     same_type = {}
     for name, col_type in cols:
-        same_type.setdefault("NUM" if col_type != "CHAR" else "CHAR",
-                             []).append(name)
+        same_type.setdefault(_kind(col_type), []).append(name)
     pools = [p for p in same_type.values() if len(p) >= 2]
     if not pools:
         return None
@@ -173,11 +182,8 @@ def _subquery(rng, cols, schema, outer):
     probe_name, probe_type = rng.choice(inner_cols)
     sub_where = []
     # a correlation predicate most of the time, on matching types
-    outer_match = [
-        (n, t) for n, t in cols
-        if ("CHAR" if t == "CHAR" else "NUM")
-        == ("CHAR" if probe_type == "CHAR" else "NUM")
-    ]
+    outer_match = [(n, t) for n, t in cols
+                   if _kind(t) == _kind(probe_type)]
     if outer_match and rng.random() < 0.8:
         outer_col, __ = rng.choice(outer_match)
         sub_where.append(f"{probe_name} = {outer_col}")
@@ -198,12 +204,9 @@ def _subquery(rng, cols, schema, outer):
         return f"EXISTS ({sub})"
     if shape < 0.6:
         return f"NOT EXISTS ({sub})"
-    member_match = [(n, t) for n, t in cols
-                    if ("CHAR" if t == "CHAR" else "NUM")
-                    == ("CHAR" if probe_type == "CHAR" else "NUM")]
-    if not member_match:
+    if not outer_match:
         return f"EXISTS ({sub})"
-    member_col, __ = rng.choice(member_match)
+    member_col, __ = rng.choice(outer_match)
     negated = "NOT " if shape < 0.75 else ""
     return f"{member_col} {negated}IN ({sub})"
 
@@ -260,10 +263,95 @@ def _select_items(rng: Random, tables: Sequence[TableSpec],
     return tuple(items)
 
 
+# -- views ---------------------------------------------------------------------
+
+def _view_filter(rng: Random, cols) -> str:
+    if rng.random() < 0.5:
+        return ""
+    return " WHERE " + _cmp_const(rng, cols, (), ())
+
+
+def _plain_body(rng: Random, source):
+    """A filter-and-project over ``source`` (a table, or an earlier
+    view: the stacked case); at least two columns survive so a query
+    can still project narrower."""
+    count = rng.randint(2, len(source.columns))
+    picked = sorted(rng.sample(range(len(source.columns)), count))
+    cols = [source.columns[i] for i in picked]
+    body = (f"SELECT {', '.join(n for n, __ in cols)} "
+            f"FROM {source.name}{_view_filter(rng, source.columns)}")
+    return cols, body
+
+
+def _union_body(rng: Random, sources):
+    """Two branches under a set UNION: the second reads another source
+    when it has a column of the right kind at every position, else the
+    first source again under a different filter."""
+    first = rng.choice(sources)
+    cols, left = _plain_body(rng, first)
+    second = rng.choice(sources)
+    twin = []
+    for __, col_type in cols:
+        pool = [n for n, t in second.columns
+                if _kind(t) == _kind(col_type) and n not in twin]
+        if not pool:
+            second, twin = first, [n for n, __ in cols]
+            break
+        twin.append(rng.choice(pool))
+    right = (f"SELECT {', '.join(twin)} "
+             f"FROM {second.name}{_view_filter(rng, second.columns)}")
+    return cols, f"{left} UNION {right}"
+
+
+def _recursive_body(rng: Random, name: str, sources):
+    """Transitive closure over two numeric columns of a base table
+    (the REACH shape of Figure 5); None when no table has two."""
+    edges = [t for t in sources if isinstance(t, TableSpec)
+             and len(_numericish(t.columns)) >= 2]
+    if not edges:
+        return None
+    table = rng.choice(edges)
+    (src, src_type), (dst, dst_type) = rng.sample(
+        _numericish(table.columns), 2)
+    body = (f"( SELECT {src}, {dst} FROM {table.name} UNION "
+            f"SELECT {name}C0, {dst} FROM {name}, {table.name} "
+            f"WHERE {name}C1 = {src} )")
+    return [(src, src_type), (dst, dst_type)], body
+
+
+def random_views(rng: Random,
+                 schema: Sequence[TableSpec]) -> tuple[ViewSpec, ...]:
+    """Zero to two views over ``schema`` (half the cases get none).
+
+    View ``Vi`` names its columns ``ViC0, ViC1, ...``, so column names
+    stay globally unique and queries never need to qualify."""
+    views: list[ViewSpec] = []
+    for index in range(rng.choice((0, 0, 1, 2))):
+        name = f"V{index}"
+        sources = list(schema) + views
+        shape = rng.random()
+        built = None
+        if shape < 0.2:
+            built = _recursive_body(rng, name, sources)
+        elif shape < 0.6:
+            built = _union_body(rng, sources)
+        if built is None:
+            # plain; over an earlier view this is the stacked case
+            built = _plain_body(rng, rng.choice(views or sources))
+        cols, body = built
+        views.append(ViewSpec(
+            name=name,
+            columns=tuple((f"{name}C{i}", col_type)
+                          for i, (__, col_type) in enumerate(cols)),
+            body=body,
+        ))
+    return tuple(views)
+
+
 def random_query(rng: Random,
                  schema: Sequence[TableSpec]) -> QuerySpec:
-    """One random SELECT over ``schema`` (see the module docstring
-    for the shape bias)."""
+    """One random SELECT over ``schema`` -- tables and views alike
+    (see the module docstring for the shape bias)."""
     columns = _Columns(schema)
     n_from = 1 if len(schema) == 1 or rng.random() < 0.5 else 2
     from_tables = tuple(
@@ -328,5 +416,6 @@ def random_case(rng: Random, max_tables: int = 3,
     """One full differential-testing input: schema + data + query."""
     schema = random_schema(rng, max_tables=max_tables,
                            max_rows=max_rows)
-    spec = random_query(rng, schema)
-    return Case(tables=schema, query=spec.sql()), spec
+    views = random_views(rng, schema)
+    spec = random_query(rng, schema + views)
+    return Case(tables=schema, views=views, query=spec.sql()), spec

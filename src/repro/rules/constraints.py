@@ -93,7 +93,10 @@ def refer_predicate(args: list, binding: dict, ctx) -> bool:
     enclosing SEARCH is ``len(x*) + 1`` (read from the binding).  The
     predicate holds when quali* is non-empty and every attribute
     reference points at the NEST relation and at an output position
-    strictly before the nested collection attribute.
+    strictly before the nested collection attribute.  The
+    search-through-union rule asks with ``LIST()`` (through the
+    ``REFER_SPLIT`` method): a UNION nests nothing, so every reference
+    to its position qualifies.
     """
     from repro.lera.analysis import attrefs_of
     from repro.lera.schema import schema_of

@@ -17,6 +17,8 @@ Built-in library (each is documented with the rule family it serves):
 ``SHIFT/3``       renumber the inner qualification for the same rule
 ``SUBSTITUTE/4``  attribute remapping for search-through-nest (Figure 8)
 ``SCHEMA/2``      identity projection list of an expression (Figure 8)
+``REFER_SPLIT/4`` the conjuncts REFER holds for, and the rest (Figure 8)
+``SEARCH_EACH/4`` one search per union branch for search-through-union
 ``EVALUATE/2``    constant folding of a ground function call (Figure 12)
 ``ADORNMENT/2``   binding-pattern analysis of a fixpoint (Figure 9)
 ``ALEXANDER/3``   fixpoint reduction (Figure 9) -- see repro.rules.fixpoint
@@ -31,7 +33,8 @@ from repro.lera import ops
 from repro.lera.analysis import map_attrefs, shift_rel_indices
 from repro.terms.subst import collvar_key, instantiate_spliceable
 from repro.terms.term import (AttrRef, CollVar, Const, Fun, Seq, Term, Var,
-                              boolean, conj, is_ground, mk_fun, num, string)
+                              boolean, conj, conjuncts, is_ground, mk_fun,
+                              num, string)
 
 __all__ = ["MethodRegistry", "default_method_registry", "value_to_term"]
 
@@ -250,6 +253,40 @@ def _method_schema2(inst: list, raw: tuple, binding: dict,
     return {_out_key(raw[1], "SCHEMA/2"): mk_fun("LIST", items)}
 
 
+def _method_refer_split(inst: list, raw: tuple, binding: dict,
+                        ctx) -> Optional[dict]:
+    """REFER_SPLIT(f, a, fi, fj) -- fi is the conjunction of the
+    conjuncts of f that ``REFER(a, .)`` holds for, fj of the others;
+    fails when there is none to push."""
+    from repro.rules.constraints import refer_predicate
+
+    qualification, nested = inst[0], inst[1]
+    if isinstance(qualification, Seq):
+        raise MethodError("REFER_SPLIT input must be a single term")
+    pushed, kept = [], []
+    for conjunct in conjuncts(qualification):
+        holds = refer_predicate([nested, conjunct], binding, ctx)
+        (pushed if holds else kept).append(conjunct)
+    if not pushed:
+        return None
+    return {_out_key(raw[2], "REFER_SPLIT/4"): conj(pushed),
+            _out_key(raw[3], "REFER_SPLIT/4"): conj(kept)}
+
+
+def _method_search_each(inst: list, raw: tuple, binding: dict,
+                        ctx) -> Optional[dict]:
+    """SEARCH_EACH(SET(u*), f, s, w) -- w is the set of branches u*,
+    each under its own ``SEARCH(LIST(u), f, s)`` (Figure 8, union)."""
+    branches, qualification, items = inst[0], inst[1], inst[2]
+    if not isinstance(branches, Fun) or branches.name != "SET" \
+            or isinstance(qualification, Seq) \
+            or not isinstance(items, Fun):
+        raise MethodError("SEARCH_EACH expects (SET(u*), f, s, out)")
+    pushed = [ops.search([branch], qualification, items.args)
+              for branch in branches.args]
+    return {_out_key(raw[3], "SEARCH_EACH/4"): mk_fun("SET", pushed)}
+
+
 # ---------------------------------------------------------------------------
 # constant folding (Figure 12)
 # ---------------------------------------------------------------------------
@@ -316,6 +353,8 @@ def default_method_registry() -> MethodRegistry:
     registry.register("SHIFT", 3, _method_shift3)
     registry.register("SUBSTITUTE", 4, _method_substitute4)
     registry.register("SCHEMA", 2, _method_schema2)
+    registry.register("REFER_SPLIT", 4, _method_refer_split)
+    registry.register("SEARCH_EACH", 4, _method_search_each)
     registry.register("EVALUATE", 2, _method_evaluate2)
     registry.register("EMPTYOF", 2, _method_emptyof)
     registry.register("NEST_EMPTY", 3, _method_nest_empty)

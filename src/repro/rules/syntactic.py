@@ -87,15 +87,19 @@ def merging_rules() -> list[RewriteRule]:
 def permutation_rules() -> list[RewriteRule]:
     """Figure 8: push searches toward the stored relations."""
     texts = [
-        # [Search through Union Pushing Rule]  n-ary form: split one
-        # branch off the union; NONEMPTY keeps the rule from firing on
-        # the last branch (union_singleton finishes the job)
+        # [Search through Union Pushing Rule]  the conjuncts that only
+        # reference the union move into every branch.  Selections
+        # commute with the union's duplicate elimination; the
+        # projection and the other inputs do not (the union is a set,
+        # they may be bags), so they stay above it -- the shape of
+        # search_distinct_push.  REFER_SPLIT / SUBSTITUTE read the
+        # union as a nest with no nested attribute, LIST(); no
+        # conjunct on the union, no application
         "search_union_push: "
-        "SEARCH(LIST(x*, UNION(SET(u, v*)), y*), f, a) / NONEMPTY(v*) "
-        "--> UNION(SET("
-        "SEARCH(APPEND(x*, LIST(u), y*), f, a), "
-        "SEARCH(LIST(x*, UNION(SET(v*)), y*), f, a)))"
-        " /",
+        "SEARCH(LIST(x*, UNION(SET(u, v*)), y*), f, exp) / "
+        "--> SEARCH(LIST(x*, UNION(w), y*), g, exp) / "
+        "REFER_SPLIT(f, LIST(), fi, g), SUBSTITUTE(fi, u, LIST(), f2), "
+        "SCHEMA(u, s), SEARCH_EACH(SET(u, v*), f2, s, w)",
         # [Search through Nest Pushing Rule]  conjuncts that only
         # reference the non-nested attributes move below the nest
         "search_nest_push: "

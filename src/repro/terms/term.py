@@ -48,7 +48,8 @@ __all__ = [
     "sym", "num", "string", "boolean",
     "term_sort_key", "AC_FUNS", "FUNVARS", "is_fun", "conjuncts",
     "disjuncts",
-    "subterms", "walk", "replace_at", "term_size", "variables_of",
+    "subterms", "walk", "replace_at", "term_size", "term_depth",
+    "variables_of",
     "collvars_of", "is_ground", "mentions",
 ]
 
@@ -184,8 +185,32 @@ class Fun(Term):
         self._mentions = None
 
     def __eq__(self, other: Any) -> bool:
-        return (isinstance(other, Fun) and self.name == other.name
-                and self.args == other.args)
+        # Hashes first: they are built bottom-up at construction, so
+        # unequal terms part here.  Equal ones are walked with an
+        # explicit stack -- a plan is as deep as its stacked views, and
+        # recursing through tuple comparison would cap that depth at a
+        # third of the interpreter's recursion limit.
+        if self is other:
+            return True
+        if (not isinstance(other, Fun) or self._hash != other._hash
+                or self.name != other.name
+                or len(self.args) != len(other.args)):
+            return False
+        stack = [(self.args, other.args)]
+        while stack:
+            for a, b in zip(*stack.pop()):
+                if a is b:
+                    continue
+                if not isinstance(a, Fun):
+                    if a != b:
+                        return False
+                elif (not isinstance(b, Fun) or a._hash != b._hash
+                        or a.name != b.name
+                        or len(a.args) != len(b.args)):
+                    return False
+                else:
+                    stack.append((a.args, b.args))
+        return True
 
     def __hash__(self) -> int:
         return self._hash
@@ -479,6 +504,22 @@ def replace_at(term: Term, path: tuple, new: Term) -> Term:
 def term_size(term: Term) -> int:
     """Number of nodes in the term (the paper's rule-termination measure)."""
     return sum(1 for __ in walk(term))
+
+
+def term_depth(term: Term) -> int:
+    """Levels of nesting in the term: 1 for a leaf, one more than its
+    deepest argument for an application.  Walked with an explicit
+    stack -- this is the measure that bounds what the recursive passes
+    are handed."""
+    deepest = 0
+    stack = [(term, 1)]
+    while stack:
+        t, depth = stack.pop()
+        if isinstance(t, Fun) and t.args:
+            stack.extend((a, depth + 1) for a in t.args)
+        elif depth > deepest:
+            deepest = depth
+    return deepest
 
 
 def variables_of(term: Term) -> set[str]:

@@ -1,5 +1,5 @@
 """The machine-readable EXPLAIN report: structure, schema validation,
-and the benchmark-harness ingestion path."""
+and what a consumer of an executed report can count on."""
 
 import json
 
@@ -108,16 +108,16 @@ class TestValidator:
                    for p in validate_explain(report))
 
 
-class TestBenchmarkIngestion:
-    def test_report_section_runs(self, capsys):
-        """benchmarks/report.py consumes the same JSON schema."""
-        from benchmarks.report import obs_telemetry
-        obs_telemetry()
-        out = capsys.readouterr().out
-        assert "violations: none" in out
-        assert "| search_merge |" in out
-        assert "| merge |" in out
-        assert "| tuples_scanned |" in out
+class TestExecutedReportIngestion:
+    def test_what_a_consumer_reads(self, db):
+        """Valid against the schema, the merging visible per rule and
+        per block, the evaluator's counters attached."""
+        report = db.explain_json(QUERY, execute=True)
+        assert validate_explain(report) == []
+        profile = report["profile"]
+        assert profile["rules"]["search_merge"]["fired"] == 2
+        assert profile["blocks"]["merge"]["applications"] == 2
+        assert report["eval"]["tuples_scanned"] == 8
 
 
 class TestExplainText:

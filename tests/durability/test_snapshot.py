@@ -128,6 +128,32 @@ class TestCheckpointRoundtrip:
         assert _state(db2) == expected
         db2.close()
 
+    def test_memory_database_has_no_durability_layer(self):
+        db = Database()
+        assert db.durability is None and db.recovery is None
+
+    @pytest.mark.parametrize("sync", [False, True])
+    def test_clean_checkpoint_recovers_without_replay(self, tmp_path,
+                                                      sync):
+        """Fifty logged inserts under either sync policy: the WAL alone
+        recovers them, and after a checkpoint the snapshot does, with
+        nothing left to replay."""
+        path = str(tmp_path / "data")
+        db = Database(path=path, sync=sync)
+        db.execute("TABLE T (Id : NUMERIC, V : NUMERIC, PRIMARY KEY (Id))")
+        for i in range(50):
+            db.execute(f"INSERT INTO T VALUES ({i}, {i * 7})")
+        db.close()
+        db = Database(path=path)
+        assert (db.recovery.replayed, db.recovery.snapshot_lsn) == (51, 0)
+        assert len(db.catalog.rows("T")) == 50 and db.fsck().ok
+        db.checkpoint()
+        db.close()
+        db = Database(path=path)
+        assert (db.recovery.replayed, db.recovery.snapshot_lsn) == (0, 51)
+        assert len(db.catalog.rows("T")) == 50 and db.fsck().ok
+        db.close()
+
     def test_checkpoint_requires_path(self):
         with pytest.raises(DurabilityError):
             Database().checkpoint()

@@ -98,6 +98,35 @@ class TestAnalyzeMode:
         assert db.plan_log.recorded == 0
 
 
+class TestWorkloadCounters:
+    def test_a_mixed_workload_is_counted_exactly(self, db):
+        """Eighteen raw statements over an 11-edge chain collapse onto
+        two read templates (constants and casing vary); the analyzed
+        fixpoint merges its iterations into ten operators."""
+        from repro.esql.fingerprint import fingerprint_source
+        db.execute("INSERT INTO EDGE VALUES " + ", ".join(
+            f"({i}, {i + 1})" for i in range(5, 12)))
+        for i in range(8):
+            db.query(f"SELECT Dst FROM EDGE WHERE Src = {i}")
+        for i in range(6):
+            db.query(f"select dst  from edge where src = {i + 20}")
+        for i in range(4):
+            db.query(f"SELECT Dst FROM PATH WHERE Src = {i + 1}")
+        calls = {row[0]: row[2] for row in db.workload.rows()}
+        edge, path = (fingerprint_source(text).fingerprint for text in (
+            "SELECT Dst FROM EDGE WHERE Src = 0", JOIN_FIXPOINT))
+        assert (calls[edge], calls[path], db.workload.tracked) == (14, 4, 6)
+
+        collector = AnalyzeCollector()
+        assert sorted(db.query(JOIN_FIXPOINT, analyze=collector).rows) \
+            == [(n,) for n in range(2, 13)]
+        nodes = collector.snapshot()
+        assert (len(nodes), max(n["loops"] for n in nodes)) == (10, 24)
+        assert validate_explain(
+            db.explain_json(JOIN_FIXPOINT, analyze=True)) == []
+        assert db.plan_log.recorded == 2
+
+
 class TestExplainReport:
     def test_v8_round_trip_analyzed(self, db):
         report = db.explain_json(JOIN_FIXPOINT, analyze=True)

@@ -8,7 +8,7 @@ from repro.core.explain import validate_explain
 from repro.engine.options import StatementOptions
 from repro.engine.stats import EvalStats
 from repro.errors import BudgetExceeded, QueryCancelled, RuleError
-from repro.lifecycle import QueryContext, use_context
+from repro.lifecycle import ChaosInjector, QueryContext, use_context
 
 from tests.resilience.chaos import (SALE_QUERY, AlwaysRaisingRule,
                                     StallingRule, sale_db)
@@ -81,6 +81,45 @@ class TestMemoryBudget:
         done = db.lifecycle.recent()[-1]
         assert done.memory.current == 0
         assert done.memory.peak > 0
+
+
+class TestGovernanceWorkCounters:
+    """What a governed statement is charged, exactly (500-row table;
+    in wall-clock: ``lifecycle.governed_ratio`` of ``benchmarks/perf``)."""
+
+    @pytest.fixture
+    def big(self):
+        database = Database()
+        database.execute("TABLE T (A : NUMERIC, B : NUMERIC)")
+        database.execute("INSERT INTO T VALUES " + ", ".join(
+            f"({i}, {(i * 13) % 100})" for i in range(500)))
+        return database
+
+    def test_a_governed_scan_is_charged_its_rows_and_bytes(self, big):
+        big.query("SELECT A, B FROM T WHERE B < 50",
+                  row_budget=100_000, memory_budget=1 << 30)
+        done = big.lifecycle.recent()[-1]
+        # 500 scanned + 250 answered; every reserved byte released
+        assert (done.rows_charged, done.memory.peak,
+                done.memory.current) == (750, 48000, 0)
+
+    def test_where_the_row_budget_stops_a_scan(self, big):
+        truncated = big.query("SELECT A, B FROM T", row_budget=100,
+                              degrade=True)
+        assert len(truncated.rows) == 63  # the prefix in hand at the trip
+        with pytest.raises(BudgetExceeded) as err:
+            big.query("SELECT A, B FROM T", row_budget=100)
+        assert err.value.consumed == 500  # the scan batch that crossed it
+
+    def test_cancels_surface_at_the_next_check(self, big):
+        big.chaos = ChaosInjector(seed=11, cancel_rate=1.0, min_checks=3)
+        with pytest.raises(QueryCancelled):
+            big.query("SELECT A, B FROM T")
+        assert big.lifecycle.recent()[-1].chaos._checks == 4
+        context = QueryContext()
+        context.cancel("kill")
+        with use_context(context), pytest.raises(QueryCancelled):
+            context.tick()  # one tick, not a batch of them
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -180,3 +181,48 @@ class TestOtlpSpanExporter:
         exporter.detach()
         assert not bus
         assert exporter.export() == {"resourceSpans": []}
+
+
+class TestServedStack:
+    """Every export surface of one served database at once (JSONL
+    sink, Prometheus text, OTLP spans, slow-query log): well-formed
+    line by line, not just present."""
+
+    # text exposition 0.0.4: ``name{labels} value`` or ``name value``
+    METRIC_LINE = re.compile(
+        r"^[a-zA-Z_:][a-zA-Z0-9_:]*"
+        r"(\{[a-zA-Z_][a-zA-Z0-9_]*=\"[^\"]*\""
+        r"(,[a-zA-Z_][a-zA-Z0-9_]*=\"[^\"]*\")*\})?"
+        r" [0-9eE+.infa-]+$")
+    TYPE_LINE = re.compile(
+        r"^# TYPE [a-zA-Z_:][a-zA-Z0-9_:]* (counter|summary|histogram)$")
+
+    def test_every_line_of_every_surface_is_well_formed(self, tmp_path):
+        from repro import Database
+        from repro.obs.telemetry import Telemetry
+        from repro.server import Server
+
+        log_path = str(tmp_path / "events.jsonl")
+        telemetry = Telemetry(log_path=log_path, otlp=True)
+        server = Server(Database(), telemetry=telemetry, slow_query_ms=0.0)
+        client = server.client()
+        client.execute("TABLE T (A : NUMERIC, B : NUMERIC)")
+        client.execute("INSERT INTO T VALUES (1, 2), (3, 4), (5, 6)")
+        for __ in range(5):
+            client.query("SELECT A FROM T WHERE B = 4")
+
+        text = server.metrics_text()
+        assert "server_requests_read 5" in text
+        for line in filter(None, text.splitlines()):
+            if line.startswith("# TYPE"):
+                assert self.TYPE_LINE.match(line), line
+            elif not line.startswith("#"):
+                assert self.METRIC_LINE.match(line), line
+        assert len(server.slow_queries()) == 7
+        server.close()  # flushes and closes the sink
+
+        records = _read(log_path)
+        assert all(isinstance(r, dict) and "event" in r and "ts" in r
+                   for r in records)
+        assert any("trace_id" in r for r in records)
+        assert telemetry.export_spans()["resourceSpans"]

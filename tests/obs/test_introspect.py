@@ -274,6 +274,39 @@ class TestServerTier:
         assert any(count >= 1 for __, ___, count in hist)
         server.close()
 
+    def test_a_served_database_counts_itself_exactly(self):
+        """Eleven requests (ten reads over three templates, one write)
+        read back through ``sys.*`` -- the dogfooding scenario with its
+        counters pinned."""
+        db = Database()
+        db.execute("""
+        TABLE T (A : NUMERIC, B : NUMERIC);
+        CREATE VIEW SMALL (A) AS SELECT A FROM T WHERE B < 50
+        """)
+        db.execute("INSERT INTO T VALUES " + ", ".join(
+            f"({i}, {(i * 13) % 100})" for i in range(60)))
+        server = Server(db)
+        for query, times in (("SELECT A FROM T WHERE B = 10", 5),
+                             (_EXISTS, 3), ("SELECT A FROM SMALL", 2)):
+            for __ in range(times):
+                server.query(query)
+        server.execute("INSERT INTO T VALUES (1000, 7)")
+
+        metrics = dict(server.query(
+            "SELECT Name, Value FROM sys.metrics").rows)
+        assert metrics["server.requests.read"] == 10
+        assert metrics["server.requests.write"] == 1
+        kinds = [kind for __, kind in server.query(
+            "SELECT Name, Kind FROM sys.relations").rows]
+        assert (len(kinds), kinds.count("virtual")) == (16, 14)
+        assert db.ledger.recorded == 7
+        assert sorted(server.query(
+            "SELECT Block, Rule, Fired, DeltaTotal FROM sys.rule_heat"
+        ).rows) == [("merge", "search_merge", 2, -14),
+                    ("push", "semijoin_prune", 3, -3),
+                    ("simplify", "lt_flip", 2, 0)]
+        server.close()
+
     def test_sys_reads_never_touch_the_writer_lock(self):
         db = _db()
         server = Server(db)

@@ -65,6 +65,37 @@ class TestRouting:
         finally:
             server.close()
 
+    def test_every_read_is_dispatched_or_falls_back(self):
+        """Twelve reads in turn all reach a worker; sixteen more from
+        four threads over two workers are each dispatched or served by
+        the in-process fallback: a saturated pool degrades, never drops."""
+        server = _server(workers=2)
+        try:
+            for __ in range(12):
+                assert len(server.query("SELECT A, B FROM T").rows) == 3
+            summary = server.pool.summary()
+            assert (summary["dispatched"], summary["crashes"],
+                    summary["restarts"]) == (12, 0, 0)
+            counters = server.metrics.snapshot()["counters"]
+            assert counters.get("pool.fallbacks", 0) == 0
+
+            def reader():
+                for __ in range(4):
+                    assert len(server.query("SELECT A FROM T").rows) == 3
+
+            threads = [threading.Thread(target=reader) for __ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+            counters = server.metrics.snapshot()["counters"]
+            assert counters["server.requests.read"] == 28
+            assert (counters["pool.dispatched"]
+                    + counters.get("pool.fallbacks", 0)) == 28
+            assert server.pool.summary()["crashes"] == 0
+        finally:
+            server.close()
+
     def test_sys_reads_stay_in_process(self):
         server = _server()
         try:

@@ -6,7 +6,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.qa.harness import case_seed, fuzz
 from repro.qa.oracle import DifferentialOracle
 
-from tests.qa.test_oracle_shrink import UnsoundOracle
+from tests.qa.test_oracle_shrink import (PreFixUnionPushOracle,
+                                         UnsoundOracle)
 
 N = 25
 SEED = 7
@@ -54,6 +55,28 @@ class TestFindings:
         fuzz(60, seed=SEED, oracle=UnsoundOracle(check_subsets=False),
              shrink=False, on_finding=seen.append)
         assert seen, "the planted bug never streamed"
+
+
+class TestRediscovery:
+    """A harness that cannot rediscover a known bug is not yet a
+    guard: the CI seed, run against the rule text that shipped the
+    wrong answer of ROADMAP item 0a, must report it as a bag mismatch
+    through a UNION view (the ``fuzz-smoke`` CI job runs the same seed
+    on the fixed rule and demands zero violations)."""
+
+    BUDGET = 150
+    CI_SEED = 20260808
+
+    def test_pre_fix_union_push_is_caught_within_budget(self):
+        report = fuzz(self.BUDGET, seed=self.CI_SEED, shrink=False,
+                      oracle=PreFixUnionPushOracle(check_subsets=False))
+        assert report.skipped == 0
+        assert report.violations >= 1
+        finding = report.findings[0]
+        assert finding.divergence.mode == "rewrite"
+        assert "row(s) expected" in finding.divergence.detail
+        assert any(" UNION " in view.body for view in finding.case.views
+                   if view.name in finding.case.query)
 
 
 class TestObservability:

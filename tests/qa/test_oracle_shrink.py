@@ -30,6 +30,31 @@ class UnsoundOracle(DifferentialOracle):
         return db
 
 
+# search_union_push as it shipped from PR 11 to PR 20 (ROADMAP item 0a):
+# it lifts the set-UNION above the projection and the other inputs
+PRE_FIX_UNION_PUSH = (
+    "search_union_push: "
+    "SEARCH(LIST(x*, UNION(SET(u, v*)), y*), f, a) / NONEMPTY(v*) "
+    "--> UNION(SET("
+    "SEARCH(APPEND(x*, LIST(u), y*), f, a), "
+    "SEARCH(LIST(x*, UNION(SET(v*)), y*), f, a))) /"
+)
+
+
+class PreFixUnionPushOracle(DifferentialOracle):
+    """An oracle whose databases run the pre-fix union-push rule."""
+
+    def build_db(self, case):
+        db = super().build_db(case)
+        push = db.optimizer.rewriter.block("push")
+        push.rules[:] = [rule_from_text(PRE_FIX_UNION_PUSH)] + [
+            rule for rule in push.rules
+            if rule.name != "search_union_push"
+        ]
+        db.regenerate_optimizer = lambda: None  # keep the planted rule
+        return db
+
+
 def _case(rows=((1, 5), (2, 6), (3, 7)),
           query="SELECT A FROM T WHERE A > 1") -> Case:
     return Case(

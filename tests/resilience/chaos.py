@@ -7,7 +7,8 @@ are duck-typed against :class:`~repro.rules.rule.RewriteRule` (the
 engine only touches ``name``, ``quick_applicable`` and ``apply``), so
 a fixture can fail in ways the rule compiler would never produce.
 
-Used by ``tests/resilience/*`` and ``benchmarks/bench_resilience.py``.
+Used by ``tests/resilience/*``, ``tests/lifecycle``, ``tests/rules`` and
+``tests/server``.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ from repro.adt.types import CHAR, NUMERIC
 from repro.engine.catalog import Catalog
 from repro.engine.evaluate import Evaluator, evaluate
 from repro.engine.stats import EvalStats
+from repro.lera import ops
 from repro.rules.control import Block, RewriteEngine, Seq
 from repro.rules.rule import RuleContext
 from repro.rules.syntactic import (canonicalization_rules, merging_rules,
@@ -38,47 +39,104 @@ def rewrite(term, cat):
     return push_engine().rewrite(term, RuleContext(catalog=cat))
 
 
+def union_push_fired(result):
+    return [name for name in result.rules_fired()
+            if name == "search_union_push"]
+
+
+def bag(term, cat):
+    return sorted(evaluate(term, cat).rows)
+
+
 class TestSearchThroughUnion:
+    """The union is a set and its consumers may be bags: only the
+    selection moves below it, the projection and the other inputs of
+    the search stay above (the shape of search_distinct_push)."""
+
     def test_selection_distributes(self, cat):
         t = parse_term(
             "SEARCH(LIST(UNION(SET(OLD_EDGE, NEW_EDGE))), "
             "#1.1 = 1, LIST(#1.2))"
         )
         result = rewrite(t, cat)
-        assert "search_union_push" in result.rules_fired()
-        assert is_fun(result.term, "UNION")
+        assert union_push_fired(result) == ["search_union_push"]
+        # the outer search keeps its projection over the union...
+        assert term_to_str(result.term) == (
+            "SEARCH(LIST(UNION(SET("
+            "SEARCH(LIST(NEW_EDGE), 1 = #1.1, LIST(#1.1, #1.2)), "
+            "SEARCH(LIST(OLD_EDGE), 1 = #1.1, LIST(#1.1, #1.2))))), "
+            "true, LIST(#1.2))"
+        )
 
     def test_equivalence(self, cat):
         t = parse_term(
             "SEARCH(LIST(UNION(SET(OLD_EDGE, NEW_EDGE))), "
             "#1.1 = 1, LIST(#1.2))"
         )
+        assert bag(t, cat) == bag(rewrite(t, cat).term, cat)
+
+    def test_narrow_projection_keeps_duplicates(self, cat):
+        """ROADMAP 0a: (1, 2) and (1, 9) are two union tuples that
+        project onto the same Src; lifting the union above the
+        projection used to merge them."""
+        t = parse_term(
+            "SEARCH(LIST(UNION(SET(OLD_EDGE, NEW_EDGE))), "
+            "#1.1 = 1, LIST(#1.1))"
+        )
         pushed = rewrite(t, cat).term
-        assert set(evaluate(t, cat).rows) == set(evaluate(pushed, cat).rows)
+        assert bag(t, cat) == bag(pushed, cat) == [(1,), (1,)]
 
     def test_three_branch_union_fully_split(self, cat):
         t = parse_term(
             "SEARCH(LIST(UNION(SET(OLD_EDGE, NEW_EDGE, "
-            "SEARCH(LIST(OLD_EDGE), #1.1 > 4, LIST(#1.1, #1.2))))), "
+            "SEARCH(LIST(SALE), #1.1 > 2, LIST(#1.1, #1.2))))), "
             "#1.2 > 1, LIST(#1.1))"
         )
         result = rewrite(t, cat)
-        # every branch ends up under its own search; no UNION inside a
-        # SEARCH remains
-        rendered = term_to_str(result.term)
-        assert result.rules_fired().count("search_union_push") >= 2
-        assert set(evaluate(t, cat).rows) == \
-            set(evaluate(result.term, cat).rows)
+        # one application reaches every branch: each is a search over
+        # a stored relation carrying the selection
+        assert len(union_push_fired(result)) == 1
+        (union,), qualification, __ = ops.search_parts(result.term)
+        assert term_to_str(qualification) == "true"
+        branches = ops.relation_inputs(union)
+        assert len(branches) == 3
+        for branch in branches:
+            inputs, pushed, ___ = ops.search_parts(branch)
+            assert ops.is_relation_name(inputs[0])
+            assert "#1.2 > 1" in term_to_str(pushed)
+        assert bag(t, cat) == bag(result.term, cat)
 
     def test_union_with_join_partner(self, cat):
-        # the union is one input of a two-input search
+        # the union is one input of a two-input search: only the
+        # conjunct on the union moves, the join stays above
         t = parse_term(
             "SEARCH(LIST(UNION(SET(OLD_EDGE, NEW_EDGE)), OLD_EDGE), "
             "#1.2 = #2.1 AND #1.1 = 1, LIST(#1.1, #2.2))"
         )
         result = rewrite(t, cat)
-        assert set(evaluate(t, cat).rows) == \
-            set(evaluate(result.term, cat).rows)
+        assert union_push_fired(result) == ["search_union_push"]
+        inputs, qualification, __ = ops.search_parts(result.term)
+        assert is_fun(inputs[0], "UNION")
+        assert term_to_str(qualification) == "#1.2 = #2.1"
+        assert bag(t, cat) == bag(result.term, cat)
+
+    def test_join_partner_duplicates_survive(self, cat):
+        """The join form of ROADMAP 0a: the partner's duplicates
+        multiply the union's tuples and must not be deduplicated."""
+        cat.insert_many("OLD_EDGE", [(2, 3)])
+        t = parse_term(
+            "SEARCH(LIST(UNION(SET(OLD_EDGE, NEW_EDGE)), OLD_EDGE), "
+            "#1.2 = #2.1 AND #1.1 = 1, LIST(#1.1))"
+        )
+        pushed = rewrite(t, cat).term
+        assert bag(t, cat) == bag(pushed, cat) == [(1,), (1,)]
+
+    def test_join_only_qualification_does_not_fire(self, cat):
+        t = parse_term(
+            "SEARCH(LIST(UNION(SET(OLD_EDGE, NEW_EDGE)), OLD_EDGE), "
+            "#1.2 = #2.1, LIST(#1.1, #2.2))"
+        )
+        assert union_push_fired(rewrite(t, cat)) == []
 
     def test_pushdown_reduces_work(self, cat):
         # enlarge one branch so filtering early matters
@@ -88,11 +146,12 @@ class TestSearchThroughUnion:
             "#1.2 = #2.1 AND #1.1 = 1, LIST(#1.1, #2.2))"
         )
         pushed = rewrite(t, cat).term
-        plain, opt = EvalStats(), EvalStats()
-        Evaluator(cat, stats=plain).evaluate(t)
-        Evaluator(cat, stats=opt).evaluate(pushed)
-        assert set(evaluate(t, cat).rows) == \
-            set(evaluate(pushed, cat).rows)
+        assert bag(t, cat) == bag(pushed, cat)
+        # the union deduplicates the two selected tuples, not all 55
+        (plain_union, __), ___, ____ = ops.search_parts(t)
+        (pushed_union, __), ___, ____ = ops.search_parts(pushed)
+        assert len(evaluate(plain_union, cat).rows) == 55
+        assert len(evaluate(pushed_union, cat).rows) == 2
 
 
 class TestSearchThroughNest:

@@ -101,6 +101,25 @@ class TestConcurrencyGuard:
         with guard.read() as handle:
             assert handle.version == 1
 
+    def test_readers_are_inside_the_guard_together(self):
+        """Four readers meet at a barrier *inside* the read side: an
+        exclusive lock would strand the first one there."""
+        guard = ConcurrencyGuard()
+        barrier = threading.Barrier(4)
+        met = []
+
+        def reader():
+            with guard.read():
+                barrier.wait(timeout=5.0)
+                met.append(True)
+
+        threads = [threading.Thread(target=reader) for __ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10.0)
+        assert len(met) == 4
+
     def test_nested_reads_do_not_deadlock(self):
         """Re-entrancy: a query issued while the thread already holds
         the shared side must not deadlock on writer preference."""

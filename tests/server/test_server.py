@@ -39,6 +39,31 @@ class TestServing:
         assert result.rows == [(20,)]
         assert server.stats()["requests"]["server.requests.read"] == 1
 
+    def test_more_readers_than_slots_queue_and_none_is_shed(self):
+        import threading
+        server = _server(limits=AdmissionLimits(
+            max_readers=4, max_queue=64, queue_timeout_ms=30000.0))
+        answers = []
+
+        def reader(slot):
+            session = server.open_session(f"r{slot}")
+            for __ in range(3):
+                answers.append(server.query(
+                    "SELECT B FROM T WHERE A = 2", session=session.id
+                ).rows)
+
+        threads = [threading.Thread(target=reader, args=(i,))
+                   for i in range(12)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+        assert answers == [[(20,)]] * 36
+        stats = server.stats()
+        assert stats["admission"]["shed_total"] == 0
+        assert stats["requests"]["server.requests.read"] == 36
+        server.close()
+
     def test_mixed_script_admits_per_statement(self):
         server = _server()
         results = server.execute("""

@@ -8,8 +8,8 @@ from repro.terms.term import (FALSE, TRUE, AttrRef, CollVar, Const, Fun,
                               conjuncts, disj, disjuncts, is_fun,
                               is_ground, mentions, mk_fun, num, replace_at,
                               string,
-                              subterms, sym, term_size, term_sort_key,
-                              variables_of, walk)
+                              subterms, sym, term_depth, term_size,
+                              term_sort_key, variables_of, walk)
 
 
 class TestTermBasics:
@@ -285,6 +285,74 @@ class TestMentions:
         out = replace_at(t, (0, 0), sym("S"))
         assert mentions(out) == {"S": 2}
         assert mentions(t) == {"R": 1, "S": 1}
+
+
+def _copy(term):
+    """A structurally equal term sharing no ``Fun`` node."""
+    if isinstance(term, Fun):
+        return Fun(term.name, tuple(_copy(a) for a in term.args))
+    return term
+
+
+def _recursive_eq(a, b):
+    """The textbook definition ``Fun.__eq__`` must agree with."""
+    if isinstance(a, Fun):
+        return (isinstance(b, Fun) and a.name == b.name
+                and len(a.args) == len(b.args)
+                and all(_recursive_eq(x, y)
+                        for x, y in zip(a.args, b.args)))
+    return not isinstance(b, Fun) and a == b
+
+
+class TestEqualityIsIterative:
+    """``Fun.__eq__`` compares hashes, then walks an explicit stack:
+    same answers as the recursive definition, at any depth."""
+
+    def test_agrees_with_the_recursive_definition_on_generated_plans(self):
+        from tests.generated_plans import generated_queries
+        compared = 0
+        for db, query in generated_queries(cases=30):
+            nodes = [t for t in walk(db.optimize(query).final)
+                     if isinstance(t, Fun)]
+            for t, other in zip(nodes, nodes[1:] + nodes[:1]):
+                twin = _copy(t)
+                assert twin == t and hash(twin) == hash(t)
+                assert (t == other) == _recursive_eq(t, other)
+                assert (hash(t) == hash(other)) or t != other
+                compared += 1
+        assert compared >= 500
+
+    def test_one_leaf_apart_is_unequal_at_any_position(self):
+        t = mk_fun("F", [mk_fun("G", [num(1), sym("R")]),
+                         mk_fun("H", [AttrRef(1, 2)])])
+        for path, leaf in subterms(t):
+            if isinstance(leaf, Fun):
+                continue
+            changed = replace_at(_copy(t), path, num(99))
+            assert changed != t and not _recursive_eq(changed, t)
+
+    def test_a_colliding_hash_is_still_decided_structurally(self):
+        a = mk_fun("F", [num(1)])
+        b = mk_fun("F", [num(2)])
+        b._hash = a._hash  # force the slow path
+        assert a != b
+        c = _copy(a)
+        assert a == c
+
+    def test_depth_beyond_the_recursion_limit(self):
+        import sys
+        deep = other = num(0)
+        for __ in range(sys.getrecursionlimit() * 3):
+            deep = Fun("S", (deep,))
+            other = Fun("S", (other,))
+        assert deep == other and deep is not other
+        assert deep != Fun("S", (other,))
+        assert term_depth(deep) == sys.getrecursionlimit() * 3 + 1
+
+    def test_term_depth(self):
+        assert term_depth(num(1)) == term_depth(mk_fun("F", [])) == 1
+        t = mk_fun("F", [num(1), mk_fun("G", [mk_fun("H", [sym("R")])])])
+        assert term_depth(t) == 4
 
 
 class TestSortKey:
