@@ -19,12 +19,11 @@ Design notes:
   the hot loop.
 - During evaluation, nodes are keyed by ``id(term)``; the record keeps
   a reference to the term, so the id cannot be recycled underneath us.
-  Semi-naive fixpoints build *fresh* delta-body terms every iteration
-  (``_replace_nth_symbol``), which would show up as hundreds of
-  distinct one-loop nodes -- so :meth:`snapshot` re-keys by the
-  printed term form and merges equal forms into one node with a loop
-  count, exactly how EXPLAIN ANALYZE reports an inner relation
-  scanned N times.
+  A semi-naive fixpoint compiles each delta body once and runs it once
+  per iteration, so its node counts loops; :meth:`snapshot` re-keys by
+  the printed term form and merges equal forms into one node (equal
+  subterms may or may not share a compiled closure), exactly how
+  EXPLAIN ANALYZE reports an inner relation scanned N times.
 - Common-subexpression cache hits in the evaluator never reach the
   dispatch wrapper, so counters reflect *actual executions only*; a
   node evaluated once and reused twice shows ``loops = 1``.
@@ -32,8 +31,8 @@ Design notes:
   in-process and ship :meth:`snapshot` back in the result frame.
 
 When analyze mode is off the evaluator holds ``None`` instead of a
-collector -- the usual null-object fast path, one ``is None`` test per
-node.
+collector, read once when a node is compiled: the unobserved node is
+the bare closure.
 """
 
 from __future__ import annotations

@@ -60,7 +60,7 @@ class Database:
     def __init__(self, rewrite: bool = True,
                  semantic_limit: Optional[int] = DEFAULT_SEMANTIC_LIMIT,
                  semi_naive: bool = True,
-                 hash_joins: bool = False,
+                 hash_joins: bool = True,
                  dynamic_limits: bool = False,
                  checked: bool = False,
                  deadline_ms: Optional[float] = None,

@@ -1,19 +1,35 @@
-"""The LERA evaluator: executes algebra terms against the catalog.
+"""The LERA evaluator: compiles algebra terms to closures and runs them.
 
-This is the execution substrate that makes rewriting *measurable*.  The
-physical strategy is deliberately simple and deterministic:
+This is the execution substrate that makes rewriting *measurable*.
+:meth:`Evaluator.evaluate` walks the plan once, turning every operator
+into a closure ``run(fix_rows, fix_env) -> rows`` and every scalar
+expression into a closure ``f(env)``; what does not depend on the data
+is decided during that walk, never per row.  The physical strategy is
+deliberately simple and deterministic:
 
-* SEARCH / JOIN build the nested-loop product of their inputs in the
-  given order, applying each conjunct of the qualification as soon as
-  all the relations it references are bound (so a merged qualification
-  filters early -- the benefit merging rules expose);
+* SEARCH / JOIN run as nested loops over their inputs, applying each
+  conjunct of the qualification as soon as all the relations it
+  references are bound (so a merged qualification filters early -- the
+  benefit merging rules expose).  Constant conjuncts, the greedy loop
+  order, the depth at which each conjunct closes and one equi-conjunct
+  per depth to probe a hash index with are fixed at compile time; the
+  probe is the default, ``hash_joins=False`` scans instead (ablation
+  A6), and a probe declines -- the loop scans -- where a key is a
+  collection, because ``=`` broadcasts over it;
 * UNION / INTERSECTION / DIFFERENCE use set semantics, SEARCH /
   PROJECTION keep bags (ESQL's default collection is a bag);
 * FIX is computed by *semi-naive* iteration by default (delta rules per
   occurrence of the recursive relation, which also covers the non-linear
-  case), with naive recomputation available as the A3 ablation baseline.
+  case; base branches and delta variants are compiled once, not per
+  iteration), with naive recomputation available as the A3 ablation
+  baseline.
 
-Work counters (see :mod:`repro.engine.stats`) are updated throughout.
+Compiled nodes are memoised on the evaluator for the length of one
+``evaluate`` call: nothing compiled outlives a statement, so DDL and
+``Database.install`` have nothing to invalidate.
+
+Work counters (see :mod:`repro.engine.stats`) are kept in locals
+inside the loops and flushed once per operator run, in a ``finally``.
 
 Lifecycle governance: when a :class:`~repro.lifecycle.QueryContext` is
 active (passed explicitly or ambient via
@@ -26,28 +42,37 @@ budget trip surfaces as :class:`~repro.errors.QueryCancelled` /
 the context's *degrade* mode a budget trip instead raises the internal
 :class:`~repro.lifecycle.Truncation`, which every materializing
 operator catches, keeping its partial rows -- the statement completes
-with a truncated result flagged in ``EvalStats.truncated``.  Without a
-context every governance site is one ``is None`` test (the null-object
-fast path).
+with a truncated result flagged in ``EvalStats.truncated``.  Whether a
+context, an analyze collector or a subscribed bus is present is read
+once, when a node is compiled.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from time import perf_counter
+from typing import Any, Callable, Optional, Sequence
 
-from repro.adt.values import CollectionValue
+from repro.adt.values import (ArrayValue, BagValue, CollectionValue,
+                              ListValue, SetValue, TupleValue)
 from repro.engine.catalog import Catalog
 from repro.engine.stats import EvalStats
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, FunctionError
 from repro.lera import ops
+from repro.lera.analysis import rels_referenced
 from repro.lifecycle.context import Truncation, current_context
 from repro.lera.schema import Schema, schema_of
+from repro.obs.events import EvalOp
 from repro.terms.term import (AttrRef, Const, Fun, Term, conjuncts, is_fun,
                               mentions, mk_fun, sym)
 
 __all__ = ["Evaluator", "Result", "evaluate"]
 
 _MAX_DEFAULT_ITERATIONS = 100_000
+
+# operators whose result is shared within one evaluation (see _compile_node)
+_SHARED = frozenset(("FIX", "UNION", "SEARCH", "JOIN", "NEST"))
+_COLLECTION_CTORS = {"SET": SetValue, "BAG": BagValue,
+                     "LIST": ListValue, "ARRAY": ArrayValue}
 
 
 class Result:
@@ -112,6 +137,9 @@ class Evaluator:
         Optional :class:`EvalStats` receiving work counters.
     semi_naive:
         Fixpoint strategy; False selects naive recomputation (ablation A3).
+    hash_joins:
+        False makes every SEARCH / JOIN level scan its input instead of
+        probing a hash index on an equi-conjunct (ablation A6).
     max_fix_iterations:
         Safety bound on fixpoint rounds.
     obs:
@@ -129,7 +157,7 @@ class Evaluator:
     def __init__(self, catalog: Catalog,
                  stats: Optional[EvalStats] = None,
                  semi_naive: bool = True,
-                 hash_joins: bool = False,
+                 hash_joins: bool = True,
                  max_fix_iterations: int = _MAX_DEFAULT_ITERATIONS,
                  obs=None, context=None, analyze=None):
         self.catalog = catalog
@@ -139,14 +167,19 @@ class Evaluator:
         self.max_fix_iterations = max_fix_iterations
         self.obs = obs
         # EXPLAIN ANALYZE: an AnalyzeCollector accumulating per-operator
-        # actuals, or None (the default) -- the off path costs one is-None
-        # test per dispatched node, same discipline as the event bus
+        # actuals, or None (the default); like the event bus it is read
+        # when a node is compiled, so the off path costs nothing per run
         self.analyze = analyze
         self.context = context if context is not None \
             else current_context()
         # bytes this evaluator has reserved against the context's
         # memory budget; released wholesale when evaluate() exits
         self._mem_reserved = 0
+        # per evaluation: the compiled nodes, the shared results and
+        # one snapshot per sys.* relation
+        self._compiled: dict[Term, Callable] = {}
+        self._cache: dict[Term, list[tuple]] = {}
+        self._vrows: dict[str, list[tuple]] = {}
 
     # registry implementations receive the evaluator as their context
     @property
@@ -157,26 +190,25 @@ class Evaluator:
     def type_system(self):
         return self.catalog.type_system
 
+    @property
+    def _tick(self) -> Optional[Callable]:
+        """The per-row check site a compiled loop carries: the
+        context's ``tick``, or None without one."""
+        return self.context.tick if self.context is not None else None
+
     # -- public API ---------------------------------------------------------
     def evaluate(self, term: Term,
                  schema: Optional[Schema] = None) -> Result:
         """Run ``term``; ``schema`` is its output schema when the
         caller already holds it (the statement path does, from the
         optimizer), derived here otherwise."""
-        self._cache: dict[Term, list[tuple]] = {}
         # one snapshot per sys.* relation per evaluation: a plan that
         # scans the same virtual twice (self-join, fixpoint) must see
         # the same point-in-time rows both times
-        self._vrows: dict[str, list[tuple]] = {}
-        ctx = self.context
-        if ctx is None:
-            rows = self._eval_rel(term, {}, {})
-            if schema is None:
-                schema = schema_of(term, self.catalog)
-            return Result(rows, schema)
+        self._compiled, self._cache, self._vrows = {}, {}, {}
         try:
             try:
-                rows = self._eval_rel(term, {}, {})
+                rows = self._compile(term)({}, {})
             except Truncation:
                 # the trip escaped every materializing handler (e.g. a
                 # bare-relation plan): an empty prefix is the result
@@ -186,11 +218,14 @@ class Evaluator:
                 schema = schema_of(term, self.catalog)
             return Result(rows, schema)
         finally:
+            # the closures hold the evaluator: let go of them, so both
+            # are freed on return rather than by a later gc pass
+            self._compiled = {}
             # zero-balance the statement's memory account: every byte
             # this evaluator reserved is released here, completion or
             # abort alike (the hypothesis property relies on this)
             if self._mem_reserved:
-                ctx.release(self._mem_reserved)
+                self.context.release(self._mem_reserved)
                 self._mem_reserved = 0
 
     # -- lifecycle accounting -------------------------------------------------
@@ -239,145 +274,142 @@ class Evaluator:
                 return rows[:max(0, ctx.row_budget - before)]
             return []
 
-    # -- relation evaluation ------------------------------------------------
-    def _eval_rel(self, term: Term, fix_rows: dict,
-                  fix_env: dict) -> list[tuple]:
+    def _output(self, out: list) -> list:
+        self.stats.incr("tuples_output", len(out))
+        return self._account_out(out)
+
+    # -- compilation: relations -----------------------------------------------
+    def _compile(self, term: Term) -> Callable:
+        """The closure ``run(fix_rows, fix_env) -> rows`` of one plan
+        node.  Equal subterms share one closure (the delta variants of
+        a fixpoint differ from their branch along one path only)."""
+        run = self._compiled.get(term)
+        if run is None:
+            run = self._compiled[term] = self._compile_node(term)
+        return run
+
+    def _compile_node(self, term: Term) -> Callable:
+        try:
+            if ops.is_relation_name(term):
+                body = self._compile_scan(term)
+            elif not isinstance(term, Fun):
+                raise EvaluationError(f"not a LERA term: {term!r}")
+            else:
+                # an explicit table: a plan's operator name must never
+                # select one of the evaluator's own attributes
+                compiler = _OPERATORS.get(term.name)
+                if compiler is None:
+                    raise EvaluationError(
+                        f"cannot evaluate operator {term.name!r}"
+                    )
+                body = compiler(self, term)
+        except Exception as exc:
+            # a node that cannot be compiled fails when it is run, not
+            # before: under a constant-false qualification, or after an
+            # input that raises first, it is never reached
+            def body(fix_rows, fix_env, exc=exc):
+                raise exc
+
+        incr = self.stats.incr
+        analyze, bus = self.analyze, self.obs
+        if analyze is None and not bus:
+            def node(fix_rows: dict, fix_env: dict) -> list[tuple]:
+                incr("operators_evaluated")
+                return body(fix_rows, fix_env)
+        else:
+            operator = (term.name if isinstance(term, Fun)
+                        else "SCAN" if ops.is_relation_name(term)
+                        else type(term).__name__)
+
+            def node(fix_rows: dict, fix_env: dict) -> list[tuple]:
+                rows = None
+                if analyze is not None:
+                    analyze.enter(term)
+                t0 = perf_counter()
+                try:
+                    incr("operators_evaluated")
+                    rows = body(fix_rows, fix_env)
+                finally:
+                    # exit even when a Truncation / budget trip unwinds
+                    # through this node, keeping the collector's nesting
+                    # stack aligned with the recursion
+                    if analyze is not None:
+                        analyze.exit(
+                            term,
+                            len(rows) if rows is not None else 0,
+                            perf_counter() - t0,
+                            _estimate_bytes(rows) if rows else 0,
+                        )
+                if bus:
+                    bus.emit(EvalOp(operator, len(rows),
+                                    perf_counter() - t0))
+                return rows
+
+        if not (isinstance(term, Fun) and term.name in _SHARED):
+            return node
         # Common-subexpression cache: a compound subterm that does not
         # reference any in-scope fixpoint relation always evaluates to the
         # same rows within one query; the Alexander rewrite relies on this
         # (the inlined magic fixpoint is shared by every specialized
         # branch and must be computed once).
-        cache = getattr(self, "_cache", None)
-        cacheable = (
-            cache is not None
-            and isinstance(term, Fun)
-            and term.name in ("FIX", "UNION", "SEARCH", "JOIN", "NEST")
-            and (not fix_rows
-                 or mentions(term).keys().isdisjoint(fix_rows))
-        )
-        if cacheable and term in cache:
-            return cache[term]
-        rows = self._eval_rel_inner(term, fix_rows, fix_env)
-        if cacheable:
-            cache[term] = rows
-        return rows
+        cache = self._cache
 
-    def _eval_rel_inner(self, term: Term, fix_rows: dict,
-                        fix_env: dict) -> list[tuple]:
-        bus = self.obs
-        analyze = self.analyze
-        if analyze is None and not bus:
-            return self._eval_dispatch(term, fix_rows, fix_env)
-        from time import perf_counter
-        if analyze is not None:
-            analyze.enter(term)
-            rows = None
-            t0 = perf_counter()
-            try:
-                rows = self._eval_dispatch(term, fix_rows, fix_env)
-            finally:
-                # exit even when a Truncation / budget trip unwinds
-                # through this node, keeping the collector's nesting
-                # stack aligned with the recursion
-                analyze.exit(
-                    term,
-                    len(rows) if rows is not None else 0,
-                    perf_counter() - t0,
-                    _estimate_bytes(rows) if rows else 0,
-                )
-        else:
-            t0 = perf_counter()
-            rows = self._eval_dispatch(term, fix_rows, fix_env)
-        if bus:
-            from repro.obs.events import EvalOp
-            operator = (term.name if isinstance(term, Fun)
-                        else "SCAN" if ops.is_relation_name(term)
-                        else type(term).__name__)
-            bus.emit(EvalOp(operator, len(rows), perf_counter() - t0))
-        return rows
+        def shared(fix_rows: dict, fix_env: dict) -> list[tuple]:
+            if fix_rows and not mentions(term).keys().isdisjoint(fix_rows):
+                return node(fix_rows, fix_env)
+            rows = cache.get(term)
+            if rows is None:
+                rows = cache[term] = node(fix_rows, fix_env)
+            return rows
+        return shared
 
-    def _eval_dispatch(self, term: Term, fix_rows: dict,
-                       fix_env: dict) -> list[tuple]:
-        self.stats.incr("operators_evaluated")
+    def _compile_scan(self, term: Term) -> Callable:
+        name = str(term.value)  # type: ignore[union-attr]
+        catalog, incr, ctx = self.catalog, self.stats.incr, self.context
 
-        if ops.is_relation_name(term):
-            name = str(term.value)  # type: ignore[union-attr]
+        def scan(fix_rows: dict, fix_env: dict) -> list[tuple]:
             if name in fix_rows:
                 rows = fix_rows[name]
-            elif self.catalog.is_table(name):
-                rows = self.catalog.rows(name)
-            elif self.catalog.is_virtual(name):
-                vrows = getattr(self, "_vrows", None)
-                if vrows is None:
-                    vrows = self._vrows = {}
-                if name in vrows:
-                    rows = vrows[name]
-                else:
-                    rows = vrows[name] = self.catalog.virtual_rows(name)
-            elif self.catalog.is_view(name):
+            elif catalog.is_table(name):
+                rows = catalog.rows(name)
+            elif catalog.is_virtual(name):
+                vrows = self._vrows
+                if name not in vrows:
+                    vrows[name] = catalog.virtual_rows(name)
+                rows = vrows[name]
+            elif catalog.is_view(name):
                 # views are normally expanded at translation time; keep a
                 # fallback so hand-built plans can reference them
-                view = self.catalog.view(name)
-                return self._eval_rel(view.term, fix_rows, fix_env)
+                view = self._compile(catalog.view(name).term)
+                return view(fix_rows, fix_env)
             else:
                 raise EvaluationError(f"unknown relation {name!r}")
-            self.stats.incr("tuples_scanned", len(rows))
-            ctx = self.context
+            incr("tuples_scanned", len(rows))
             if ctx is None:
                 return list(rows)
             return self._charge_scan(list(rows), ctx)
+        return scan
 
-        if not isinstance(term, Fun):
-            raise EvaluationError(f"not a LERA term: {term!r}")
-
-        handler = getattr(self, f"_eval_{term.name.lower()}", None)
-        if handler is None:
-            raise EvaluationError(
-                f"cannot evaluate operator {term.name!r}"
-            )
-        return handler(term, fix_rows, fix_env)
-
-    def _eval_search(self, term: Fun, fix_rows: dict,
-                     fix_env: dict) -> list[tuple]:
+    def _compile_search(self, term: Fun) -> Callable:
         inputs, qual, items = ops.search_parts(term)
-        exprs = [ops.item_expr(i) for i in items]
-        out: list[tuple] = []
-        try:
-            for env in self._combinations(inputs, qual, fix_rows,
-                                          fix_env):
-                out.append(tuple(self._eval_expr(e, env) for e in exprs))
-        except Truncation:
-            self._note_truncated()
-        self.stats.incr("tuples_output", len(out))
-        return self._account_out(out)
+        build = self._row_builder([ops.item_expr(i) for i in items])
+        return self._compile_product(inputs, qual, build)
 
-    def _eval_join(self, term: Fun, fix_rows: dict,
-                   fix_env: dict) -> list[tuple]:
-        inputs = ops.rel_list(term)
-        qual = term.args[1]
-        out: list[tuple] = []
-        try:
-            for env in self._combinations(inputs, qual, fix_rows,
-                                          fix_env):
-                row: tuple = ()
-                for part in env:
-                    row += part
-                out.append(row)
-        except Truncation:
-            self._note_truncated()
-        self.stats.incr("tuples_output", len(out))
-        return self._account_out(out)
+    def _compile_join(self, term: Fun) -> Callable:
+        return self._compile_product(ops.rel_list(term), term.args[1],
+                                     _concatenated)
 
-    def _combinations(self, inputs, qual, fix_rows, fix_env):
+    def _compile_product(self, inputs, qual: Term,
+                         emit: Callable) -> Callable:
         """Nested-loop product with eager conjunct application.
 
         The compound SEARCH gives the system "the necessary degrees of
         freedom to physically optimize" (section 3.1): the loop order is
         chosen greedily so that each next input makes as many conjuncts
         evaluable as possible -- the textual input order carries no
-        physical meaning.
+        physical meaning.  All of it is decided here, once; a run only
+        loops.
         """
-        from repro.lera.analysis import rels_referenced
         n = len(inputs)
         conj_refs: list[tuple[Term, frozenset]] = []
         for c in conjuncts(qual):
@@ -388,433 +420,527 @@ class Evaluator:
                     f"the operator has {n} inputs"
                 )
             conj_refs.append((c, refs))
-
-        # constant conjuncts: decide once, before touching any input
-        for c, refs in conj_refs:
-            if not refs:
-                self.stats.incr("qual_evaluations")
-                if not self._truthy(self._eval_expr(c, [])):
-                    return
-
-        order = self._greedy_order(n, [refs for __, refs in conj_refs])
+        constants = [self.compile_expr(c) for c, refs in conj_refs
+                     if not refs]
+        order = _greedy_order(n, [refs for __, refs in conj_refs])
 
         # conjuncts grouped by the loop depth at which they close
-        depth_of: dict[int, int] = {
-            pos: depth for depth, pos in enumerate(order)
-        }
+        depth_of = {pos: depth for depth, pos in enumerate(order)}
         by_depth: list[list[Term]] = [[] for __ in range(n)]
         for c, refs in conj_refs:
             if refs:
                 by_depth[max(depth_of[r] for r in refs)].append(c)
 
-        relations = [self._eval_rel(r, fix_rows, fix_env) for r in inputs]
-        env: list = [None] * n
-
-        # optional hash joins: for each loop depth > 0 pick one
-        # equi-conjunct linking the incoming input to an already-bound
-        # one and index the input on it (ablation A6)
-        hash_probe: list = [None] * n
-        indexes: list = [None] * n
+        # hash probe: for each loop depth > 0 the first equi-conjunct
+        # linking the incoming input to an already-bound one; the input
+        # is indexed on it the first time a run reaches that depth
+        static_probes: list = [None] * n
         if self.hash_joins:
             for depth in range(1, n):
-                pos = order[depth]
-                bound = {order[d] for d in range(depth)}
-                for c in by_depth[depth]:
-                    probe = _equi_probe(c, pos, bound)
-                    if probe is not None:
-                        hash_probe[depth] = probe
-                        break
+                bound = set(order[:depth])
+                static_probes[depth] = next(filter(None, (
+                    _equi_probe(c, order[depth], bound)
+                    for c in by_depth[depth])), None)
 
+        preds = [[self.compile_expr(c) for c in level]
+                 for level in by_depth]
+        children = [self._compile(r) for r in inputs]
+        slots = [pos - 1 for pos in order]
+        innermost = n - 1
+        incr = self.stats.incr
         # the join-probe cooperative check site: one tick per candidate
-        # row extended at any depth (captured locally -- the per-row
-        # cost without a context is exactly one None test)
-        ctx = self.context
+        # row extended at any depth
+        tick = self._tick
 
-        def extend(depth: int):
-            if depth == n:
-                yield list(env)
-                return
-            pos = order[depth]
-            candidates = relations[pos - 1]
-            probe = hash_probe[depth]
-            if probe is not None and indexes[depth] is None:
-                indexes[depth] = _hash_index(candidates, probe[0])
-                if indexes[depth] is None:
-                    probe = hash_probe[depth] = None  # declined: scan
-            if probe is not None:
-                other_ref = probe[1]
-                key = env[other_ref.rel - 1][other_ref.pos - 1]
-                if not isinstance(key, CollectionValue):
-                    candidates = indexes[depth].get(key, ())
-            for row in candidates:
-                if depth == 0:
-                    self.stats.incr("tuples_scanned")
+        def run(fix_rows: dict, fix_env: dict) -> list[tuple]:
+            out: list[tuple] = []
+            # tuples_scanned, join_pairs, qual_evaluations of this run
+            work = [0, 0, 0]
+
+            def extend(depth: int) -> None:
+                slot = slots[depth]
+                candidates = relations[slot]
+                probe = probes[depth]
+                if probe is not None and indexes[depth] is None:
+                    indexes[depth] = _hash_index(candidates, probe[0])
+                    if indexes[depth] is None:
+                        probe = probes[depth] = None  # declined: scan
+                if probe is not None:
+                    key = env[probe[1]][probe[2]]
+                    if not isinstance(key, CollectionValue):
+                        candidates = indexes[depth].get(key, ())
+                level = preds[depth]
+                seen = evaluated = 0
+                try:
+                    for row in candidates:
+                        seen += 1
+                        if tick is not None:
+                            tick()
+                        env[slot] = row
+                        for pred in level:
+                            evaluated += 1
+                            if not pred(env):
+                                break
+                        else:
+                            if depth == innermost:
+                                out.append(emit(env))
+                            else:
+                                extend(depth + 1)
+                finally:
+                    work[1 if depth else 0] += seen
+                    work[2] += evaluated
+
+            try:
+                # constant conjuncts: decide before touching any input
+                for pred in constants:
+                    work[2] += 1
+                    if not pred(()):
+                        break
                 else:
-                    self.stats.incr("join_pairs")
-                if ctx is not None:
-                    ctx.tick()
-                env[pos - 1] = row
-                ok = True
-                for c in by_depth[depth]:
-                    self.stats.incr("qual_evaluations")
-                    if not self._truthy(self._eval_expr(c, env)):
-                        ok = False
-                        break
-                if ok:
-                    yield from extend(depth + 1)
-            env[pos - 1] = None
+                    relations = [child(fix_rows, fix_env)
+                                 for child in children]
+                    env: list = [None] * n
+                    probes = list(static_probes)
+                    indexes: list = [None] * n
+                    if n:
+                        extend(0)
+                    else:
+                        out.append(emit(env))
+            except Truncation:
+                self._note_truncated()
+            finally:
+                extend = None  # the function refers to itself: free it now
+                incr("tuples_scanned", work[0])
+                incr("join_pairs", work[1])
+                incr("qual_evaluations", work[2])
+            return self._output(out)
+        return run
 
-        yield from extend(0)
+    def _compile_filter(self, term: Fun) -> Callable:
+        child = self._compile(term.args[0])
+        pred = self.compile_expr(term.args[1])
+        incr = self.stats.incr
+        tick = self._tick
 
-    @staticmethod
-    def _greedy_order(n: int, conj_refs: list) -> list[int]:
-        """Loop order (1-based input positions): each step picks the
-        input closing the most not-yet-applied conjuncts, ties broken
-        by textual position."""
-        remaining = list(range(1, n + 1))
-        bound: set[int] = set()
-        pending = [refs for refs in conj_refs if refs]
-        order: list[int] = []
-        while remaining:
-            def score(pos: int) -> int:
-                probe = bound | {pos}
-                return sum(1 for refs in pending if refs <= probe)
-            best = max(remaining, key=lambda pos: (score(pos), -pos))
-            order.append(best)
-            remaining.remove(best)
-            bound.add(best)
-            pending = [refs for refs in pending if not refs <= bound]
-        return order
+        def run(fix_rows: dict, fix_env: dict) -> list[tuple]:
+            rows = child(fix_rows, fix_env)
+            out = []
+            evaluated = 0
+            try:
+                for row in rows:
+                    if tick is not None:
+                        tick()
+                    evaluated += 1
+                    if pred((row,)):
+                        out.append(row)
+            except Truncation:
+                self._note_truncated()
+            finally:
+                incr("qual_evaluations", evaluated)
+            return self._output(out)
+        return run
 
-    def _eval_filter(self, term: Fun, fix_rows: dict,
-                     fix_env: dict) -> list[tuple]:
-        rows = self._eval_rel(term.args[0], fix_rows, fix_env)
-        qual = term.args[1]
-        ctx = self.context
-        out = []
-        try:
-            for row in rows:
-                if ctx is not None:
-                    ctx.tick()
-                self.stats.incr("qual_evaluations")
-                if self._truthy(self._eval_expr(qual, [row])):
-                    out.append(row)
-        except Truncation:
-            self._note_truncated()
-        self.stats.incr("tuples_output", len(out))
-        return self._account_out(out)
+    def _compile_projection(self, term: Fun) -> Callable:
+        child = self._compile(term.args[0])
+        build = self._row_builder(
+            [ops.item_expr(i) for i in ops.proj_items(term)])
+        tick = self._tick
 
-    def _eval_projection(self, term: Fun, fix_rows: dict,
-                         fix_env: dict) -> list[tuple]:
-        rows = self._eval_rel(term.args[0], fix_rows, fix_env)
-        exprs = [ops.item_expr(i) for i in ops.proj_items(term)]
-        ctx = self.context
-        out = []
-        try:
-            for row in rows:
-                if ctx is not None:
-                    ctx.tick()
-                out.append(tuple(
-                    self._eval_expr(e, [row]) for e in exprs
-                ))
-        except Truncation:
-            self._note_truncated()
-        self.stats.incr("tuples_output", len(out))
-        return self._account_out(out)
+        def run(fix_rows: dict, fix_env: dict) -> list[tuple]:
+            rows = child(fix_rows, fix_env)
+            out = []
+            try:
+                for row in rows:
+                    if tick is not None:
+                        tick()
+                    out.append(build((row,)))
+            except Truncation:
+                self._note_truncated()
+            return self._output(out)
+        return run
 
-    def _eval_empty(self, term: Fun, fix_rows: dict,
-                    fix_env: dict) -> list[tuple]:
-        return []
+    def _compile_empty(self, term: Fun) -> Callable:
+        return lambda fix_rows, fix_env: []
 
-    def _eval_distinct(self, term: Fun, fix_rows: dict,
-                       fix_env: dict) -> list[tuple]:
-        return _dedupe(self._eval_rel(term.args[0], fix_rows, fix_env))
+    def _compile_distinct(self, term: Fun) -> Callable:
+        child = self._compile(term.args[0])
+        return lambda fix_rows, fix_env: _dedupe(child(fix_rows, fix_env))
 
-    def _eval_semijoin(self, term: Fun, fix_rows: dict,
-                       fix_env: dict) -> list[tuple]:
-        return self._eval_existential(term, fix_rows, fix_env, keep=True)
+    def _compile_existential(self, term: Fun, keep: bool) -> Callable:
+        left_run = self._compile(term.args[0])
+        right_run = self._compile(term.args[1])
+        pred = self.compile_expr(term.args[2])
+        incr = self.stats.incr
+        tick = self._tick
 
-    def _eval_antijoin(self, term: Fun, fix_rows: dict,
-                       fix_env: dict) -> list[tuple]:
-        return self._eval_existential(term, fix_rows, fix_env, keep=False)
+        def run(fix_rows: dict, fix_env: dict) -> list[tuple]:
+            left = left_run(fix_rows, fix_env)
+            right = right_run(fix_rows, fix_env)
+            out = []
+            scanned = pairs = 0
+            try:
+                for row in left:
+                    scanned += 1
+                    if tick is not None:
+                        tick()
+                    found = False
+                    for partner in right:
+                        pairs += 1
+                        if tick is not None:
+                            tick()
+                        if pred((row, partner)):
+                            found = True
+                            break
+                    if found == keep:
+                        out.append(row)
+            except Truncation:
+                self._note_truncated()
+            finally:
+                incr("tuples_scanned", scanned)
+                incr("join_pairs", pairs)
+                incr("qual_evaluations", pairs)
+            return self._output(out)
+        return run
 
-    def _eval_existential(self, term: Fun, fix_rows: dict,
-                          fix_env: dict, keep: bool) -> list[tuple]:
-        left = self._eval_rel(term.args[0], fix_rows, fix_env)
-        right = self._eval_rel(term.args[1], fix_rows, fix_env)
-        qual = term.args[2]
-        ctx = self.context
-        out = []
-        try:
-            for row in left:
-                self.stats.incr("tuples_scanned")
-                if ctx is not None:
-                    ctx.tick()
-                found = False
-                for partner in right:
-                    self.stats.incr("join_pairs")
-                    self.stats.incr("qual_evaluations")
-                    if ctx is not None:
-                        ctx.tick()
-                    if self._truthy(
-                            self._eval_expr(qual, [row, partner])):
-                        found = True
-                        break
-                if found == keep:
-                    out.append(row)
-        except Truncation:
-            self._note_truncated()
-        self.stats.incr("tuples_output", len(out))
-        return self._account_out(out)
+    def _compile_values(self, term: Fun) -> Callable:
+        rows = [[self.compile_expr(cell) for cell in row_term.args]
+                for row_term in term.args[0].args]  # type: ignore
+        return lambda fix_rows, fix_env: [
+            tuple([cell(()) for cell in row]) for row in rows
+        ]
 
-    def _eval_values(self, term: Fun, fix_rows: dict,
-                     fix_env: dict) -> list[tuple]:
-        rows_list = term.args[0]
-        out = []
-        for row_term in rows_list.args:  # type: ignore[union-attr]
-            out.append(tuple(
-                self._eval_expr(cell, []) for cell in row_term.args
-            ))
-        return out
+    def _compile_union(self, term: Fun) -> Callable:
+        branches = [self._compile(r) for r in ops.relation_inputs(term)]
 
-    def _eval_union(self, term: Fun, fix_rows: dict,
-                    fix_env: dict) -> list[tuple]:
-        out: list[tuple] = []
-        try:
-            for r in ops.relation_inputs(term):
-                out.extend(self._eval_rel(r, fix_rows, fix_env))
-        except Truncation:
-            self._note_truncated()
-        return _dedupe(out)
+        def run(fix_rows: dict, fix_env: dict) -> list[tuple]:
+            out: list[tuple] = []
+            try:
+                for branch in branches:
+                    out.extend(branch(fix_rows, fix_env))
+            except Truncation:
+                self._note_truncated()
+            return _dedupe(out)
+        return run
 
-    def _eval_intersection(self, term: Fun, fix_rows: dict,
-                           fix_env: dict) -> list[tuple]:
-        inputs = ops.relation_inputs(term)
-        out = _dedupe(self._eval_rel(inputs[0], fix_rows, fix_env))
-        for r in inputs[1:]:
-            keep = set(self._eval_rel(r, fix_rows, fix_env))
-            out = [row for row in out if row in keep]
-        return out
+    def _compile_intersection(self, term: Fun) -> Callable:
+        first, *others = [self._compile(r)
+                          for r in ops.relation_inputs(term)]
 
-    def _eval_difference(self, term: Fun, fix_rows: dict,
-                         fix_env: dict) -> list[tuple]:
-        left = _dedupe(self._eval_rel(term.args[0], fix_rows, fix_env))
-        right = set(self._eval_rel(term.args[1], fix_rows, fix_env))
-        return [row for row in left if row not in right]
+        def run(fix_rows: dict, fix_env: dict) -> list[tuple]:
+            out = _dedupe(first(fix_rows, fix_env))
+            for other in others:
+                keep = set(other(fix_rows, fix_env))
+                out = [row for row in out if row in keep]
+            return out
+        return run
+
+    def _compile_difference(self, term: Fun) -> Callable:
+        left_run = self._compile(term.args[0])
+        right_run = self._compile(term.args[1])
+
+        def run(fix_rows: dict, fix_env: dict) -> list[tuple]:
+            left = _dedupe(left_run(fix_rows, fix_env))
+            right = set(right_run(fix_rows, fix_env))
+            return [row for row in left if row not in right]
+        return run
 
     # -- fixpoint -------------------------------------------------------------
-    def _eval_fix(self, term: Fun, fix_rows: dict,
-                  fix_env: dict) -> list[tuple]:
+    def _compile_fix(self, term: Fun) -> Callable:
         rel_const, body = term.args
         name = str(rel_const.value)  # type: ignore[union-attr]
-        inner_env = fix_env
-        if "NEST" in term.symbols:
-            # NEST alone reads the schema environment (to name the
-            # attributes it groups); no NEST below, no schema to derive
+        iterate = (self._compile_semi_naive(name, body) if self.semi_naive
+                   else self._compile_naive(name, body))
+        if "NEST" not in term.symbols:
+            return iterate
+        # NEST alone reads the schema environment (to name the
+        # attributes it groups); no NEST below, no schema to derive
+        catalog = self.catalog
+
+        def run(fix_rows: dict, fix_env: dict) -> list[tuple]:
             inner_env = dict(fix_env)
-            inner_env[name] = schema_of(term, self.catalog, fix_env)
+            inner_env[name] = schema_of(term, catalog, fix_env)
+            return iterate(fix_rows, inner_env)
+        return run
 
-        if self.semi_naive:
-            return self._fix_semi_naive(name, body, fix_rows, inner_env)
-        return self._fix_naive(name, body, fix_rows, inner_env)
-
-    def _fix_naive(self, name: str, body: Term, fix_rows: dict,
-                   fix_env: dict) -> list[tuple]:
-        ctx = self.context
-        total: dict[tuple, None] = {}
-        try:
-            for iteration in range(self.max_fix_iterations):
-                self.stats.incr("fix_iterations")
-                # the fixpoint-iteration check site: an iteration is
-                # far coarser than a row, so check unconditionally
-                if ctx is not None:
-                    ctx.check()
-                inner_rows = dict(fix_rows)
-                inner_rows[name] = list(total)
-                produced = self._eval_rel(body, inner_rows, fix_env)
-                before = len(total)
-                for row in produced:
-                    total.setdefault(row, None)
-                if len(total) == before:
-                    return self._account_out(list(total))
-        except Truncation:
-            self._note_truncated()
-            return self._account_out(list(total))
-        raise EvaluationError(
+    def _diverged(self, name: str) -> EvaluationError:
+        return EvaluationError(
             f"fixpoint {name} did not converge within "
             f"{self.max_fix_iterations} iterations"
         )
 
-    def _fix_semi_naive(self, name: str, body: Term, fix_rows: dict,
-                        fix_env: dict) -> list[tuple]:
+    def _compile_naive(self, name: str, body: Term) -> Callable:
+        step = self._compile(body)
+        incr, ctx = self.stats.incr, self.context
+
+        def run(fix_rows: dict, fix_env: dict) -> list[tuple]:
+            total: dict[tuple, None] = {}
+            try:
+                for __ in range(self.max_fix_iterations):
+                    incr("fix_iterations")
+                    # the fixpoint-iteration check site: an iteration is
+                    # far coarser than a row, so check unconditionally
+                    if ctx is not None:
+                        ctx.check()
+                    inner_rows = dict(fix_rows)
+                    inner_rows[name] = list(total)
+                    before = len(total)
+                    for row in step(inner_rows, fix_env):
+                        total.setdefault(row, None)
+                    if len(total) == before:
+                        return self._account_out(list(total))
+            except Truncation:
+                self._note_truncated()
+                return self._account_out(list(total))
+            raise self._diverged(name)
+        return run
+
+    def _compile_semi_naive(self, name: str, body: Term) -> Callable:
         delta_name = f"{name}$DELTA"
-        inner_env = fix_env
-        if name in fix_env:
-            inner_env = dict(fix_env)
-            inner_env[delta_name] = fix_env[name]
+        branches = (ops.relation_inputs(body) if is_fun(body, "UNION")
+                    else [body])
+        base = [self._compile(b) for b in branches
+                if name not in mentions(b)]
+        # delta rules: one variant per occurrence of the recursive
+        # relation (covers the non-linear case: at least one occurrence
+        # reads the delta, the others the running total).
+        variants = [
+            self._compile(_replace_nth_symbol(b, name, i, delta_name))
+            for b in branches for i in range(mentions(b).get(name, 0))
+        ]
+        incr, ctx = self.stats.incr, self.context
 
-        if is_fun(body, "UNION"):
-            branches = list(ops.relation_inputs(body))
-        else:
-            branches = [body]
-
-        base_branches = [b for b in branches if name not in mentions(b)]
-        rec_branches = [b for b in branches if name in mentions(b)]
-
-        ctx = self.context
-        total: dict[tuple, None] = {}
-        try:
-            for b in base_branches:
-                self.stats.incr("fix_iterations")
-                if ctx is not None:
-                    ctx.check()
-                for row in self._eval_rel(b, fix_rows, inner_env):
-                    total.setdefault(row, None)
-            delta = list(total)
-
-            # delta rules: one variant per occurrence of the recursive
-            # relation (covers the non-linear case: at least one
-            # occurrence reads the delta, the others the running
-            # total).
-            variants: list[Term] = []
-            for b in rec_branches:
-                for i in range(mentions(b)[name]):
-                    variants.append(
-                        _replace_nth_symbol(b, name, i, delta_name)
-                    )
-
-            guard = 0
-            while delta:
-                guard += 1
-                if guard > self.max_fix_iterations:
-                    raise EvaluationError(
-                        f"fixpoint {name} did not converge within "
-                        f"{self.max_fix_iterations} iterations"
-                    )
-                self.stats.incr("fix_iterations")
-                # the fixpoint-iteration check site (semi-naive)
-                if ctx is not None:
-                    ctx.check()
-                inner_rows = dict(fix_rows)
-                inner_rows[name] = list(total)
-                inner_rows[delta_name] = delta
-                produced: list[tuple] = []
-                for v in variants:
-                    produced.extend(
-                        self._eval_rel(v, inner_rows, inner_env)
-                    )
-                delta = []
-                for row in _dedupe(produced):
-                    if row not in total:
-                        total[row] = None
-                        delta.append(row)
-        except Truncation:
-            self._note_truncated()
-        return self._account_out(list(total))
+        def run(fix_rows: dict, fix_env: dict) -> list[tuple]:
+            inner_env = fix_env
+            if name in fix_env:
+                inner_env = dict(fix_env)
+                inner_env[delta_name] = fix_env[name]
+            total: dict[tuple, None] = {}
+            try:
+                for branch in base:
+                    incr("fix_iterations")
+                    if ctx is not None:
+                        ctx.check()
+                    for row in branch(fix_rows, inner_env):
+                        total.setdefault(row, None)
+                delta = list(total)
+                guard = 0
+                while delta:
+                    guard += 1
+                    if guard > self.max_fix_iterations:
+                        raise self._diverged(name)
+                    incr("fix_iterations")
+                    # the fixpoint-iteration check site (semi-naive)
+                    if ctx is not None:
+                        ctx.check()
+                    inner_rows = dict(fix_rows)
+                    inner_rows[name] = list(total)
+                    inner_rows[delta_name] = delta
+                    produced: list[tuple] = []
+                    for variant in variants:
+                        produced.extend(variant(inner_rows, inner_env))
+                    delta = []
+                    for row in _dedupe(produced):
+                        if row not in total:
+                            total[row] = None
+                            delta.append(row)
+            except Truncation:
+                self._note_truncated()
+            return self._account_out(list(total))
+        return run
 
     # -- nest / unnest ----------------------------------------------------------
-    def _eval_nest(self, term: Fun, fix_rows: dict,
-                   fix_env: dict) -> list[tuple]:
-        from repro.adt.values import (ArrayValue, BagValue, ListValue,
-                                      SetValue, TupleValue)
-        ctors = {"SET": SetValue, "BAG": BagValue,
-                 "LIST": ListValue, "ARRAY": ArrayValue}
-
+    def _compile_nest(self, term: Fun) -> Callable:
         input_term, nested_list, spec = term.args
-        rows = self._eval_rel(input_term, fix_rows, fix_env)
-        input_schema = schema_of(input_term, self.catalog, fix_env)
-
+        child = self._compile(input_term)
         positions = [a.pos for a in nested_list.args]  # type: ignore
         kind = str(spec.args[1].value)  # type: ignore[union-attr]
-        kept = [p for p in range(1, len(input_schema) + 1)
-                if p not in positions]
-        nested_names = [input_schema.attr_name(p) for p in positions]
+        catalog = self.catalog
 
-        groups: dict[tuple, list] = {}
-        for row in rows:
-            key = tuple(row[p - 1] for p in kept)
-            if len(positions) == 1:
-                item = row[positions[0] - 1]
-            else:
-                item = TupleValue(zip(
-                    nested_names, (row[p - 1] for p in positions)
-                ))
-            groups.setdefault(key, []).append(item)
+        def run(fix_rows: dict, fix_env: dict) -> list[tuple]:
+            rows = child(fix_rows, fix_env)
+            input_schema = schema_of(input_term, catalog, fix_env)
+            kept = [p for p in range(1, len(input_schema) + 1)
+                    if p not in positions]
+            nested_names = [input_schema.attr_name(p) for p in positions]
 
-        ctor = ctors[kind]
-        out = [key + (ctor(items),) for key, items in groups.items()]
-        self.stats.incr("tuples_output", len(out))
-        return self._account_out(out)
-
-    def _eval_unnest(self, term: Fun, fix_rows: dict,
-                     fix_env: dict) -> list[tuple]:
-        input_term, attr = term.args
-        rows = self._eval_rel(input_term, fix_rows, fix_env)
-        pos = attr.pos  # type: ignore[union-attr]
-        ctx = self.context
-        out = []
-        try:
+            groups: dict[tuple, list] = {}
             for row in rows:
-                if ctx is not None:
-                    ctx.tick()
-                coll = row[pos - 1]
-                if not isinstance(coll, CollectionValue):
-                    raise EvaluationError(
-                        f"UNNEST attribute {pos} is not a collection: "
-                        f"{coll!r}"
-                    )
-                for element in coll:
-                    out.append(row[:pos - 1] + (element,) + row[pos:])
-        except Truncation:
-            self._note_truncated()
-        self.stats.incr("tuples_output", len(out))
-        return self._account_out(out)
+                key = tuple(row[p - 1] for p in kept)
+                if len(positions) == 1:
+                    item = row[positions[0] - 1]
+                else:
+                    item = TupleValue(zip(
+                        nested_names, (row[p - 1] for p in positions)
+                    ))
+                groups.setdefault(key, []).append(item)
 
-    # -- scalar expressions ----------------------------------------------------
-    def _eval_expr(self, expr: Term, env: Sequence[tuple]) -> Any:
+            ctor = _COLLECTION_CTORS[kind]
+            out = [key + (ctor(items),) for key, items in groups.items()]
+            return self._output(out)
+        return run
+
+    def _compile_unnest(self, term: Fun) -> Callable:
+        input_term, attr = term.args
+        child = self._compile(input_term)
+        pos = attr.pos  # type: ignore[union-attr]
+        tick = self._tick
+
+        def run(fix_rows: dict, fix_env: dict) -> list[tuple]:
+            rows = child(fix_rows, fix_env)
+            out = []
+            try:
+                for row in rows:
+                    if tick is not None:
+                        tick()
+                    coll = row[pos - 1]
+                    if not isinstance(coll, CollectionValue):
+                        raise EvaluationError(
+                            f"UNNEST attribute {pos} is not a collection: "
+                            f"{coll!r}"
+                        )
+                    for element in coll:
+                        out.append(row[:pos - 1] + (element,) + row[pos:])
+            except Truncation:
+                self._note_truncated()
+            return self._output(out)
+        return run
+
+    # -- compilation: scalar expressions ----------------------------------------
+    def compile_expr(self, expr: Term) -> Callable[[Sequence[tuple]], Any]:
+        """``expr`` as one closure over ``env``, the sequence of rows
+        its attribute references index (``#rel.pos``, both 1-based).
+        An expression that cannot be evaluated fails when called, not
+        here, so a plan over empty input never sees it."""
         if isinstance(expr, Const):
-            if expr.kind == "symbol":
-                return str(expr.value)
-            return expr.value
-
+            value = str(expr.value) if expr.kind == "symbol" else expr.value
+            return lambda env: value
         if isinstance(expr, AttrRef):
-            if expr.rel - 1 >= len(env):
+            return _attribute(expr)
+        if not isinstance(expr, Fun):
+            def fail(env):
+                raise EvaluationError(f"cannot evaluate expression {expr!r}")
+            return fail
+
+        name = expr.name
+        if name == "AS":
+            return self.compile_expr(expr.args[0])
+        parts = [self.compile_expr(a) for a in expr.args]
+        if name == "AND":
+            def conjunction(env) -> bool:
+                for part in parts:
+                    if not part(env):
+                        return False
+                return True
+            return conjunction
+        if name == "OR":
+            def disjunction(env) -> bool:
+                for part in parts:
+                    if part(env):
+                        return True
+                return False
+            return disjunction
+        if name == "NOT":
+            negated = parts[0]
+            return lambda env: not negated(env)
+
+        # a function of the ADT library, bound once; implementations
+        # receive the evaluator as their context
+        registry = self.catalog.registry
+        try:
+            fdef = registry.lookup(name, len(parts))
+        except FunctionError:
+            fdef = None
+        if fdef is None or fdef.arity not in (None, len(parts)):
+            # refused per call, after the arguments, as the registry does
+            return lambda env: registry.call(
+                name, [part(env) for part in parts], self)
+        impl = fdef.impl
+        if len(parts) == 2:
+            left, right = parts
+            return lambda env: impl([left(env), right(env)], self)
+        return lambda env: impl([part(env) for part in parts], self)
+
+    def _row_builder(self, exprs: list) -> Callable:
+        """One tuple builder for a projection list."""
+        parts = [self.compile_expr(e) for e in exprs]
+
+        def build(env) -> tuple:
+            return tuple([part(env) for part in parts])
+        if not all(isinstance(e, AttrRef) for e in exprs):
+            return build
+        slots = [(e.rel - 1, e.pos - 1) for e in exprs]
+
+        def pick(env) -> tuple:
+            try:
+                return tuple([env[rel][pos] for rel, pos in slots])
+            except IndexError:
+                return build(env)  # names the reference out of range
+        return pick
+
+
+_OPERATORS = {
+    "SEARCH": Evaluator._compile_search,
+    "JOIN": Evaluator._compile_join,
+    "FILTER": Evaluator._compile_filter,
+    "PROJECTION": Evaluator._compile_projection,
+    "EMPTY": Evaluator._compile_empty,
+    "DISTINCT": Evaluator._compile_distinct,
+    "SEMIJOIN": lambda self, term: self._compile_existential(term, True),
+    "ANTIJOIN": lambda self, term: self._compile_existential(term, False),
+    "VALUES": Evaluator._compile_values,
+    "UNION": Evaluator._compile_union,
+    "INTERSECTION": Evaluator._compile_intersection,
+    "DIFFERENCE": Evaluator._compile_difference,
+    "FIX": Evaluator._compile_fix,
+    "NEST": Evaluator._compile_nest,
+    "UNNEST": Evaluator._compile_unnest,
+}
+
+
+def _attribute(ref: AttrRef) -> Callable:
+    rel, pos = ref.rel - 1, ref.pos - 1
+
+    def attribute(env):
+        try:
+            return env[rel][pos]
+        except IndexError:
+            if rel >= len(env):
                 raise EvaluationError(
-                    f"attribute reference #{expr.rel}.{expr.pos} exceeds "
+                    f"attribute reference #{ref.rel}.{ref.pos} exceeds "
                     f"the {len(env)} bound relation(s)"
-                )
-            row = env[expr.rel - 1]
-            if expr.pos - 1 >= len(row):
-                raise EvaluationError(
-                    f"attribute reference #{expr.rel}.{expr.pos} exceeds "
-                    f"the row width {len(row)}"
-                )
-            return row[expr.pos - 1]
+                ) from None
+            raise EvaluationError(
+                f"attribute reference #{ref.rel}.{ref.pos} exceeds "
+                f"the row width {len(env[rel])}"
+            ) from None
+    return attribute
 
-        if isinstance(expr, Fun):
-            name = expr.name
-            if name == "AND":
-                return all(
-                    self._truthy(self._eval_expr(a, env))
-                    for a in expr.args
-                )
-            if name == "OR":
-                return any(
-                    self._truthy(self._eval_expr(a, env))
-                    for a in expr.args
-                )
-            if name == "NOT":
-                return not self._truthy(self._eval_expr(expr.args[0], env))
-            if name == "AS":
-                return self._eval_expr(expr.args[0], env)
-            args = [self._eval_expr(a, env) for a in expr.args]
-            return self.catalog.registry.call(name, args, self)
 
-        raise EvaluationError(f"cannot evaluate expression {expr!r}")
+def _concatenated(env) -> tuple:
+    row: tuple = ()
+    for part in env:
+        row += part
+    return row
 
-    @staticmethod
-    def _truthy(value: Any) -> bool:
-        return bool(value)
+
+def _greedy_order(n: int, conj_refs: list) -> list[int]:
+    """Loop order (1-based input positions): each step picks the
+    input closing the most not-yet-applied conjuncts, ties broken
+    by textual position."""
+    remaining = list(range(1, n + 1))
+    bound: set[int] = set()
+    pending = [refs for refs in conj_refs if refs]
+    order: list[int] = []
+    while remaining:
+        def score(pos: int) -> int:
+            probe = bound | {pos}
+            return sum(1 for refs in pending if refs <= probe)
+        best = max(remaining, key=lambda pos: (score(pos), -pos))
+        order.append(best)
+        remaining.remove(best)
+        bound.add(best)
+        pending = [refs for refs in pending if not refs <= bound]
+    return order
 
 
 def _estimate_bytes(rows: list) -> int:
@@ -844,8 +970,9 @@ def _hash_index(rows: list, col: int) -> Optional[dict]:
 
 
 def _equi_probe(conjunct: Term, pos: int, bound: set):
-    """(own column, other AttrRef) when ``conjunct`` is an equality
-    linking input ``pos`` to a bound input; None otherwise."""
+    """(own column, 1-based; the other side's env slot and column,
+    0-based) when ``conjunct`` is an equality linking input ``pos`` to
+    a bound input; None otherwise."""
     if not (is_fun(conjunct, "=") and len(conjunct.args) == 2):
         return None
     left, right = conjunct.args  # type: ignore[union-attr]
@@ -853,7 +980,7 @@ def _equi_probe(conjunct: Term, pos: int, bound: set):
         return None
     for own, other in ((left, right), (right, left)):
         if own.rel == pos and other.rel in bound:
-            return own.pos, other
+            return own.pos, other.rel - 1, other.pos - 1
     return None
 
 

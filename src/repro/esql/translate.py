@@ -270,7 +270,8 @@ class Translator:
 
     # -- DELETE / UPDATE --------------------------------------------------------
     def _dml_rows(self, table: str, where) -> tuple:
-        """(relation, entry, matching predicate) for DELETE/UPDATE."""
+        """(relation, evaluator, compiled predicate over ``(row,)``)
+        for DELETE/UPDATE."""
         from repro.engine.evaluate import Evaluator
         from repro.lera.typecheck import normalize_expression
 
@@ -294,11 +295,7 @@ class Translator:
                 [relation.schema], self.catalog,
             )
         evaluator = Evaluator(self.catalog)
-
-        def matches(row) -> bool:
-            return bool(evaluator._eval_expr(qual, [row]))
-
-        return relation, evaluator, matches
+        return relation, evaluator, evaluator.compile_expr(qual)
 
     def _delete(self, statement: ast.DeleteStmt, undo=None) -> int:
         relation, __, matches = self._dml_rows(
@@ -310,7 +307,7 @@ class Translator:
         for row in relation.rows:
             if context is not None:
                 context.tick_write()
-            if not matches(row):
+            if not matches((row,)):
                 kept.append(row)
         removed = len(relation.rows) - len(kept)
         if undo is not None:
@@ -334,7 +331,8 @@ class Translator:
                 self._translate_expr(expr, [entry]),
                 [relation.schema], self.catalog,
             )
-            compiled.append((position, value_expr))
+            compiled.append((position, relation.schema.attr_type(position),
+                             evaluator.compile_expr(value_expr)))
 
         # stage the full replacement row list first: an evaluation or
         # coercion error (or a key violation inside replace_rows) then
@@ -345,15 +343,13 @@ class Translator:
         for row in relation.rows:
             if context is not None:
                 context.tick_write()
-            if not matches(row):
+            if not matches((row,)):
                 staged.append(row)
                 continue
             new_row = list(row)
-            for position, value_expr in compiled:
-                value = evaluator._eval_expr(value_expr, [row])
-                dtype = relation.schema.attr_type(position)
+            for position, dtype, value_of in compiled:
                 new_row[position - 1] = coerce_value(
-                    value, dtype, self.catalog.objects
+                    value_of((row,)), dtype, self.catalog.objects
                 )
             staged.append(tuple(new_row))
             changed += 1

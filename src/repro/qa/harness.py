@@ -135,6 +135,7 @@ def fuzz(n: int, seed: int = 0,
         tier_oracle = DifferentialOracle(
             antipattern=oracle.antipattern,
             check_subsets=oracle.check_subsets,
+            check_engine=oracle.check_engine,
             check_tier=True,
         )
 

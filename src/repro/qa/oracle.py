@@ -10,6 +10,10 @@ query along independent paths and demands bag-equal results:
   agree with the baseline.  A divergence here localizes the unsound
   rule set *and* catches inter-block feeding bugs the full-sequence
   check can mask (block B can undo block A's damage);
+* **engine** -- the rewritten plan on the ablation engine (nested
+  loops, naive fixpoint) vs. the default one (hash probe, semi-naive):
+  a physical fast path may change how long an answer takes, never the
+  answer;
 * **tier** -- the same statement through a supervised pool worker
   (its own process, booted from a snapshot) vs. in-process.
 
@@ -55,8 +59,8 @@ def describe_bags(expected: list[tuple], got: list[tuple]) -> str:
 class Divergence:
     """One confirmed non-equivalence between execution paths."""
 
-    mode: str    # "rewrite[-error]" | "block:<name>" | "tier"
-                 # | "analyze[-error]"
+    mode: str    # "rewrite[-error]" | "engine[-error]" | "block:<name>"
+                 # | "tier" | "analyze[-error]"
     detail: str
     query: str
 
@@ -73,6 +77,10 @@ class DifferentialOracle:
         Install the optional anti-pattern block in the databases the
         oracle builds (the default: those rules are exactly the ones
         this harness exists to guard).
+    check_engine:
+        Evaluate the rewritten plan once more under
+        ``Evaluator(hash_joins=False, semi_naive=False)`` and demand
+        the bag the default engine gave.
     check_subsets:
         Run the leave-one-out block-subset sweep.
     check_tier:
@@ -89,8 +97,10 @@ class DifferentialOracle:
     def __init__(self, antipattern: bool = True,
                  check_subsets: bool = True,
                  check_tier: bool = False,
-                 check_analyze: bool = False):
+                 check_analyze: bool = False,
+                 check_engine: bool = True):
         self.antipattern = antipattern
+        self.check_engine = check_engine
         self.check_subsets = check_subsets
         self.check_tier = check_tier
         self.check_analyze = check_analyze
@@ -156,6 +166,22 @@ class DifferentialOracle:
                 "rewrite", describe_bags(baseline, rewritten),
                 case.query,
             )
+
+        if self.check_engine:
+            from repro.engine.evaluate import Evaluator
+            try:
+                rows = Evaluator(
+                    db.catalog, hash_joins=False, semi_naive=False,
+                ).evaluate(db.optimize(case.query).final).rows
+            except Exception as error:
+                return Divergence(
+                    "engine-error",
+                    f"{type(error).__name__}: {error}", case.query,
+                )
+            if result_bag(rows) != expected:
+                return Divergence(
+                    "engine", describe_bags(rewritten, rows), case.query,
+                )
 
         if self.check_subsets:
             term = db._translate_single(case.query)

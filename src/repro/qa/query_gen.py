@@ -21,7 +21,10 @@ GROUP BY over plain columns, UNION of compatible selects) and is
   (:func:`random_views`) -- read like tables, so a query projects
   narrower than its view and joins a view with a base table (merging
   and pushing through view bodies; the bag/set boundary of a UNION
-  view is where ``search_union_push`` went wrong).
+  view is where ``search_union_push`` went wrong);
+* a ``SET OF INT`` column equated with an integer column of the other
+  FROM entry (:func:`_set_column_bait`): ``=`` broadcasts over a
+  collection, so a hash probe keyed on either side must decline.
 
 A query is represented structurally (:class:`QuerySpec`) so the
 shrinker can drop conjuncts / items / features instead of fumbling
@@ -30,12 +33,13 @@ with text, and rendered with :meth:`QuerySpec.sql`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from random import Random
 from typing import Optional, Sequence
 
 from repro.qa.schema_gen import (Case, TableSpec, ViewSpec, random_schema,
-                                 render_const)
+                                 render_const, with_set_column)
 
 __all__ = ["QuerySpec", "random_query", "random_views", "random_case"]
 
@@ -411,6 +415,40 @@ def random_query(rng: Random,
     return spec
 
 
+def _set_column_bait(rng: Random, schema, views,
+                     spec: QuerySpec) -> tuple[tuple, QuerySpec]:
+    """One base table gains a ``SET OF INT`` column and the query an
+    equality between it and a numeric column, of another FROM entry
+    wherever there is one to read (the equi-join shape a hash probe
+    would pick).  The partner is a column no other conjunct mentions:
+    the Figure 11 / 12 rules read ``=`` as an equivalence, which it is
+    not over a collection (ROADMAP item 13), and this bait is for the
+    engine's probe, not for them."""
+    schema, table, name = with_set_column(rng, schema)
+    readers = list(spec.tables)
+    if spec.group_by or (table.name not in readers and len(readers) > 1):
+        return schema, spec  # the column is there; this query passes it by
+    if len(readers) == 1:
+        # a second FROM entry to equate across: the table itself, or
+        # any other relation when the query already reads the table
+        joinable = ([table.name] if table.name not in readers else
+                    [t.name for t in schema + views if t.name != table.name])
+        if joinable:
+            readers.insert(rng.randrange(2), rng.choice(joinable))
+    columns = _Columns(schema + views)
+    mentioned = set(re.findall(r"\w+", " ".join(spec.where)))
+    partners = [n for reader in readers if reader != table.name
+                for n, t in _numericish(columns.of([reader]))
+                if n not in mentioned]
+    if not partners:
+        return schema, spec
+    partner = rng.choice(partners)
+    sides = [name, partner]
+    rng.shuffle(sides)
+    return schema, replace(spec, tables=tuple(readers),
+                           where=spec.where + (" = ".join(sides),))
+
+
 def random_case(rng: Random, max_tables: int = 3,
                 max_rows: int = 10) -> tuple[Case, QuerySpec]:
     """One full differential-testing input: schema + data + query."""
@@ -418,4 +456,8 @@ def random_case(rng: Random, max_tables: int = 3,
                            max_rows=max_rows)
     views = random_views(rng, schema)
     spec = random_query(rng, schema + views)
+    # drawn last: every case of a seed keeps the tables, views and
+    # query it had before collection columns were generated
+    if rng.random() < 0.3:
+        schema, spec = _set_column_bait(rng, schema, views, spec)
     return Case(tables=schema, views=views, query=spec.sql()), spec

@@ -152,13 +152,14 @@ class TestLoadCommand:
 
 class TestEngineCommand:
     def test_engine_toggle(self, shell):
-        assert run(shell, ".engine hash") == ["join strategy: hash"]
-        assert shell.db.hash_joins is True
         assert run(shell, ".engine") == ["join strategy: hash"]
         assert run(shell, ".engine nested") == ["join strategy: nested"]
+        assert shell.db.hash_joins is False
+        assert run(shell, ".engine") == ["join strategy: nested"]
+        assert run(shell, ".engine hash") == ["join strategy: hash"]
 
     def test_queries_respect_engine_choice(self, shell):
-        run(shell, ".engine hash")
+        run(shell, ".engine nested")
         out = run(shell, "SELECT Dst FROM EDGE WHERE Src = 1;")
         assert "(1 row)" in out[0]
 

@@ -36,9 +36,9 @@ class TestOpen:
         assert "(2 rows)" in out[1]
 
     def test_open_preserves_session_settings(self, shell, tmp_path):
-        run(shell, ".engine hash")
+        run(shell, ".engine nested")
         run(shell, f".open {tmp_path / 'data'}")
-        assert shell.db.hash_joins is True
+        assert shell.db.hash_joins is False
 
     def test_open_keeps_statements_governed(self, shell, tmp_path):
         """The database ``.open`` swaps in is adopted like the first

@@ -149,8 +149,9 @@ class TestEngineOptions:
         rng = random.Random(4)
         rows = [(rng.randint(1, 6), rng.randint(1, 6))
                 for __ in range(25)]
-        plain = Database()
-        hashed = Database(hash_joins=True)
+        plain = Database(hash_joins=False)
+        hashed = Database()
+        assert hashed.hash_joins is True  # the default
         for d in (plain, hashed):
             d.execute("TABLE E (A : NUMERIC, B : NUMERIC)")
             d.execute("INSERT INTO E VALUES " + ", ".join(

@@ -10,7 +10,8 @@ from repro.engine.stats import EvalStats
 from repro.errors import EvaluationError
 from repro.lera import ops
 from repro.terms.parser import parse_term
-from repro.terms.term import AttrRef, FALSE, TRUE, num, string, sym
+from repro.terms.term import (AttrRef, FALSE, TRUE, mk_fun, num, string,
+                              sym)
 
 
 @pytest.fixture
@@ -36,6 +37,19 @@ class TestScan:
     def test_as_dicts(self, cat):
         result = evaluate(sym("NODE"), cat)
         assert {"Id": 1, "Label": "a"} in result.as_dicts()
+
+
+class TestOperatorTable:
+    @pytest.mark.parametrize("name", ["REL", "DISPATCH", "REL_INNER",
+                                      "EXPR", "EXISTENTIAL"])
+    def test_an_operator_name_never_selects_evaluator_plumbing(self, cat,
+                                                               name):
+        """Dispatch used to be ``getattr(self, f"_eval_{name.lower()}")``:
+        the first three recursed into the evaluator's own methods until a
+        raw ``RecursionError``, the last two escaped as ``TypeError``."""
+        with pytest.raises(EvaluationError,
+                           match=f"cannot evaluate operator '{name}'"):
+            evaluate(mk_fun(name, [sym("EDGE")]), cat)
 
 
 class TestSearch:
@@ -209,18 +223,21 @@ class TestCaching:
             ops.search([sub], parse_term("#1.1 = 1"), [AttrRef(1, 1)]),
             ops.search([sub], parse_term("#1.1 = 2"), [AttrRef(1, 1)]),
         ])
-        Evaluator(cat, stats=stats).evaluate(t)
+        Evaluator(cat, stats=stats, hash_joins=False).evaluate(t)
         # the inner join scans EDGE exactly once thanks to the cache
         assert stats.join_pairs == 16
 
 
 class TestHashJoins:
+    """The hash probe is the default; ``hash_joins=False`` is the
+    nested loop it must agree with."""
+
     def test_same_answers(self, cat):
         t = ops.search([sym("EDGE"), sym("NODE")],
                        parse_term("#1.2 = #2.1"),
                        [AttrRef(1, 1), AttrRef(2, 2)])
-        nl = evaluate(t, cat)
-        hj = Evaluator(cat, hash_joins=True).evaluate(t)
+        nl = evaluate(t, cat, hash_joins=False)
+        hj = evaluate(t, cat)
         assert sorted(nl.rows) == sorted(hj.rows)
 
     def test_fewer_probe_pairs(self, cat):
@@ -228,16 +245,16 @@ class TestHashJoins:
         t = ops.search([sym("EDGE"), sym("NODE")],
                        parse_term("#1.2 = #2.1"),
                        [AttrRef(1, 1)])
-        Evaluator(cat, stats=stats_nl).evaluate(t)
-        Evaluator(cat, stats=stats_hj, hash_joins=True).evaluate(t)
+        Evaluator(cat, stats=stats_nl, hash_joins=False).evaluate(t)
+        Evaluator(cat, stats=stats_hj).evaluate(t)
         assert stats_hj.join_pairs < stats_nl.join_pairs
 
     def test_non_equi_join_falls_back(self, cat):
         t = ops.search([sym("EDGE"), sym("NODE")],
                        parse_term("#1.2 > #2.1"),
                        [AttrRef(1, 1), AttrRef(2, 1)])
-        nl = evaluate(t, cat)
-        hj = Evaluator(cat, hash_joins=True).evaluate(t)
+        nl = evaluate(t, cat, hash_joins=False)
+        hj = evaluate(t, cat)
         assert sorted(nl.rows) == sorted(hj.rows)
 
     def test_three_way_hash_chain(self, cat):
@@ -246,8 +263,8 @@ class TestHashJoins:
             parse_term("#1.1 = #2.1 AND #1.2 = #3.1"),
             [AttrRef(2, 2), AttrRef(3, 2)],
         )
-        nl = evaluate(t, cat)
-        hj = Evaluator(cat, hash_joins=True).evaluate(t)
+        nl = evaluate(t, cat, hash_joins=False)
+        hj = evaluate(t, cat)
         assert sorted(nl.rows) == sorted(hj.rows)
 
 

@@ -73,7 +73,7 @@ class TestEngineSettingsReachTheReplica:
             return original(stream, message)
 
         monkeypatch.setattr(supervisor_mod, "send_frame", recording)
-        flags = dict(rewrite=False, semi_naive=False, hash_joins=True,
+        flags = dict(rewrite=False, semi_naive=False, hash_joins=False,
                      dynamic_limits=True, antipattern=True, checked=True,
                      deadline_ms=5000.0, resilient=True)
         server = _server(**flags)
@@ -93,6 +93,7 @@ class TestEngineSettingsReachTheReplica:
                           "checked", "deadline_ms", "resilient"):
             assert getattr(replica, attribute) == getattr(parent, attribute)
         assert replica.checked is True and replica.antipattern is True
+        assert replica.hash_joins is False  # not the replica's default
         assert sorted(replica.query("SELECT A FROM K").rows) \
             == [(1,), (2,), (3,), (4,)]
 

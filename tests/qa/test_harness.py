@@ -79,6 +79,40 @@ class TestRediscovery:
                    if view.name in finding.case.query)
 
 
+    def test_a_probe_that_does_not_decline_is_caught_within_budget(
+            self, monkeypatch):
+        """PR 20's hash-join bug (0 rows where ``=`` broadcasts over a
+        ``SET OF`` column) was found by reading code, because no
+        generated schema had a collection column.  With the probe as
+        the default, the CI seed must catch an index that keeps
+        collection keys: only the engine leg can, since the baseline
+        and the rewritten plan run on the same (broken) engine."""
+        import importlib
+        evaluate = importlib.import_module("repro.engine.evaluate")
+
+        def hash_index_that_never_declines(rows, col):
+            index = {}
+            for row in rows:
+                index.setdefault(row[col - 1], []).append(row)
+            return index
+
+        monkeypatch.setattr(evaluate, "_hash_index",
+                            hash_index_that_never_declines)
+        report = fuzz(self.BUDGET, seed=self.CI_SEED, shrink=False,
+                      oracle=DifferentialOracle(check_subsets=False))
+        assert report.violations >= 1
+        finding = report.findings[0]
+        assert finding.divergence.mode == "engine"
+        assert any(column_type == "SET OF INT"
+                   for table in finding.case.tables
+                   for __, column_type in table.columns)
+        # and nothing else sees it
+        blind = fuzz(self.BUDGET, seed=self.CI_SEED, shrink=False,
+                     oracle=DifferentialOracle(check_subsets=False,
+                                               check_engine=False))
+        assert blind.ok
+
+
 class TestObservability:
     def test_events_and_metrics(self):
         bus = EventBus()
