@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.engine.catalog import Catalog
@@ -33,20 +33,25 @@ def term_hash(term: Term) -> str:
     """A short stable fingerprint of a LERA term.
 
     Twelve hex characters of SHA-1 over the printed form: enough to
-    join ``sys.rewrites`` rows against explain output by eye, cheap
-    enough to compute per firing.
+    join ``sys.rewrites`` rows against explain output by eye.
     """
     from repro.terms.printer import term_to_str
     digest = hashlib.sha1(term_to_str(term).encode("utf-8"))
     return digest.hexdigest()[:12]
 
 
-@dataclass(frozen=True)
+@dataclass
 class ProvenanceEntry:
     """One rule firing, as the ledger remembers it.
 
+    ``before`` / ``after`` are the rewritten *subterm*, ``nodes`` their
+    combined size; :func:`term_hash` of each is worked out when
+    ``before_hash`` / ``after_hash`` is first read (``sys.rewrites``,
+    an explain report) and kept, so a statement nobody inspects prints
+    and hashes nothing.  The ledger calls :meth:`release` on an entry
+    whose subterms it has no room to keep.
     ``complexity_delta`` is ``term_size(after) - term_size(before)``
-    for the rewritten *subterm* (negative = the rule simplified).
+    (negative = the rule simplified).
     ``duration_ms`` is the measured apply time when an event bus was
     attached to the rewrite; 0.0 on the null-sink fast path, which
     never touches the clock.  ``fingerprint`` is the statement-template
@@ -59,11 +64,37 @@ class ProvenanceEntry:
     rule: str
     iteration: int
     path: str
-    before_hash: str
-    after_hash: str
+    before: Optional[Term]
+    after: Optional[Term]
+    nodes: int
     complexity_delta: int
     duration_ms: float
     fingerprint: str = ""
+    _hashes: Optional[tuple] = field(default=None, repr=False,
+                                     compare=False)
+
+    def hashes(self) -> tuple:
+        """``(before_hash, after_hash)``."""
+        found = self._hashes
+        if found is None:
+            before, after = self.before, self.after
+            if before is None:  # released by another thread just now
+                return self._hashes
+            found = self._hashes = (term_hash(before), term_hash(after))
+        return found
+
+    @property
+    def before_hash(self) -> str:
+        return self.hashes()[0]
+
+    @property
+    def after_hash(self) -> str:
+        return self.hashes()[1]
+
+    def release(self) -> None:
+        """Let the subterms go, keeping their hashes."""
+        self.hashes()
+        self.before = self.after = None
 
     def as_dict(self) -> dict:
         return {
@@ -93,15 +124,17 @@ def provenance_entries(result: RewriteResult,
     """
     entries = []
     for iteration, t in enumerate(result.trace):
+        before, after = term_size(t.before), term_size(t.after)
         entries.append(ProvenanceEntry(
             trace_id=trace_id,
             block=t.block,
             rule=t.rule,
             iteration=iteration,
             path=".".join(str(p) for p in t.path),
-            before_hash=term_hash(t.before),
-            after_hash=term_hash(t.after),
-            complexity_delta=term_size(t.after) - term_size(t.before),
+            before=t.before,
+            after=t.after,
+            nodes=before + after,
+            complexity_delta=after - before,
             duration_ms=t.duration * 1000.0,
             fingerprint=fingerprint,
         ))
@@ -119,24 +152,41 @@ class RewriteLedger:
     adaptive-rewrite work needs, and it must not decay just because
     the ring wrapped.
 
+    An entry's term hashes are worked out when somebody reads them,
+    from the two subterms it keeps -- as long as the ring holds no more
+    than ``KEEP_NODES`` term nodes that way: an entry that would exceed
+    that is hashed and released as it is recorded, so the ring never
+    pins more than a fixed amount of plan, whatever the plans' size.
+
     Thread-safe: recording happens inside concurrent query statements
     (readers under the shared lock), so both structures are guarded by
     one mutex; producers take a snapshot under it and iterate outside.
     """
 
+    KEEP_NODES = 16_384
+
     def __init__(self, capacity: int = 1024):
         self.capacity = capacity
         self._lock = threading.Lock()
         self._ring: deque = deque(maxlen=capacity)
+        self._kept = 0  # term nodes held by the ring's unreleased entries
         # (block, rule) -> [fired, complexity_delta_total, duration_ms_total]
         self._heat: dict[tuple[str, str], list] = {}
         self._recorded = 0
 
     def record(self, entries: list[ProvenanceEntry]) -> None:
         with self._lock:
-            self._ring.extend(entries)
             self._recorded += len(entries)
             for e in entries:
+                if self._ring and len(self._ring) == self.capacity:
+                    evicted = self._ring.popleft()
+                    if evicted.before is not None:
+                        self._kept -= evicted.nodes
+                if self._kept + e.nodes <= self.KEEP_NODES:
+                    self._kept += e.nodes
+                else:
+                    e.release()
+                self._ring.append(e)
                 slot = self._heat.setdefault(
                     (e.block, e.rule), [0, 0, 0.0]
                 )
@@ -178,6 +228,7 @@ class RewriteLedger:
             self._ring.clear()
             self._heat.clear()
             self._recorded = 0
+            self._kept = 0
 
 
 class QueryRewriter:

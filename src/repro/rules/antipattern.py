@@ -35,7 +35,7 @@ from typing import Optional
 from repro.lera import ops
 from repro.rules.control import Block
 from repro.rules.native import NativeRule
-from repro.rules.rule import RewriteRule, rule_from_text
+from repro.rules.rule import RewriteRule, rules_from_texts
 from repro.terms.term import AttrRef, Const, Term, is_fun
 
 __all__ = ["antipattern_rules", "antipattern_block",
@@ -136,7 +136,7 @@ def antipattern_rules() -> list[RewriteRule]:
         "ap_gt_ge_or: x > y OR x >= y / --> x >= y /",
         "ap_gt_ge_and: x > y AND x >= y / --> x > y /",
     ]
-    rules: list[RewriteRule] = [rule_from_text(t) for t in texts]
+    rules: list[RewriteRule] = rules_from_texts(texts)
     rules.append(RedundantDistinctEliminationRule())
     return rules
 

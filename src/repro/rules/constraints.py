@@ -22,32 +22,32 @@ behaviour for an optimizer.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.adt.types import CollectionType, DataType
+from repro.adt.types import (BOOLEAN, CHAR, INT, REAL, CollectionType,
+                             DataType)
 from repro.errors import ConstraintError, ReproError
-from repro.terms.subst import instantiate_spliceable
-from repro.terms.term import (Const, Fun, Seq, Term, is_ground)
+from repro.lera.analysis import attrefs_of
+from repro.lera.schema import infer_type, schema_of
+from repro.rules.guards import (Check, Predicate, compile_constraint,
+                                eval_ground)
+from repro.terms.term import (TRUE, AttrRef, Const, Fun, Seq, Term,
+                              is_ground)
 
 __all__ = ["ConstraintEvaluator", "isa_predicate", "refer_predicate",
            "nonempty_predicate"]
-
-# predicate(instantiated args, binding, ctx) -> bool
-Predicate = Callable[[list, dict, object], bool]
 
 _COLLECTION_KIND_NAMES = {"COLLECTION", "SET", "BAG", "LIST", "ARRAY"}
 
 
 def _type_of_term(term: Term, ctx) -> Optional[DataType]:
     """Best-effort type of a matched term, using the context schemas."""
-    from repro.adt.types import BOOLEAN, CHAR, INT, REAL
     if isinstance(term, Const):
         return {"int": INT, "real": REAL, "string": CHAR,
                 "bool": BOOLEAN, "symbol": CHAR}[term.kind]
     if ctx is None or ctx.catalog is None or ctx.schemas is None:
         return None
     try:
-        from repro.lera.schema import infer_type
         return infer_type(term, ctx.schemas, ctx.catalog)
     except ReproError:
         return None
@@ -98,9 +98,6 @@ def refer_predicate(args: list, binding: dict, ctx) -> bool:
     ``REFER_SPLIT`` method): a UNION nests nothing, so every reference
     to its position qualifies.
     """
-    from repro.lera.analysis import attrefs_of
-    from repro.lera.schema import schema_of
-
     if len(args) != 2:
         raise ConstraintError("REFER expects two arguments")
     __, quali = args
@@ -143,9 +140,6 @@ def nest_trailing_predicate(args: list, binding: dict, ctx) -> bool:
     """NEST_TRAILING(z, a, x): the NEST collects the single trailing
     column of z and the UNNEST flattens exactly that collection -- the
     case where UNNEST(NEST(z)) is z again (set semantics)."""
-    from repro.lera.schema import schema_of
-    from repro.terms.term import AttrRef, Fun
-
     if len(args) != 3:
         raise ConstraintError("NEST_TRAILING expects three arguments")
     z, a, x = args
@@ -184,7 +178,7 @@ def member_predicate(args: list, binding: dict, ctx) -> bool:
     probe = Fun("MEMBER", (element, collection))
     if not is_ground(probe):
         return False
-    return bool(_eval_ground(probe, ctx))
+    return bool(eval_ground(probe, ctx))
 
 
 def nontrue_predicate(args: list, binding: dict, ctx) -> bool:
@@ -192,7 +186,6 @@ def nontrue_predicate(args: list, binding: dict, ctx) -> bool:
     (guards rules that would otherwise wrap operators forever)."""
     if len(args) != 1:
         raise ConstraintError("NONTRUE expects one argument")
-    from repro.terms.term import TRUE
     return args[0] != TRUE
 
 
@@ -206,18 +199,11 @@ def nonempty_predicate(args: list, binding: dict, ctx) -> bool:
     return True  # a single term is a non-empty match
 
 
-def _constraint_label(constraint: Term) -> str:
-    """Short stable name of a constraint for telemetry (the head
-    symbol, or the constant/kind when there is no application)."""
-    if isinstance(constraint, Fun):
-        return constraint.name
-    if isinstance(constraint, Const):
-        return f"const:{constraint.value}"
-    return type(constraint).__name__
-
-
 class ConstraintEvaluator:
-    """Evaluates constraint terms; extensible with new predicates."""
+    """Evaluates constraint terms; extensible with new predicates.
+    A constraint is compiled once into a closure (the predicate looked
+    up, one builder per argument); registering a predicate drops the
+    closures, so it reaches rules that were built before it."""
 
     def __init__(self):
         self._predicates: dict[str, Predicate] = {
@@ -228,102 +214,25 @@ class ConstraintEvaluator:
             "NEST_TRAILING": nest_trailing_predicate,
             "MEMBER": member_predicate,
         }
+        self._compiled: dict[Term, Check] = {}
 
     def register(self, name: str, predicate: Predicate) -> None:
         self._predicates[name.upper()] = predicate
+        self._compiled = {}
 
     def knows(self, name: str) -> bool:
         return name.upper() in self._predicates
 
     def holds(self, constraint: Term, binding: dict, ctx) -> bool:
         """True when ``constraint`` holds under ``binding``."""
-        try:
-            outcome = self._eval(constraint, binding, ctx)
-        except ReproError:
-            outcome = False
-        bus = getattr(ctx, "obs", None)
-        if bus:
-            from repro.obs.events import ConstraintCheck
-            bus.emit(ConstraintCheck(_constraint_label(constraint),
-                                     outcome))
-        return outcome
+        return self.compile(constraint)(binding, ctx)
 
-    def _eval(self, constraint: Term, binding: dict, ctx) -> bool:
-        if isinstance(constraint, Const):
-            if constraint.kind == "bool":
-                return bool(constraint.value)
-            return False
-
-        if isinstance(constraint, Fun):
-            name = constraint.name
-            if name == "NOT":
-                return not self._eval(constraint.args[0], binding, ctx)
-            if name == "AND":
-                return all(self._eval(a, binding, ctx)
-                           for a in constraint.args)
-            if name == "OR":
-                return any(self._eval(a, binding, ctx)
-                           for a in constraint.args)
-
-            if name in self._predicates:
-                args = [
-                    instantiate_spliceable(a, binding, strict=False)
-                    for a in constraint.args
-                ]
-                return self._predicates[name](args, binding, ctx)
-
-            # ground Boolean expression: evaluate through the registry
-            inst = instantiate_spliceable(constraint, binding, strict=False)
-            if isinstance(inst, Seq) or not is_ground(inst):
-                return False
-            return bool(_eval_ground(inst, ctx))
-
-        return False
-
-
-class _FallbackContext:
-    """Evaluation context used when no catalog is available: the default
-    function library over an empty object store."""
-
-    def __init__(self):
-        from repro.adt.functions import default_registry
-        from repro.adt.types import TypeSystem
-        from repro.adt.values import ObjectStore
-        self.registry = default_registry()
-        self.objects = ObjectStore()
-        self.type_system = TypeSystem()
-
-
-_FALLBACK = None
-
-
-def _eval_ground(term: Term, ctx):
-    """Evaluate a ground (constant-only) term via the function registry."""
-    global _FALLBACK
-    if isinstance(term, Const):
-        return str(term.value) if term.kind == "symbol" else term.value
-    if isinstance(term, Fun):
-        if ctx is not None and ctx.catalog is not None:
-            registry = ctx.catalog.registry
-            objects = ctx.catalog.objects
-            type_system = ctx.catalog.type_system
-        else:
-            if _FALLBACK is None:
-                _FALLBACK = _FallbackContext()
-            registry = _FALLBACK.registry
-            objects = _FALLBACK.objects
-            type_system = _FALLBACK.type_system
-        args = [_eval_ground(a, ctx) for a in term.args]
-        fdef = registry.lookup(term.name, len(args))
-        if not fdef.pure:
-            raise ConstraintError(
-                f"function {term.name} is not pure; cannot evaluate in a "
-                f"constraint"
-            )
-
-        class _Ctx:
-            pass
-        _Ctx.objects = objects
-        _Ctx.type_system = type_system
-        return registry.call(term.name, args, _Ctx())
-    raise ConstraintError(f"cannot evaluate {term!r}")
+    def compile(self, constraint: Term) -> Check:
+        """The compiled ``constraint``
+        (:func:`repro.rules.guards.compile_constraint`)."""
+        memo = self._compiled
+        check = memo.get(constraint)
+        if check is None:
+            check = memo[constraint] = compile_constraint(
+                self._predicates, constraint)
+        return check

@@ -19,8 +19,9 @@ application that *changes* the term, and restarts the scan.  A block
 finishes when its budget is exhausted or the term is saturated.
 
 A restarted scan costs what changed, not the size of the term.  Each
-block indexes its rules by the root functor of their left term, a rule
-rejects from function symbols alone a subject it cannot match
+block dispatches on the root functor of its rules' left terms, skips a
+subtree that holds none of those functors, a rule rejects from
+function symbols alone a subject it cannot match
 (``quick_applicable``), and subtrees already scanned without an
 application are remembered for the rest of the rewrite and skipped
 (terms are immutable, so after an application only the new subterm and
@@ -137,31 +138,51 @@ class Block:
         self.count = count
         self._index: Optional[tuple] = None
 
-    def rule_index(self) -> tuple[dict, tuple]:
-        """``(by_root, rootless)``: for each root functor the rules that
-        can match under it, and the rules that can match anywhere --
-        both in block order, the second merged into every entry of the
-        first.  A rule names its functor in an optional ``root_name``
+    def dispatch(self) -> tuple[dict, tuple, Optional[frozenset], dict]:
+        """``(by_root, rootless, roots, screens)``: for each root
+        functor the rules that can match under it, and the rules that
+        can match anywhere -- both in block order, the second merged
+        into every entry of the first; when no rule can match anywhere,
+        the set of root functors (else None): a subtree that holds none
+        of them holds no application; and for each compiled rule
+        reached through its functor the symbols its left term needs
+        below the root -- all that is left of its ``quick_applicable``
+        there.  A rule names its functor in an optional ``root_name``
         attribute; None or no attribute (native and duck-typed rules)
-        means anywhere.  Built on first use and again whenever
-        ``rules`` was mutated in place (``QueryRewriter.add_rule``).
+        means anywhere.  Generated on first use and again whenever
+        ``rules`` was mutated in place (``QueryRewriter.add_rule``);
+        ``with_limit`` shares it.
         """
         index = self._index
         if index is None or index[0] != self.rules:
-            rooted = [(getattr(rule, "root_name", None), rule)
-                      for rule in self.rules]
-            rootless = tuple(rule for root, rule in rooted if root is None)
-            by_root = {
-                name: tuple(rule for root, rule in rooted
-                            if root is None or root == name)
-                for name in {root for root, __ in rooted} - {None}
-            }
             # one assignment: concurrent readers share a block
-            self._index = index = (list(self.rules), by_root, rootless)
-        return index[1], index[2]
+            self._index = index = self._generate()
+        return index[1:]
+
+    def _generate(self) -> tuple:
+        rooted = [(getattr(rule, "root_name", None), rule)
+                  for rule in self.rules]
+        rootless = tuple(rule for root, rule in rooted if root is None)
+        roots = frozenset(root for root, __ in rooted) - {None}
+        by_root = {
+            name: tuple(rule for root, rule in rooted
+                        if root is None or root == name)
+            for name in roots
+        }
+        screens = {rule: rule.inner_symbols for root, rule in rooted
+                   if root is not None and isinstance(rule, RewriteRule)}
+        return (list(self.rules), by_root, rootless,
+                None if rootless else roots, screens)
+
+    def rule_index(self) -> tuple[dict, tuple]:
+        """``(by_root, rootless)`` of :meth:`dispatch`."""
+        return self.dispatch()[:2]
 
     def with_limit(self, limit: Optional[int]) -> "Block":
-        return Block(self.name, self.rules, limit, self.count)
+        self.dispatch()
+        clone = Block(self.name, self.rules, limit, self.count)
+        clone._index = self._index
+        return clone
 
     def rule_names(self) -> list[str]:
         return [r.name for r in self.rules]
@@ -358,7 +379,7 @@ class RewriteEngine:
         as a no-op at the parent (that verdict depends on the
         ancestors), or the checks budget ended the scan early.
         """
-        by_root, rootless = block.rule_index()
+        by_root, rootless, roots, screens = block.dispatch()
         clean = self._clean.setdefault(block, set())
         root = result.term
         sandbox = runtime.policy.sandbox
@@ -372,11 +393,19 @@ class RewriteEngine:
                     local_ctx: RuleContext) -> bool:
             """Try ``rules`` at one position; True ends the scan."""
             nonlocal checks_this_scan, unclean, found, quarantined
+            symbols = None
             for rule in rules:
                 if quarantined and rule.name in quarantined:
                     continue
-                if not rule.quick_applicable(subterm):
-                    continue
+                needed = screens.get(rule)
+                if needed is None:
+                    if not rule.quick_applicable(subterm):
+                        continue
+                elif needed:
+                    if symbols is None:
+                        symbols = subterm.symbols
+                    if not needed <= symbols:
+                        continue
                 checks_this_scan += 1
                 result.checks += 1
                 if checks_left is not None and \
@@ -435,11 +464,14 @@ class RewriteEngine:
             relations are scanned under in the same environment."""
             if not isinstance(t, Fun):
                 return bool(rootless) and attempt(rootless, t, path, here)
+            name = t.name
+            if roots is not None and name not in roots \
+                    and roots.isdisjoint(t.symbols):
+                return False  # no rule of the block is rooted in here
             key = (t, here)
             if key in clean:
                 return False
             mark = unclean
-            name = t.name
             rules = by_root.get(name, rootless)
             if rules and attempt(rules, t, path, here):
                 return True

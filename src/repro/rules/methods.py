@@ -26,64 +26,52 @@ Built-in library (each is documented with the rule family it serves):
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.errors import MethodError, ReproError
+from repro.errors import MethodError
 from repro.lera import ops
 from repro.lera.analysis import map_attrefs, shift_rel_indices
-from repro.terms.subst import collvar_key, instantiate_spliceable
+from repro.lera.schema import schema_of
+from repro.rules.constraints import refer_predicate
+from repro.rules.guards import (Invoke, MethodImpl, compile_call,
+                                eval_ground)
+from repro.terms.subst import collvar_key
 from repro.terms.term import (AttrRef, CollVar, Const, Fun, Seq, Term, Var,
                               boolean, conj, conjuncts, is_ground, mk_fun,
                               num, string)
 
 __all__ = ["MethodRegistry", "default_method_registry", "value_to_term"]
 
-# impl(instantiated args, raw args, binding, ctx) -> {var name: Term} | None
-MethodImpl = Callable[[list, tuple, dict, object], Optional[dict]]
-
 
 class MethodRegistry:
-    """Dispatch table for rule-conclusion methods, keyed by name/arity."""
+    """Dispatch table for rule-conclusion methods, keyed by name/arity.
+    A call is compiled once into a closure (the implementation looked
+    up, one builder per argument); registering a method drops the
+    closures, so it reaches rules that were built before it."""
 
     def __init__(self):
         self._methods: dict[tuple[str, int], MethodImpl] = {}
+        self._compiled: dict[Fun, Invoke] = {}
 
     def register(self, name: str, arity: int, impl: MethodImpl) -> None:
         self._methods[(name.upper(), arity)] = impl
+        self._compiled = {}
 
     def knows(self, name: str, arity: int) -> bool:
         return (name.upper(), arity) in self._methods
 
     def invoke(self, call: Fun, binding: dict, ctx) -> Optional[dict]:
         """Run one method call; returns new bindings or None on failure."""
-        key = (call.name, len(call.args))
-        impl = self._methods.get(key)
-        if impl is None:
-            raise MethodError(
-                f"unknown method {call.name}/{len(call.args)}"
-            )
-        inst = [
-            instantiate_spliceable(a, binding, strict=False)
-            for a in call.args
-        ]
-        bus = getattr(ctx, "obs", None)
-        if bus:
-            from time import perf_counter
+        return self.compile(call)(binding, ctx)
 
-            from repro.obs.events import MethodCall
-            t0 = perf_counter()
-            try:
-                outputs = impl(inst, call.args, binding, ctx)
-            except ReproError:
-                outputs = None
-            bus.emit(MethodCall(call.name, len(call.args),
-                                outputs is not None,
-                                perf_counter() - t0))
-            return outputs
-        try:
-            return impl(inst, call.args, binding, ctx)
-        except ReproError:
-            return None
+    def compile(self, call: Fun) -> Invoke:
+        """The compiled ``call``
+        (:func:`repro.rules.guards.compile_call`)."""
+        memo = self._compiled
+        invoke = memo.get(call)
+        if invoke is None:
+            invoke = memo[call] = compile_call(self._methods, call)
+        return invoke
 
 
 def _out_key(raw_arg: Term, method: str) -> str:
@@ -192,8 +180,6 @@ def _method_substitute4(inst: list, raw: tuple, binding: dict,
     positions 1..#kept); below the NEST they must reference the NEST
     *input* attributes instead.
     """
-    from repro.lera.schema import schema_of
-
     quali, z, a = inst[0], inst[1], inst[2]
     conjs = list(quali.items) if isinstance(quali, Seq) else [quali]
     if isinstance(z, Seq) or not isinstance(a, Fun) or a.name != "LIST":
@@ -232,8 +218,6 @@ def _method_schema2(inst: list, raw: tuple, binding: dict,
     When ``z`` is a relation LIST (the join* case) the identity spans
     the concatenated inputs: ``#1.1 .. #1.n1, #2.1 .. #2.n2, ...``.
     """
-    from repro.lera.schema import schema_of
-
     z = inst[0]
     if isinstance(z, Seq):
         raise MethodError("SCHEMA/2 input must be a single term")
@@ -258,8 +242,6 @@ def _method_refer_split(inst: list, raw: tuple, binding: dict,
     """REFER_SPLIT(f, a, fi, fj) -- fi is the conjunction of the
     conjuncts of f that ``REFER(a, .)`` holds for, fj of the others;
     fails when there is none to push."""
-    from repro.rules.constraints import refer_predicate
-
     qualification, nested = inst[0], inst[1]
     if isinstance(qualification, Seq):
         raise MethodError("REFER_SPLIT input must be a single term")
@@ -294,12 +276,10 @@ def _method_search_each(inst: list, raw: tuple, binding: dict,
 def _method_evaluate2(inst: list, raw: tuple, binding: dict,
                       ctx) -> Optional[dict]:
     """EVALUATE(F(x, y), a) -- fold a ground function call to a constant."""
-    from repro.rules.constraints import _eval_ground
-
     expr = inst[0]
     if isinstance(expr, Seq) or not is_ground(expr):
         return None
-    value = _eval_ground(expr, ctx)
+    value = eval_ground(expr, ctx)
     return {_out_key(raw[1], "EVALUATE/2"): value_to_term(value)}
 
 
@@ -311,36 +291,31 @@ def _method_emptyof(inst: list, raw: tuple, binding: dict,
                     ctx) -> Optional[dict]:
     """EMPTYOF(a, u): u = the empty relation as wide as the projection
     list (or relation expression) a."""
-    from repro.lera import ops as lera_ops
-
     a = inst[0]
     if isinstance(a, Seq):
         raise MethodError("EMPTYOF input must be a single term")
     if isinstance(a, Fun) and a.name == "LIST":
         width = len(a.args)
     else:
-        from repro.lera.schema import schema_of
         if ctx is None or ctx.catalog is None:
             raise MethodError("EMPTYOF needs a catalog for a relation")
         width = len(schema_of(a, ctx.catalog, getattr(ctx, "fix_env", {})))
     if width == 0:
         raise MethodError("cannot build a zero-width empty relation")
-    return {_out_key(raw[1], "EMPTYOF/2"): lera_ops.empty_rel(width)}
+    return {_out_key(raw[1], "EMPTYOF/2"): ops.empty_rel(width)}
 
 
 def _method_nest_empty(inst: list, raw: tuple, binding: dict,
                        ctx) -> Optional[dict]:
     """NEST_EMPTY(n, a, u): the NEST of an n-wide empty input is the
     empty relation over the kept attributes plus the collection."""
-    from repro.lera import ops as lera_ops
-
     n_term, a = inst[0], inst[1]
     if not isinstance(n_term, Const) or not isinstance(a, Fun):
         raise MethodError("NEST_EMPTY expects (n, nested-list, out)")
     width = int(n_term.value) - len(a.args) + 1
     if width < 1:
         raise MethodError("inconsistent NEST geometry")
-    return {_out_key(raw[2], "NEST_EMPTY/3"): lera_ops.empty_rel(width)}
+    return {_out_key(raw[2], "NEST_EMPTY/3"): ops.empty_rel(width)}
 
 
 # ---------------------------------------------------------------------------

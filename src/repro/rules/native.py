@@ -24,9 +24,11 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.errors import ReproError
+from repro.rules.guards import eval_ground
+from repro.rules.methods import value_to_term
 from repro.terms.subst import instantiate
-from repro.terms.term import (AC_FUNS, Const, Fun, Term, Var, conj,
-                              conjuncts, is_fun, mk_fun, walk)
+from repro.terms.term import (Const, Fun, Term, Var, conj, conjuncts,
+                              is_fun, is_ground, walk)
 
 __all__ = ["NativeRule", "ConstantFoldingRule", "DomainConstraintRule"]
 
@@ -68,7 +70,6 @@ class ConstantFoldingRule(NativeRule):
         super().__init__(name)
 
     def quick_applicable(self, subject: Term) -> bool:
-        from repro.terms.term import is_ground
         if not isinstance(subject, Fun) or subject.name in _STRUCTURAL \
                 or not subject.args:
             return False
@@ -78,22 +79,21 @@ class ConstantFoldingRule(NativeRule):
         ):
             return False
         # ground arguments may be nested constructor calls (MAKESET of
-        # constants, arithmetic over constants, ...)
+        # constants, arithmetic over constants, ...); answered once
+        # per node
         return is_ground(subject)
 
     def apply(self, subject: Term, ctx) -> Optional[tuple[Term, dict]]:
-        if not self.quick_applicable(subject):
-            return None
+        """Fold ``subject``, which :meth:`quick_applicable` accepted
+        (the engine asks it before every ``apply``)."""
         if ctx is None or ctx.catalog is None:
             return None
         registry = ctx.catalog.registry
         fdef = registry.lookup_or_none(subject.name, len(subject.args))
         if fdef is None or not fdef.pure:
             return None
-        from repro.rules.constraints import _eval_ground
-        from repro.rules.methods import value_to_term
         try:
-            value = _eval_ground(subject, ctx)
+            value = eval_ground(subject, ctx)
             folded = value_to_term(value)
         except ReproError:
             return None

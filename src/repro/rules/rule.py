@@ -11,6 +11,14 @@ A rule is compiled from its parsed form (:class:`ParsedRule`) into a
 4. the right term is instantiated; an application that reproduces the
    subject is a no-op and the next binding is tried.
 
+Each step is code generated once (:mod:`repro.terms.compile`): a
+*matcher* and a *builder* when the rule is built, and the *guard
+chain* of steps 2 and 3 -- the constraints and method calls resolved
+to closures by the context's :class:`ConstraintEvaluator` and
+:class:`MethodRegistry`, which drop them whenever a predicate or a
+method is registered, so an unknown method still raises when the rule
+is applied, not when it is built.
+
 AC extension: when the left term is a conjunction/disjunction the
 compiler appends a fresh collection variable to it and reattaches the
 matched remainder around the right term, so a rule like
@@ -21,18 +29,20 @@ qualifications.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, Optional
 
 from repro.errors import RuleError
 from repro.rules.constraints import ConstraintEvaluator
 from repro.rules.methods import MethodRegistry
-from repro.terms.match import match
+from repro.terms.compile import compile_pattern, compile_template
 from repro.terms.parser import ParsedRule, parse_rule_text
-from repro.terms.subst import collvar_key, instantiate
-from repro.terms.term import (CollVar, Fun, Term, collvars_of, mk_fun,
-                              variables_of, walk)
+from repro.terms.subst import collvar_key
+from repro.terms.term import (FUNVARS, CollVar, Fun, Seq, Term, Var,
+                              collvars_of, mk_fun, variables_of, walk)
 
-__all__ = ["RewriteRule", "RuleContext", "compile_rule", "rule_from_text"]
+__all__ = ["RewriteRule", "RuleContext", "compile_rule", "rule_from_text",
+           "rules_from_texts"]
 
 _REST_VAR = "rest_ac"
 
@@ -99,7 +109,6 @@ class RewriteRule:
         self.rhs = rhs
         self.methods = methods
         self.source = source
-        from repro.terms.term import FUNVARS
         # what a block's rule index and quick_applicable read: the root
         # functor (None: a generic or variable root, tried everywhere)
         # and the fixed function symbols strictly inside the left term
@@ -114,9 +123,10 @@ class RewriteRule:
             and t.name not in FUNVARS
         )
         self._validate()
+        self._match = compile_pattern(lhs)
+        self._build = compile_template(rhs)
 
     def _validate(self) -> None:
-        from repro.terms.term import FUNVARS, Var
         bound = variables_of(self.lhs) | {
             collvar_key(n) for n in collvars_of(self.lhs)
         }
@@ -167,22 +177,18 @@ class RewriteRule:
     def applications(self, subject: Term,
                      ctx: RuleContext) -> Iterator[tuple[Term, dict]]:
         """Yield (result, binding) for every successful application."""
-        if not self.quick_applicable(subject):
-            return
-        evaluator = ctx.evaluator()
-        registry = ctx.method_registry()
-        for binding in match(self.lhs, subject):
-            if not all(
-                evaluator.holds(c, binding, ctx) for c in self.constraints
-            ):
+        for binding in self._match(subject):
+            if not self._guard(binding, ctx):
                 continue
-            full = self._run_methods(binding, ctx, registry)
-            if full is None:
-                continue
-            result = instantiate(self.rhs, full)
+            result = self._build(binding)
+            if isinstance(result, Seq):
+                raise RuleError(
+                    "a collection variable cannot stand alone at the "
+                    "top level"
+                )
             if result == subject:
                 continue  # no-op: saturation reached for this binding
-            yield result, full
+            yield result, binding
 
     def apply(self, subject: Term,
               ctx: RuleContext) -> Optional[tuple[Term, dict]]:
@@ -191,28 +197,34 @@ class RewriteRule:
             return result
         return None
 
-    def _run_methods(self, binding: dict, ctx: RuleContext,
-                     registry: MethodRegistry) -> Optional[dict]:
-        full = dict(binding)
-        for call in self.methods:
-            outputs = registry.invoke(call, full, ctx)
-            if outputs is None:
-                return None
-            for key, value in outputs.items():
-                if key in full and full[key] != value:
-                    raise RuleError(
-                        f"rule {self.name!r}: method {call.name} rebinds "
-                        f"{key!r}"
-                    )
-                full[key] = value
-        return full
+    def _guard(self, binding: dict, ctx: RuleContext) -> bool:
+        """The constraints, then the method calls, whose outputs join
+        ``binding``; False when one of them turns the match down."""
+        if self.constraints:
+            check = ctx.evaluator().compile
+            for constraint in self.constraints:
+                if not check(constraint)(binding, ctx):
+                    return False
+        if self.methods:
+            invoke = ctx.method_registry().compile
+            for call in self.methods:
+                outputs = invoke(call)(binding, ctx)
+                if outputs is None:
+                    return False
+                for key, value in outputs.items():
+                    if key in binding and binding[key] != value:
+                        raise RuleError(
+                            f"rule {self.name!r}: method {call.name} "
+                            f"rebinds {key!r}"
+                        )
+                    binding[key] = value
+        return True
 
     def __repr__(self) -> str:
         return f"RewriteRule({self.name})"
 
 
 def _funvars_of(term: Term) -> set[str]:
-    from repro.terms.term import FUNVARS
     return {
         t.name for t in walk(term)
         if isinstance(t, Fun) and t.name in FUNVARS
@@ -243,3 +255,15 @@ def compile_rule(parsed: ParsedRule, source: str = "") -> RewriteRule:
 def rule_from_text(source: str) -> RewriteRule:
     """Parse and compile one rule from text."""
     return compile_rule(parse_rule_text(source), source)
+
+
+@lru_cache(maxsize=None)
+def _library(texts: tuple) -> tuple:
+    return tuple(rule_from_text(text) for text in texts)
+
+
+def rules_from_texts(texts: Iterable[str]) -> list[RewriteRule]:
+    """The rules of a library of texts: parsed and compiled once per
+    process (a rule is immutable, so every optimizer may share it),
+    returned in a list of the caller's own."""
+    return list(_library(tuple(texts)))

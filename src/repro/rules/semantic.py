@@ -27,7 +27,7 @@ from typing import Optional
 
 from repro.errors import RuleError
 from repro.rules.native import ConstantFoldingRule, DomainConstraintRule
-from repro.rules.rule import RewriteRule, rule_from_text
+from repro.rules.rule import RewriteRule, rules_from_texts
 from repro.terms.parser import parse_rule_text
 from repro.terms.term import (FUNVARS, Fun, Term, Var, conjuncts, is_fun)
 
@@ -67,7 +67,7 @@ def implicit_knowledge_rules() -> list[RewriteRule]:
         "MEMBER(e, x) AND INCLUDE(y, x) / "
         "--> MEMBER(e, x) AND INCLUDE(y, x) AND MEMBER(e, y) /",
     ]
-    return [rule_from_text(t) for t in texts]
+    return rules_from_texts(texts)
 
 
 def simplification_rules() -> list:
@@ -126,7 +126,7 @@ def simplification_rules() -> list:
         # arithmetic normalisation (paper: x - y = 0 --> x = y)
         "minus_zero: x - y = 0 / --> x = y /",
     ]
-    rules: list = [rule_from_text(t) for t in texts]
+    rules: list = rules_from_texts(texts)
     # generic constant folding (the EVALUATE rule of Figure 12,
     # generalised to any arity as a native rule)
     rules.append(ConstantFoldingRule())

@@ -15,12 +15,14 @@ can place them in blocks:
 
 Every rule is written in the rule language itself and compiled through
 the standard pipeline -- the extensibility claim of the paper is that a
-database implementor adds rules exactly like these.
+database implementor adds rules exactly like these.  The texts are
+parsed and compiled once per process (rules are immutable); each call
+returns a fresh list over the same rule objects.
 """
 
 from __future__ import annotations
 
-from repro.rules.rule import RewriteRule, rule_from_text
+from repro.rules.rule import RewriteRule, rules_from_texts
 
 __all__ = [
     "canonicalization_rules", "merging_rules", "permutation_rules",
@@ -46,7 +48,7 @@ def canonicalization_rules() -> list[RewriteRule]:
         # differential harness; tests/qa_corpus replays the repro)
         "union_singleton: UNION(SET(u)) / --> DISTINCT(u) /",
     ]
-    return [rule_from_text(t) for t in texts]
+    return rules_from_texts(texts)
 
 
 def merging_rules() -> list[RewriteRule]:
@@ -81,7 +83,7 @@ def merging_rules() -> list[RewriteRule]:
         "distinct_diff: "
         "DISTINCT(DIFFERENCE(u, w)) / --> DIFFERENCE(u, w) /",
     ]
-    return [rule_from_text(t) for t in texts]
+    return rules_from_texts(texts)
 
 
 def permutation_rules() -> list[RewriteRule]:
@@ -132,7 +134,7 @@ def permutation_rules() -> list[RewriteRule]:
         "--> SEARCH(LIST(DISTINCT(SEARCH(LIST(z), f, s))), true, a) / "
         "SCHEMA(z, s)",
     ]
-    return [rule_from_text(t) for t in texts]
+    return rules_from_texts(texts)
 
 
 def pruning_rules() -> list[RewriteRule]:
@@ -167,7 +169,7 @@ def pruning_rules() -> list[RewriteRule]:
         # least fixpoint over an empty base: empty
         "fix_no_base: FIX(z, e) / --> u / FIX_BOTTOM(z, e, u)",
     ]
-    return [rule_from_text(t) for t in texts]
+    return rules_from_texts(texts)
 
 
 def semijoin_rules() -> list[RewriteRule]:
@@ -192,7 +194,7 @@ def semijoin_rules() -> list[RewriteRule]:
         "SEMIJOIN(z, EMPTY(n), g) / --> u / EMPTYOF(z, u)",
         "antijoin_empty_right: ANTIJOIN(z, EMPTY(n), g) / --> z /",
     ]
-    return [rule_from_text(t) for t in texts]
+    return rules_from_texts(texts)
 
 
 def or_split_rules() -> list[RewriteRule]:
@@ -212,7 +214,7 @@ def or_split_rules() -> list[RewriteRule]:
         "SEARCH(z, OR(f, g*), a) / NONEMPTY(g*) "
         "--> UNION(SET(SEARCH(z, f, a), SEARCH(z, OR(g*), a))) /",
     ]
-    return [rule_from_text(t) for t in texts]
+    return rules_from_texts(texts)
 
 
 def fixpoint_rules() -> list[RewriteRule]:
@@ -231,4 +233,4 @@ def fixpoint_rules() -> list[RewriteRule]:
         "--> SEARCH(APPEND(x*, LIST(u), y*), f, a) / "
         "ADORNMENT(z, e, f, s), ALEXANDER(z, e, s, u)",
     ]
-    return [rule_from_text(t) for t in texts]
+    return rules_from_texts(texts)

@@ -1,9 +1,10 @@
 """Substitutions: bindings produced by matching, applied to build terms.
 
 A binding maps variable names to terms and collection-variable names to
-:class:`~repro.terms.term.Seq` sequences.  Instantiation rebuilds function
-nodes through :func:`~repro.terms.term.mk_fun`, so collection variables
-splice into argument lists and AC nodes re-normalise.
+:class:`~repro.terms.term.Seq` sequences.  Instantiation runs the
+builder :func:`repro.terms.compile.compile_template` generates for the
+term, once: collection variables splice into argument lists and AC
+nodes re-normalise through :func:`~repro.terms.term.mk_fun`.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 from typing import Mapping, Union
 
 from repro.errors import RuleError
-from repro.terms.term import (FUNVARS, AttrRef, CollVar, Const, Fun, Seq,
-                              Term, Var, mk_fun)
+from repro.terms.compile import compile_template
+from repro.terms.term import Seq, Term
 
 __all__ = ["Binding", "instantiate", "instantiate_spliceable", "merge_bindings"]
 
@@ -30,38 +31,7 @@ def collvar_key(name: str) -> str:
 def instantiate_spliceable(term: Term, binding: Binding,
                            strict: bool = True) -> Union[Term, Seq]:
     """Instantiate ``term``; a bare collection variable yields a Seq."""
-    if isinstance(term, Var):
-        value = binding.get(term.name)
-        if value is None:
-            if strict:
-                raise RuleError(f"unbound variable {term.name!r}")
-            return term
-        return value
-    if isinstance(term, CollVar):
-        value = binding.get(collvar_key(term.name))
-        if value is None:
-            if strict:
-                raise RuleError(f"unbound collection variable {term.display}")
-            return term
-        return value
-    if isinstance(term, (Const, AttrRef)):
-        return term
-    if isinstance(term, Fun):
-        name = term.name
-        if name in FUNVARS:
-            bound_name = binding.get("§" + name)
-            if bound_name is None:
-                if strict:
-                    raise RuleError(
-                        f"unbound generic function symbol {name}"
-                    )
-            else:
-                name = bound_name
-        return mk_fun(
-            name,
-            [instantiate_spliceable(a, binding, strict) for a in term.args],
-        )
-    raise RuleError(f"cannot instantiate {term!r}")
+    return compile_template(term, strict)(binding)
 
 
 def instantiate(term: Term, binding: Binding, strict: bool = True) -> Term:

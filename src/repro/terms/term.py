@@ -46,7 +46,8 @@ __all__ = [
     "Term", "Fun", "Var", "CollVar", "Const", "AttrRef", "Seq",
     "mk_fun", "conj", "disj", "TRUE", "FALSE",
     "sym", "num", "string", "boolean",
-    "term_sort_key", "AC_FUNS", "FUNVARS", "is_fun", "conjuncts",
+    "term_sort_key", "AC_FUNS", "FUNVARS", "NORMALISED_FUNS", "splice",
+    "is_fun", "conjuncts",
     "disjuncts",
     "subterms", "walk", "replace_at", "term_size", "term_depth",
     "variables_of",
@@ -67,6 +68,10 @@ _COMMUTATIVE_BINOPS = frozenset({"=", "<>"})
 
 # Constructor-level splicers (evaluated during term construction).
 _SPLICERS = {"APPEND": "LIST", "SET_UNION": "SET"}
+
+# The function symbols mk_fun does more for than splice collection
+# bindings in: a node under any other name can be built directly.
+NORMALISED_FUNS = AC_FUNS | _COMMUTATIVE_BINOPS | frozenset(_SPLICERS)
 
 
 class Term:
@@ -169,10 +174,16 @@ class AttrRef(Term):
         return self._hash
 
 
+# Every node of a scanned plan ends up with its symbol set, and most of
+# them hold one of a few dozen: equal sets are one object.
+_SYMBOL_SETS: dict = {}
+_SYMBOL_SETS_KEPT = 4096
+
+
 class Fun(Term):
     """A function application.  Use :func:`mk_fun` to build instances."""
 
-    __slots__ = ("name", "args", "_symbols", "_mentions")
+    __slots__ = ("name", "args", "_symbols", "_mentions", "_ground")
 
     def __init__(self, name: str, args: tuple):
         # Raw constructor: no normalisation.  Library code should call
@@ -183,6 +194,7 @@ class Fun(Term):
         self._hash = hash(("fun", name, args))
         self._symbols = None
         self._mentions = None
+        self._ground = None
 
     def __eq__(self, other: Any) -> bool:
         # Hashes first: they are built bottom-up at construction, so
@@ -231,7 +243,10 @@ class Fun(Term):
                 if isinstance(a, Fun):
                     below.add(a.name)
                     below |= a.symbols
-            found = self._symbols = frozenset(below)
+            if len(_SYMBOL_SETS) >= _SYMBOL_SETS_KEPT:
+                _SYMBOL_SETS.clear()
+            found = frozenset(below)
+            found = self._symbols = _SYMBOL_SETS.setdefault(found, found)
         return found
 
 
@@ -329,13 +344,13 @@ def term_sort_key(term: Union[Term, Seq]) -> tuple:
         return (3, term.name)
     if isinstance(term, Fun):
         return (4, term.name, len(term.args),
-                tuple(term_sort_key(a) for a in term.args))
+                tuple(map(term_sort_key, term.args)))
     if isinstance(term, Seq):
-        return (5, tuple(term_sort_key(a) for a in term.items))
+        return (5, tuple(map(term_sort_key, term.items)))
     raise TermError(f"cannot order {term!r}")
 
 
-def _splice(args: Sequence[Union[Term, Seq]]) -> tuple:
+def splice(args: Sequence[Union[Term, Seq]]) -> tuple:
     """Expand Seq bindings in an argument list."""
     out: list[Term] = []
     for a in args:
@@ -357,9 +372,9 @@ def _flatten(name: str, args: Iterable[Term]) -> list[Term]:
 
 
 def _dedupe_sorted(args: Iterable[Term]) -> tuple:
-    uniq = {}
-    for a in args:
-        uniq.setdefault(a, None)
+    uniq = dict.fromkeys(args)
+    if len(uniq) < 2:
+        return tuple(uniq)
     return tuple(sorted(uniq, key=term_sort_key))
 
 
@@ -393,7 +408,7 @@ def mk_fun(name: str, args: Iterable[Union[Term, Seq]]) -> Term:
                 out.append(a)
         return mk_fun(target, out)
 
-    spliced = _splice(raw)
+    spliced = splice(raw)
 
     if name == "AND":
         flat = _flatten("AND", spliced)
@@ -503,7 +518,14 @@ def replace_at(term: Term, path: tuple, new: Term) -> Term:
 
 def term_size(term: Term) -> int:
     """Number of nodes in the term (the paper's rule-termination measure)."""
-    return sum(1 for __ in walk(term))
+    size = 0
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        size += 1
+        if isinstance(t, Fun):
+            stack.extend(t.args)
+    return size
 
 
 def term_depth(term: Term) -> int:
@@ -531,4 +553,11 @@ def collvars_of(term: Term) -> set[str]:
 
 
 def is_ground(term: Term) -> bool:
-    return not any(isinstance(t, (Var, CollVar)) for t in walk(term))
+    """No variable occurs in ``term``.  Like :attr:`Fun.symbols`,
+    answered once per node, on first use."""
+    if not isinstance(term, Fun):
+        return not isinstance(term, (Var, CollVar))
+    ground = term._ground
+    if ground is None:
+        ground = term._ground = all(map(is_ground, term.args))
+    return ground

@@ -426,3 +426,49 @@ def test_term_hash_is_stable_and_short():
     assert term_hash(term) == term_hash(num(42))
     assert len(term_hash(term)) == 12
     assert set(term_hash(term)) <= _HEX
+
+
+class TestLedgerHashesOnDemand:
+    def _entries(self, n, nodes_each):
+        from repro.core.rewriter import ProvenanceEntry
+        from repro.terms.term import mk_fun, num
+        term = mk_fun("P", [num(i) for i in range(nodes_each // 2 - 1)])
+        return [ProvenanceEntry("t", "b", f"r{i}", i, "", term, term,
+                                nodes_each, 0, 0.0) for i in range(n)]
+
+    def test_nothing_is_hashed_until_it_is_read(self, monkeypatch):
+        import repro.core.rewriter as module
+        hashed = []
+        real = module.term_hash
+        monkeypatch.setattr(
+            module, "term_hash",
+            lambda term: hashed.append(term) or real(term))
+        db = _db()
+        db.query(_EXISTS)
+        entries = db.ledger.entries()
+        assert entries and not hashed  # the statement path hashed nothing
+        assert db.ledger.heat()  # ... and sys.rule_heat needs no hash
+        assert not hashed
+        rows = db.query("SELECT BeforeHash, AfterHash FROM sys.rewrites").rows
+        assert len(hashed) == 2 * len(entries)
+        assert rows[0] == (real(entries[0].before), real(entries[0].after))
+        db.query("SELECT BeforeHash FROM sys.rewrites")
+        assert len(hashed) == 2 * len(entries)  # kept, not recomputed
+
+    def test_the_ring_pins_a_bounded_amount_of_plan(self):
+        from repro.core.rewriter import RewriteLedger, term_hash
+        ledger = RewriteLedger(capacity=64)
+        each = RewriteLedger.KEEP_NODES // 16
+        entries = self._entries(100, each)
+        expected = term_hash(entries[0].before)
+        ledger.record(entries)
+        ring = ledger.entries()
+        assert len(ring) == 64
+        kept = [e for e in ring if e.before is not None]
+        assert len(kept) <= 16 and ledger._kept == sum(e.nodes for e in kept)
+        # released or not, every entry still answers with its hashes
+        assert {e.before_hash for e in ring} == {expected}
+        # room freed by eviction is lent again
+        ledger.record(self._entries(64, each))
+        assert any(e.before is not None for e in ledger.entries())
+        assert ledger._kept <= RewriteLedger.KEEP_NODES

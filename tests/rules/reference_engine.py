@@ -13,7 +13,11 @@ position every time (``test_scan_differential.py``).
 Compiled rules are screened by root functor only, as they used to be
 (:func:`root_applicable`), so the comparison also covers the claim
 that the symbol test of ``RewriteRule.quick_applicable`` only ever
-turns away a rule the matcher would have failed.
+turns away a rule the matcher would have failed -- and they are
+*applied* by ``tests/rules/reference_rule.py``, the interpreting
+matcher, constraint evaluation, method dispatch and instantiation, so
+the comparison covers the generated matchers, guard chains and
+builders too.
 """
 
 from __future__ import annotations
@@ -29,7 +33,17 @@ from repro.rules.control import RewriteEngine
 from repro.rules.rule import RewriteRule, RuleContext
 from repro.terms.term import Fun, Term, is_fun, replace_at
 
+from tests.rules.reference_rule import reference_apply
+
 __all__ = ["ReferenceEngine", "positions", "root_applicable"]
+
+
+def apply_rule(rule, subject: Term, ctx):
+    """Compiled rules are interpreted; native and duck-typed rules
+    apply themselves."""
+    if isinstance(rule, RewriteRule):
+        return reference_apply(rule, subject, ctx)
+    return rule.apply(subject, ctx)
 
 
 def root_applicable(rule, subject: Term) -> bool:
@@ -79,7 +93,7 @@ class ReferenceEngine(RewriteEngine):
                 attempt_t0 = perf_counter()
                 if sandbox:
                     try:
-                        application = rule.apply(subterm, local_ctx)
+                        application = apply_rule(rule, subterm, local_ctx)
                     except Exception as error:
                         runtime.record_failure(
                             block.name, rule.name, path, error, bus,
@@ -87,7 +101,7 @@ class ReferenceEngine(RewriteEngine):
                         missed(rule, path, attempt_t0)
                         continue
                 else:
-                    application = rule.apply(subterm, local_ctx)
+                    application = apply_rule(rule, subterm, local_ctx)
                 if application is None:
                     missed(rule, path, attempt_t0)
                     continue

@@ -5,7 +5,13 @@ The rule index, the symbol test and the clean-subtree memo of
 costs and nothing else: every statement must produce the identical
 ``(block, rule, path, before, after)`` trace, final term and
 application count under :class:`ReferenceEngine`, which rescans the
-whole term with every rule after every application.
+whole term with every rule after every application -- and which
+applies a compiled rule through the interpreting matcher, constraint
+evaluation, method dispatch and instantiation of
+``reference_rule.py``, so the comparison is the whole old stack
+against the whole generated one.  The last class holds the scanner
+fixed and swaps only how a rule is applied: there every event and
+every counted check must agree too.
 """
 
 import re
@@ -16,16 +22,18 @@ import pytest
 from repro import Database
 from repro.lera.typecheck import typecheck
 from repro.obs.bus import EventBus
-from repro.obs.events import RuleAttempt
+from repro.obs.events import ConstraintCheck, MethodCall, RuleAttempt
 from repro.qa.harness import case_seed
 from repro.qa.oracle import DifferentialOracle
 from repro.qa.query_gen import random_case
 from repro.resilience import ResiliencePolicy
-from repro.rules.control import RewriteEngine
+from repro.rules.control import Block, RewriteEngine, Seq
+from repro.rules.rule import RewriteRule, rule_from_text
 from repro.terms.printer import term_to_str
 
 from tests.resilience.chaos import AlwaysRaisingRule
 from tests.rules.reference_engine import ReferenceEngine
+from tests.rules.reference_rule import reference_apply
 
 
 def run(engine_class, db, typed, **kwargs):
@@ -233,3 +241,113 @@ class TestSandboxedFailures:
             assert ours.quarantined == theirs.quarantined
             assert ours.rule_failures
             assert bool(ours.quarantined) == (threshold < 1000)
+
+
+# -- the generated rules against the interpreted ones, under one scanner -------
+
+class InterpretedRule:
+    """A compiled rule as the engine sees it, applied by the
+    interpreting body of ``reference_rule.py``."""
+
+    def __init__(self, rule):
+        self.rule = rule
+        self.name = rule.name
+        self.root_name = rule.root_name
+        self.quick_applicable = rule.quick_applicable
+
+    def apply(self, subject, ctx):
+        return reference_apply(self.rule, subject, ctx)
+
+
+def interpreted(seq, **block_kwargs):
+    """``seq`` with every compiled rule interpreted (and, optionally,
+    every block re-budgeted)."""
+    return Seq([
+        Block(block.name,
+              [InterpretedRule(rule) if isinstance(rule, RewriteRule)
+               else rule for rule in block.rules],
+              block_kwargs.get("limit", block.limit),
+              block_kwargs.get("count", block.count))
+        for block in seq.blocks], passes=seq.passes)
+
+
+def told(events):
+    """Events without their clock readings."""
+    return [
+        (e.block, e.rule, e.path, e.matched) if isinstance(e, RuleAttempt)
+        else (e.constraint, e.outcome) if isinstance(e, ConstraintCheck)
+        else (e.name, e.arity, e.success) for e in events]
+
+
+def rewrite_with(db, seq, typed, **kwargs):
+    events = []
+    bus = EventBus()
+    bus.subscribe(events.append,
+                  kinds=[RuleAttempt, ConstraintCheck, MethodCall])
+    engine = RewriteEngine(seq, obs=bus, **kwargs)
+    result = engine.rewrite(typed, db.optimizer.rewriter.context())
+    return result, told(events)
+
+
+class TestGeneratedAgainstInterpretedRules:
+    """Same scanner, same memo, same budgets: the only difference is
+    how a rule is applied, so *everything* must agree -- each attempt,
+    each constraint check, each method call, each check counted."""
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_same_events_in_the_same_order(self, name):
+        db = workload_db(name, antipattern=True)
+        seq = db.optimizer.rewriter.seq
+        for query in WORKLOADS[name][2]:
+            typed, __ = typecheck(db._translate_single(query), db.catalog)
+            ours, our_events = rewrite_with(db, seq, typed)
+            theirs, their_events = rewrite_with(db, interpreted(seq), typed)
+            assert steps(ours) == steps(theirs), query
+            assert our_events == their_events, query
+            assert ours.checks == theirs.checks == sum(
+                1 for e in our_events if len(e) == 4)
+            # and a bus changes nothing
+            assert steps(run(RewriteEngine, db, typed)) == steps(ours)
+
+    @pytest.mark.parametrize("limit", [1, 5, 12, 30])
+    def test_checks_budgets_run_out_at_the_same_attempt(self, limit):
+        db = workload_db("rewrite_heavy")
+        seq = db.optimizer.rewriter.seq
+        budgeted = interpreted(seq, limit=limit, count="checks")
+        ours_seq = Seq([Block(b.name, b.rules, limit, "checks")
+                        for b in seq.blocks], passes=seq.passes)
+        fired = 0
+        for query in WORKLOADS["rewrite_heavy"][2]:
+            typed, __ = typecheck(db._translate_single(query), db.catalog)
+            ours, our_events = rewrite_with(db, ours_seq, typed)
+            theirs, their_events = rewrite_with(db, budgeted, typed)
+            assert steps(ours) == steps(theirs), query
+            assert our_events == their_events, query
+            assert ours.checks == theirs.checks
+            fired += ours.applications
+        assert fired or limit == 1
+
+    def test_sandboxed_failures_fall_at_the_same_attempts(self):
+        db = workload_db("rewrite_heavy")
+        db.optimizer.rewriter.add_rule(
+            AlwaysRaisingRule("bomb"), block="merge", position=1)
+        db.optimizer.rewriter.add_rule(rule_from_text(
+            "lost: x > y / ISA(y, CONSTANT) --> x > w / GONE(y, w)"),
+            block="simplify", position=0)
+        seq = db.optimizer.rewriter.seq
+        policy = ResiliencePolicy(failure_threshold=4)
+        errors = set()
+        for query in WORKLOADS["rewrite_heavy"][2][:4]:
+            typed, __ = typecheck(db._translate_single(query), db.catalog)
+            ours, our_events = rewrite_with(db, seq, typed,
+                                            resilience=policy)
+            theirs, their_events = rewrite_with(db, interpreted(seq), typed,
+                                                resilience=policy)
+            assert steps(ours) == steps(theirs), query
+            assert our_events == their_events, query
+            assert [f.as_dict() for f in ours.resilience.rule_failures] \
+                == [f.as_dict() for f in theirs.resilience.rule_failures]
+            errors |= {f.error for f in ours.resilience.rule_failures}
+            assert ours.resilience.quarantined \
+                == theirs.resilience.quarantined
+        assert errors == {"RuleError", "MethodError"}

@@ -287,6 +287,43 @@ class TestMentions:
         assert mentions(t) == {"R": 1, "S": 1}
 
 
+class TestGroundness:
+    """``is_ground``: answered once per node, like ``symbols``."""
+
+    def test_variables_at_any_depth(self):
+        assert is_ground(num(1)) and is_ground(AttrRef(1, 2))
+        assert not is_ground(Var("x")) and not is_ground(CollVar("x"))
+        assert is_ground(mk_fun("F", [mk_fun("G", [num(1)]), sym("S")]))
+        assert not is_ground(mk_fun("F", [mk_fun("G", [Var("x")]), sym("S")]))
+        assert not is_ground(mk_fun("LIST", [CollVar("x")]))
+        assert is_ground(mk_fun("LIST", []))
+
+    def test_agrees_with_a_plain_walk_on_generated_plans_and_rules(self):
+        from repro.rules.meta import standard_rule_library
+        from tests.generated_plans import generated_queries
+
+        def plain(term):
+            return not any(isinstance(t, (Var, CollVar)) for t in walk(term))
+
+        terms = [side for rule in standard_rule_library().values()
+                 if hasattr(rule, "lhs") for side in (rule.lhs, rule.rhs)]
+        terms += [db.optimize(query).final
+                  for db, query in generated_queries(cases=40)]
+        compared = 0
+        for term in terms:
+            for t in walk(term):
+                assert is_ground(t) == plain(t)
+                assert is_ground(t) == plain(t)  # and again, cached
+                compared += 1
+        assert compared >= 1000
+
+    def test_replace_at_leaves_the_old_terms_answer_alone(self):
+        t = mk_fun("F", [mk_fun("G", [num(1)]), sym("S")])
+        assert is_ground(t)  # cached from here on
+        out = replace_at(t, (0, 0), Var("x"))
+        assert not is_ground(out) and is_ground(t)
+
+
 def _copy(term):
     """A structurally equal term sharing no ``Fun`` node."""
     if isinstance(term, Fun):
