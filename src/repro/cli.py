@@ -87,6 +87,7 @@ from __future__ import annotations
 import sys
 from typing import Iterable, Iterator, Optional
 
+from repro.core.explain import analyze_section, profile_section
 from repro.engine.database import Database
 from repro.errors import ReproError
 from repro.server.session import SessionSettings
@@ -407,20 +408,7 @@ class Shell:
                     f"exhausted)"
                 )
             if profiler is not None:
-                profiler.absorb_eval_stats(stats)
-                for rule, row in sorted(profiler.rule_table().items()):
-                    lines.append(
-                        f"  rule {rule}: {row.get('attempts', 0)} "
-                        f"attempt(s), {row.get('hits', 0)} hit(s), "
-                        f"{row.get('fired', 0)} fired"
-                    )
-                for block, row in sorted(profiler.block_table().items()):
-                    lines.append(
-                        f"  block {block}: "
-                        f"{row.get('applications', 0)} application(s), "
-                        f"{row.get('checks', 0)} check(s), budget "
-                        f"consumed {row.get('budget_consumed', 0)}"
-                    )
+                lines.extend(profile_section(profiler.report()))
             return lines
         return [f"unknown command {command}; try .help"]
 
@@ -633,24 +621,7 @@ class Shell:
                 )
         except ReproError as error:
             return [f"error: {error}"]
-        nodes = report["analyze"]["nodes"]
-        fingerprint = report["trace"].get("fingerprint") or "(none)"
-        lines = [f"statement fingerprint {fingerprint}"]
-        for node in nodes:
-            indent = "  " * node["depth"]
-            lines.append(
-                f"  {indent}{node['operator']} [{node['hash']}]  "
-                f"rows={node['rows']} loops={node['loops']} "
-                f"self={node['self_ms']:.3f}ms "
-                f"total={node['total_ms']:.3f}ms "
-                f"bytes={node['bytes']}"
-            )
-        total_self = sum(n["self_ms"] for n in nodes)
-        lines.append(
-            f"  {len(nodes)} operator(s), "
-            f"{total_self:.3f} ms self-time total"
-        )
-        return lines
+        return analyze_section(report)
 
     def _top_command(self, argument: str = "") -> list[str]:
         if self.server is None:

@@ -52,9 +52,9 @@ class ProvenanceEntry:
     whose subterms it has no room to keep.
     ``complexity_delta`` is ``term_size(after) - term_size(before)``
     (negative = the rule simplified).
-    ``duration_ms`` is the measured apply time when an event bus was
-    attached to the rewrite; 0.0 on the null-sink fast path, which
-    never touches the clock.  ``fingerprint`` is the statement-template
+    ``duration_ms`` is the wall time of the block scan that found the
+    firing (:class:`~repro.rules.control.TraceEntry`), measured with or
+    without an event bus.  ``fingerprint`` is the statement-template
     identity (:mod:`repro.esql.fingerprint`) of the query the rule
     fired in, joining ``sys.rewrites`` against ``sys.statements``.
     """

@@ -39,6 +39,7 @@ from repro.lifecycle.context import (current_context, pending_dispatch,
                                      use_context)
 from repro.lifecycle.registry import StatementRegistry
 from repro.esql.translate import Translator
+from repro.obs.events import PhaseEnd, PhaseStart
 from repro.obs.workload import PlanLog, StatementStats
 from repro.resilience import (QuarantineRegistry, ResiliencePolicy,
                               make_checked_validator)
@@ -540,19 +541,18 @@ class Database:
                 checked: Optional[bool] = None,
                 deadline_ms: Optional[float] = None,
                 options: Optional[StatementOptions] = None) -> str:
-        """Human-readable EXPLAIN; ``profile=True`` attaches a
-        :class:`~repro.obs.profile.Profiler` and appends its telemetry
-        section (the CLI's ``.profile on`` mode)."""
-        options = collect(options, checked=checked,
+        """Human-readable EXPLAIN: the report :meth:`explain_json`
+        builds without executing, rendered by
+        :func:`~repro.core.explain.explain_text`.  It rewrites whatever
+        the defaults say; ``profile=True`` (the CLI's
+        ``.profile on``) attaches a :class:`~repro.obs.profile.Profiler`,
+        whose section the text then shows."""
+        options = collect(options, rewrite=True, checked=checked,
                           deadline_ms=deadline_ms, profile=profile or None)
-        profiler = Profiler() if options.profile else None
-        optimized = self.optimize(
-            source, obs=profiler.bus if profiler else None,
-            options=options,
-        )
         return explain_text(
-            optimized, verbose=verbose,
-            profile=profiler.report() if profiler else None,
+            self._explain(source, options, execute=False,
+                          profile=options.profile),
+            verbose=verbose,
         )
 
     def explain_json(self, source, execute: bool = False,
@@ -572,27 +572,37 @@ class Database:
         rows, loops, self/total time, budget bytes -- reported in the
         schema-v8 ``analyze`` section and logged to ``sys.plan_nodes``.
         """
-        profiler = Profiler()
         options = collect(options, rewrite=rewrite, checked=checked,
                           deadline_ms=deadline_ms, analyze=analyze or None)
-        stats = EvalStats() if execute or options.analyze else None
+        return self._explain(source, options,
+                             execute=execute or bool(options.analyze),
+                             profile=True, session=session)
+
+    def _explain(self, source, options: StatementOptions, execute: bool,
+                 profile: bool, session: str = "") -> dict:
+        """The stage both EXPLAIN forms run: plan one query (and with
+        ``execute``, run it) under the trace the report names -- a
+        direct call mints one here, so ``sys.rewrites`` and the report
+        share ids -- and build the report in the ``finish`` stage,
+        inside the statement's extent (its lifecycle section reads the
+        ambient QueryContext)."""
+        profiler = Profiler() if profile else None
+        stats = EvalStats() if execute else None
 
         def report(optimized: OptimizedQuery, nodes) -> dict:
-            # runs inside the statement extent on purpose: the report's
-            # lifecycle section reads the ambient QueryContext
-            if stats is not None:
+            if stats is not None:  # only explain_json executes
                 profiler.absorb_eval_stats(stats)
-            return explain_json(optimized, profile=profiler,
-                                eval_stats=stats, analyze=nodes)
+            return explain_json(
+                optimized, eval_stats=stats, analyze=nodes,
+                profile=profiler.report() if profiler is not None else None,
+            )
 
-        # plan under the trace the report will name: a direct call
-        # gets one here, so sys.rewrites and the report share ids
         with (nullcontext() if current_trace() is not None
               else use_trace(TraceContext.new())):
             return self._statement(
                 *self._parse_query(source), options, session=session,
-                obs=profiler.bus, stats=stats, evaluate=stats is not None,
-                finish=report,
+                obs=profiler.bus if profiler is not None else None,
+                stats=stats, evaluate=execute, finish=report,
             )[0]
 
     # -- extensions -------------------------------------------------------------
@@ -668,16 +678,24 @@ class Database:
                            context, obs, stats: Optional[EvalStats],
                            evaluate: bool, finish) -> tuple:
         """The query stages, inside the statement's context and lock:
-        plan (translate + optimize), evaluate, record."""
+        plan (translate + optimize), evaluate, record.
+
+        One clock: four readings -- before translation, around the
+        optimizer, after evaluation -- give ``sys.statements`` its
+        ``TotalMs`` (translate + optimize + evaluate), ``RewriteMs``
+        (the optimizer) and ``EvalMs``; with a bus attached the
+        evaluation is the ``evaluate`` phase, timed by the same two
+        readings."""
+        t0 = perf_counter()
         term = self.translator.execute(statement)
         if context is not None:
             context.enter_phase("optimize")
-        t0 = perf_counter()
+        t1 = perf_counter()
         optimized = self.optimizer.optimize(
             term, rewrite=opts.rewrite, obs=obs,
             resilience=self._rewrite_policy(opts),
         )
-        rewrite_s = perf_counter() - t0
+        t2 = perf_counter()
         result = nodes = None
         if evaluate:
             if context is not None:
@@ -689,15 +707,22 @@ class Database:
                 self.catalog, stats=stats, semi_naive=self.semi_naive,
                 hash_joins=self.hash_joins, obs=obs, analyze=collector,
             )
-            t1 = perf_counter()
-            result = evaluator.evaluate(optimized.final, optimized.schema)
-            eval_s = perf_counter() - t1
+            if obs:
+                obs.emit(PhaseStart("evaluate"))
+            try:
+                result = evaluator.evaluate(optimized.final, optimized.schema)
+            finally:
+                t3 = perf_counter()
+                if obs:
+                    obs.emit(PhaseEnd("evaluate", t3 - t2))
             # record: fold the execution into the workload views
             fp = current_fingerprint()
             if fp:
                 self.workload.record_call(
                     fp.fingerprint, fp.template,
-                    rewrite_ms=rewrite_s * 1000.0, eval_ms=eval_s * 1000.0,
+                    rewrite_ms=(t2 - t1) * 1000.0,
+                    eval_ms=(t3 - t2) * 1000.0,
+                    total_ms=(t3 - t0) * 1000.0,
                     rows=len(result.rows),
                     rule_firings=len(optimized.rewrite_result.trace),
                 )

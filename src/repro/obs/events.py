@@ -5,16 +5,19 @@ Every event is a small frozen dataclass with an ``as_dict()`` export so
 sinks can serialise uniformly.  The taxonomy mirrors the pipeline:
 
 =================  ======================================================
-``PhaseStart``     a pipeline phase opens (optimize, typecheck, rewrite,
-``PhaseEnd``       typecheck_final, evaluate); End carries the duration
+``PhaseStart``     a pipeline phase opens: the optimizer's optimize,
+``PhaseEnd``       typecheck, rewrite and typecheck_final, the statement
+                   path's evaluate; End carries the duration
 ``BlockStart``     a rule block begins / finishes one activation;
 ``BlockEnd``       End carries applications, checks, budget consumed
 ``PassEnd``        one full pass over the block sequence completed
 ``RuleAttempt``    one rule condition was checked at a position
-``RuleFired``      a rule application changed the term
+``RuleFired``      a rule application changed the term; carries the
+                   duration of the block scan that found it
 ``ConstraintCheck``a constraint predicate was evaluated
 ``MethodCall``     a rule-conclusion method ran (success or failure)
-``EvalOp``         the evaluator finished one algebra operator
+``EvalOp``         the evaluator finished one algebra operator (its
+                   duration includes its inputs')
 ``RuleFailed``     a sandboxed rule raised while being applied
 ``RuleQuarantined``a failing rule crossed its failure threshold
 ``Degraded``       a deadline / work budget expired; best-so-far kept
@@ -101,7 +104,8 @@ class Event:
 
 @dataclass(frozen=True)
 class PhaseStart(Event):
-    """A pipeline phase opens (optimize / typecheck / rewrite / ...)."""
+    """A pipeline phase opens (optimize / typecheck / rewrite /
+    typecheck_final / evaluate)."""
 
     phase: str
 

@@ -97,10 +97,10 @@ def fold_event(m: MetricsRegistry, event: ev.Event) -> None:
 class Profiler:
     """Event-driven rule/block/method/eval telemetry collector."""
 
-    def __init__(self, keep_misses: bool = False):
+    def __init__(self):
         self.bus = EventBus()
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(keep_misses=keep_misses)
+        self.tracer = Tracer()
         self.tracer.attach(self.bus)
         self.bus.subscribe(self._collect)
 

@@ -10,8 +10,10 @@ A :class:`Tracer` can be driven two ways:
   tree: ``PhaseStart/PhaseEnd`` and ``BlockStart/BlockEnd`` open and
   close spans, a ``RuleFired`` becomes a leaf span under the current
   block (adopting the ``ConstraintCheck`` / ``MethodCall`` point events
-  recorded since the previous rule boundary), and ``PassEnd`` /
-  ``RuleAttempt`` misses become marks on the enclosing span.
+  recorded since the previous rule boundary), a ``PassEnd`` becomes a
+  mark on the enclosing span, and an ``EvalOp`` a leaf under the
+  ``evaluate`` phase.  A ``RuleAttempt`` miss leaves no span (the
+  metrics count it): it only drops the point events it adopted.
 
 All timing uses the monotonic clock (``time.perf_counter``), so span
 durations are non-negative and unaffected by wall-clock jumps.
@@ -72,18 +74,10 @@ class Span:
 class Tracer:
     """Builds a tree of :class:`Span` nodes from spans or bus events.
 
-    Parameters
-    ----------
-    keep_misses:
-        Record rule attempts that did not match as marks on the current
-        span (off by default: a saturating rewrite performs thousands
-        of checks and the span tree should stay readable).
-    clock:
-        Injectable monotonic clock, for deterministic tests.
+    ``clock`` is an injectable monotonic clock, for deterministic tests.
     """
 
-    def __init__(self, keep_misses: bool = False, clock=time.perf_counter):
-        self.keep_misses = keep_misses
+    def __init__(self, clock=time.perf_counter):
         self._clock = clock
         self.roots: list[Span] = []
         self._stack: list[Span] = []
@@ -187,9 +181,6 @@ class Tracer:
         elif isinstance(event, ev.RuleAttempt):
             if not event.matched:
                 self._pending.clear()
-                if self.keep_misses:
-                    self.mark(event.rule, kind="miss",
-                              block=event.block, path=list(event.path))
         elif isinstance(event, ev.MethodCall):
             now = self._clock()
             span = Span(event.name, "method", now - event.duration, {

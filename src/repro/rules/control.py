@@ -65,10 +65,10 @@ _SAFETY_LIMIT = 100_000
 class TraceEntry:
     """One recorded rule application.
 
-    ``duration`` is the measured apply time in seconds when an event
-    bus was attached (the engine only reaches for ``perf_counter``
-    when someone is listening -- the null-sink fast path); otherwise
-    it stays 0.0.
+    ``duration`` is the wall time in seconds of the block scan that
+    found the application -- from the scan's start at the root to the
+    rule that fired, rejected positions and failed attempts included.
+    It is measured on every path, bus or not (two clock reads a scan).
     """
 
     block: str
@@ -303,13 +303,15 @@ class RewriteEngine:
         while budget is None or budget > 0:
             if runtime.exhausted(result.applications, bus):
                 break
+            scan_t0 = perf_counter()
             application = self._find_application(
                 block, result, budget, bus, runtime
             )
             if application is None:
                 break
-            path, before, after, rule_name, spent_checks, new_term, \
-                apply_time = application
+            scan_time = perf_counter() - scan_t0
+            path, before, after, rule_name, spent_checks, new_term = \
+                application
             if block.count == "checks":
                 if budget is not None:
                     budget -= spent_checks
@@ -323,13 +325,12 @@ class RewriteEngine:
             result.applications += 1
             if self.collect_trace:
                 result.trace.append(TraceEntry(
-                    block.name, rule_name, path, before, after,
-                    apply_time,
+                    block.name, rule_name, path, before, after, scan_time,
                 ))
             if bus:
                 bus.emit(RuleFired(
                     block.name, rule_name, path,
-                    term_size(before), term_size(after), apply_time,
+                    term_size(before), term_size(after), scan_time,
                 ))
             if result.applications > self.safety_limit:
                 raise RewriteError(
@@ -437,15 +438,12 @@ class RewriteEngine:
                     new_term = replace_at(root, path, after)
                     if new_term != root:
                         if bus:
-                            apply_time = perf_counter() - attempt_t0
                             bus.emit(RuleAttempt(
                                 block.name, rule.name, path, True,
-                                apply_time,
+                                perf_counter() - attempt_t0,
                             ))
-                        else:
-                            apply_time = 0.0
                         found = (path, subterm, after, rule.name,
-                                 checks_this_scan, new_term, apply_time)
+                                 checks_this_scan, new_term)
                         return True
                     # a no-op once re-normalised at the parent (AC
                     # deduplication): not an application at all

@@ -157,7 +157,7 @@ class TestTraceSection:
         assert stages["rewrite_ms"] >= 0.0
         # executing also surfaces the evaluator stage
         executed = db.explain_json(QUERY, execute=True)
-        assert "eval_ops_ms" in executed["trace"]["stages"]
+        assert "evaluate_ms" in executed["trace"]["stages"]
 
     def test_reuses_the_ambient_request_context(self, db):
         from repro.obs.telemetry import TraceContext, use_trace

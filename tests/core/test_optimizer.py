@@ -3,7 +3,7 @@
 import pytest
 
 from repro.adt.types import NUMERIC
-from repro.core.explain import explain_text
+from repro.core.explain import explain_json, explain_text
 from repro.core.optimizer import Optimizer
 from repro.engine.catalog import Catalog
 from repro.terms.parser import parse_term
@@ -130,7 +130,7 @@ class TestExplain:
             "true, LIST(#1.2))"
         )
         out = optimizer.optimize(q)
-        text = explain_text(out)
+        text = explain_text(explain_json(out))
         assert "plan before rewriting" in text
         assert "plan after rewriting" in text
         assert "search_merge" in text
@@ -141,5 +141,6 @@ class TestExplain:
             "SEARCH(LIST(SEARCH(LIST(R), #1.1 = 1, LIST(#1.1, #1.2))), "
             "true, LIST(#1.2))"
         )
-        text = explain_text(optimizer.optimize(q), verbose=True)
+        text = explain_text(explain_json(optimizer.optimize(q)),
+                            verbose=True)
         assert "==>" in text

@@ -115,16 +115,6 @@ class TestEventFolding:
         (block,) = tracer.span_tree()
         assert block.children == []
 
-    def test_misses_kept_when_requested(self):
-        tracer = Tracer(keep_misses=True, clock=FakeClock())
-        bus = EventBus()
-        tracer.attach(bus)
-        bus.emit(ev.BlockStart("simplify", 0, None, "applications"))
-        bus.emit(ev.RuleAttempt("simplify", "and_true", (), False, 0.001))
-        bus.emit(ev.BlockEnd("simplify", 0, 0, 1, 0, 0.01))
-        (block,) = tracer.span_tree()
-        assert [c.kind for c in block.children] == ["miss"]
-
     def test_pending_methods_cleared_on_miss(self):
         """A failed attempt's method calls must not leak into the next
         fired rule's children."""

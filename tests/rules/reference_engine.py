@@ -111,13 +111,13 @@ class ReferenceEngine(RewriteEngine):
                     # a no-op once re-normalised at the parent
                     missed(rule, path, attempt_t0)
                     continue
-                apply_time = perf_counter() - attempt_t0 if bus else 0.0
                 if bus:
                     bus.emit(RuleAttempt(
-                        block.name, rule.name, path, True, apply_time,
+                        block.name, rule.name, path, True,
+                        perf_counter() - attempt_t0,
                     ))
                 return (path, subterm, after, rule.name,
-                        checks_this_scan, new_term, apply_time)
+                        checks_this_scan, new_term)
         return None
 
 
