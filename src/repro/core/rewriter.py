@@ -297,15 +297,18 @@ class QueryRewriter:
             target.rules.append(rule)
         else:
             target.rules.insert(position, rule)
+        self._changed()
 
     def add_block(self, block: Block,
                   before: Optional[str] = None) -> None:
         if before is None:
             self.seq.blocks.append(block)
+            self._changed()
             return
         for i, b in enumerate(self.seq.blocks):
             if b.name == before:
                 self.seq.blocks.insert(i, block)
+                self._changed()
                 return
         raise RewriteError(f"no block named {before!r}")
 
@@ -313,14 +316,22 @@ class QueryRewriter:
         for i, b in enumerate(self.seq.blocks):
             if b.name == name:
                 self.seq.blocks[i] = b.with_limit(limit)
+                self._changed()
                 return
         raise RewriteError(f"no block named {name!r}")
 
     def add_method(self, name: str, arity: int, impl) -> None:
         self.methods.register(name, arity, impl)
+        self._changed()
 
     def add_predicate(self, name: str, predicate) -> None:
         self.constraint_evaluator.register(name, predicate)
+        self._changed()
+
+    def _changed(self) -> None:
+        """The rewrite of a text may differ from now on: plans cached
+        under the catalog's version are stale."""
+        self.catalog.plan_version.bump()
 
     # -- rewriting -------------------------------------------------------------
     def context(self) -> RuleContext:

@@ -13,6 +13,7 @@ from repro.adt.functions import default_registry
 from repro.adt.registry import FunctionRegistry
 from repro.adt.types import DataType, TypeSystem
 from repro.adt.values import ObjectRef, ObjectStore
+from repro.engine.plans import PlanVersion
 from repro.engine.storage import BaseRelation, VirtualRelation
 from repro.errors import CatalogError
 from repro.lera.schema import Schema
@@ -57,6 +58,9 @@ class Catalog:
         # integrity constraints are stored as rewrite rules (section 6.1);
         # the list holds whatever rule objects repro.rules produces.
         self.integrity_constraints: list = []
+        # bumped by every change a cached plan may depend on: the DDL
+        # below, and (through this object) the rewriter and quarantine
+        self.plan_version = PlanVersion()
 
     # -- relations ---------------------------------------------------------
     def define_table(self, name: str,
@@ -76,6 +80,7 @@ class Catalog:
         )
         rel = BaseRelation(key, schema, key_positions)
         self._relations[key] = rel
+        self.plan_version.bump()
         return rel
 
     def primary_key_of(self, name: str) -> tuple[int, ...]:
@@ -89,6 +94,7 @@ class Catalog:
         if key not in self._relations:
             raise CatalogError(f"unknown table {name!r}")
         del self._relations[key]
+        self.plan_version.bump()
 
     def table(self, name: str) -> BaseRelation:
         try:
@@ -129,6 +135,7 @@ class Catalog:
         if key in self._relations or key in self._views:
             raise CatalogError(f"relation {view.name!r} already exists")
         self._views[key] = view
+        self.plan_version.bump()
         return view
 
     def drop_view(self, name: str) -> None:
@@ -136,6 +143,7 @@ class Catalog:
         if key not in self._views:
             raise CatalogError(f"unknown view {name!r}")
         del self._views[key]
+        self.plan_version.bump()
 
     def view(self, name: str) -> Optional[ViewDef]:
         return self._views.get(name.upper())
@@ -165,6 +173,7 @@ class Catalog:
         virtual = VirtualRelation(key, Schema(columns), producer,
                                   description)
         self._virtuals[key] = virtual
+        self.plan_version.bump()
         return virtual
 
     def is_virtual(self, name: str) -> bool:

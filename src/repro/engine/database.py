@@ -28,6 +28,7 @@ from repro.engine.analyze import AnalyzeCollector
 from repro.engine.catalog import Catalog
 from repro.engine.evaluate import Evaluator, Result
 from repro.engine.options import StatementOptions, collect
+from repro.engine.plans import PlanCache
 from repro.engine.stats import EvalStats
 from repro.errors import (BudgetExceeded, DurabilityError, QueryCancelled,
                           TranslationError)
@@ -39,7 +40,7 @@ from repro.lifecycle.context import (current_context, pending_dispatch,
                                      use_context)
 from repro.lifecycle.registry import StatementRegistry
 from repro.esql.translate import Translator
-from repro.obs.events import PhaseEnd, PhaseStart
+from repro.obs.events import ENGINE_EVENTS, PhaseEnd, PhaseStart
 from repro.obs.workload import PlanLog, StatementStats
 from repro.resilience import (QuarantineRegistry, ResiliencePolicy,
                               make_checked_validator)
@@ -95,7 +96,8 @@ class Database:
         # database skips and benches into (checked-mode blame, crashes
         # past the sandbox threshold, operators); owned here so it
         # survives regenerate_optimizer()
-        self.quarantine = QuarantineRegistry()
+        self.quarantine = QuarantineRegistry(self.catalog.plan_version)
+        self.plans = PlanCache(self.catalog.plan_version)  # engine/plans
         # lifecycle governance defaults: any knob set (or a chaos
         # injector mounted, or serving enabled) makes statements run
         # under a QueryContext; all None keeps the bare path
@@ -168,6 +170,7 @@ class Database:
 
     def regenerate_optimizer(self) -> None:
         self._optimizer = None
+        self.catalog.plan_version.bump()
 
     # -- serving ---------------------------------------------------------------
     def enable_serving(self, guard=None):
@@ -202,7 +205,8 @@ class Database:
     @contextmanager
     def _statement_context(self, source: str = "",
                            options: Optional[StatementOptions] = None,
-                           session: str = "", statement=None):
+                           session: str = "", statement=None,
+                           fingerprint=None):
         """Mint, register and retire the :class:`QueryContext` of one
         governed statement.  ``options`` are *resolved* options (the
         database defaults when omitted).
@@ -219,7 +223,8 @@ class Database:
         :mod:`repro.esql.fingerprint`) is computed here -- from the
         parsed ``statement`` when the caller has it, and memoized on
         the source text, so a repeated statement costs one dict lookup
-        -- and installed for the statement's extent, stamped into the
+        (a plan-cache hit hands its own over as ``fingerprint``) -- and
+        installed for the statement's extent, stamped into the
         ambient trace context when one exists.  Nested statements
         (ambient context adopted) keep the outer statement's
         fingerprint: a DML subquery is part of its statement, not a
@@ -233,7 +238,7 @@ class Database:
         with ExitStack() as scope:
             trace = current_trace()
             if source:
-                fp = fingerprint_source(source, statement)
+                fp = fingerprint or fingerprint_source(source, statement)
                 scope.enter_context(use_fingerprint(fp))
                 if trace is not None and not trace.fingerprint:
                     trace = scope.enter_context(
@@ -354,7 +359,7 @@ class Database:
                    session: str = "", obs=None,
                    stats: Optional[EvalStats] = None,
                    evaluate: bool = True, finish=None,
-                   replay: bool = False) -> tuple:
+                   replay: bool = False, plan=None, key=None) -> tuple:
         """The one statement path: every public entry point, the
         serving layer, pool workers and WAL / snapshot replay run this
         (``docs/architecture.md``, "The statement path").
@@ -367,26 +372,30 @@ class Database:
         the plan; ``replay=True`` is the apply stage alone (recovery
         and log shipping: no context, nothing re-logged, and no lock
         -- nothing else runs yet); ``finish(optimized, analyze_nodes)``
-        builds the caller's report *inside* the statement's extent.
-        Returns ``(result or report, optimized)``; both None for a
-        write.
+        builds the caller's report *inside* the statement's extent;
+        ``plan`` is a plan-cache hit (no ``statement``), ``key`` what a
+        planned query is cached under.  Returns ``(result or report,
+        optimized)``; both None for a write, ``optimized`` also for a
+        hit.
         """
         if replay:
             self._apply(statement, source, commit=False)
             return None, None
         opts = options.resolved(self)
-        is_query = ast.is_query(statement)
+        is_query = plan is not None or ast.is_query(statement)
         guard = self.guard
         hold = (nullcontext() if guard is None
                 else guard.read() if is_query else guard.write())
-        with self._statement_context(source, opts, session,
-                                     statement) as ctx:
+        with self._statement_context(
+                source, opts, session, statement,
+                plan.fingerprint if plan is not None else None) as ctx:
             if ctx is not None and not is_query:
                 ctx.enter_phase("write")
             with hold:
                 if is_query:
                     return self._plan_and_evaluate(
-                        statement, opts, ctx, obs, stats, evaluate, finish
+                        statement, source, opts, ctx, obs, stats,
+                        evaluate, finish, plan, key,
                     )
                 self._apply(statement, source)
                 return None, None
@@ -403,6 +412,7 @@ class Database:
             raise
         if isinstance(statement, _DDL_STATEMENTS):
             self._ddl_history.append(source)
+            self.catalog.plan_version.bump()  # types have no catalog hook
         if commit:
             if self.durability is not None:
                 self.durability.log_statement(source)
@@ -492,16 +502,21 @@ class Database:
         :class:`~repro.engine.options.StatementOptions`; ``options``
         hands one over whole (a keyword actually passed wins).
         ``source`` may also be a ``(statement, source)`` pair already
-        parsed.  Anything but a query is refused before it executes.
+        parsed.  Anything but a query is refused before it executes; a
+        text planned before is served from :attr:`plans`, unparsed.
         """
         options = collect(
             options, rewrite=rewrite, checked=checked,
             deadline_ms=deadline_ms, timeout_ms=timeout_ms,
             row_budget=row_budget, memory_budget=memory_budget,
             degrade=degrade, analyze=analyze or None,
-        )
-        return self._statement(*self._parse_query(source), options,
-                               session=session, obs=obs, stats=stats)[0]
+        ).resolved(self)
+        key = self.plans.key(source, options)
+        plan = self.plans.get(key)
+        pair = ((None, key[0]) if plan is not None
+                else self._parse_query(source))
+        return self._statement(*pair, options, session=session, obs=obs,
+                               stats=stats, plan=plan, key=key)[0]
 
     def query_with_stats(
         self, source, rewrite: Optional[bool] = None,
@@ -674,28 +689,47 @@ class Database:
                        if opts.checked else None),
         )
 
-    def _plan_and_evaluate(self, statement, opts: StatementOptions,
-                           context, obs, stats: Optional[EvalStats],
-                           evaluate: bool, finish) -> tuple:
+    def _plan_and_evaluate(self, statement, source: str,
+                           opts: StatementOptions, context, obs,
+                           stats: Optional[EvalStats], evaluate: bool,
+                           finish, plan, key) -> tuple:
         """The query stages, inside the statement's context and lock:
-        plan (translate + optimize), evaluate, record.
+        plan (translate + optimize; cached under ``key``) unless
+        ``plan`` is a cache hit, evaluate, record.  The engine gets
+        ``obs`` only if a subscriber wants its events.
 
         One clock: four readings -- before translation, around the
         optimizer, after evaluation -- give ``sys.statements`` its
         ``TotalMs`` (translate + optimize + evaluate), ``RewriteMs``
-        (the optimizer) and ``EvalMs``; with a bus attached the
-        evaluation is the ``evaluate`` phase, timed by the same two
+        (the optimizer; 0 on a hit) and ``EvalMs``; with a bus attached
+        the evaluation is the ``evaluate`` phase, timed by the same two
         readings."""
+        if obs is not None and not obs.wants(ENGINE_EVENTS):
+            obs = None
         t0 = perf_counter()
-        term = self.translator.execute(statement)
-        if context is not None:
-            context.enter_phase("optimize")
-        t1 = perf_counter()
-        optimized = self.optimizer.optimize(
-            term, rewrite=opts.rewrite, obs=obs,
-            resilience=self._rewrite_policy(opts),
-        )
-        t2 = perf_counter()
+        if plan is not None and not self.plans.current(plan):
+            # a writer changed a plan input between lookup and lock
+            plan, statement = None, self._parse_query(source)[0]
+        optimized = None
+        if plan is None:
+            version = self.plans.version.value
+            term = self.translator.execute(statement)
+            if context is not None:
+                context.enter_phase("optimize")
+            t1 = perf_counter()
+            optimized = self.optimizer.optimize(
+                term, rewrite=opts.rewrite, obs=obs,
+                resilience=self._rewrite_policy(opts),
+            )
+            t2 = perf_counter()
+            if key is not None:
+                self.plans.put(key, fingerprint_source(source, statement),
+                               optimized, version)
+            final, schema = optimized.final, optimized.schema
+            firings = len(optimized.rewrite_result.trace)
+        else:
+            t1 = t2 = t0
+            final, schema, firings = plan.plan, plan.schema, plan.firings
         result = nodes = None
         if evaluate:
             if context is not None:
@@ -710,7 +744,7 @@ class Database:
             if obs:
                 obs.emit(PhaseStart("evaluate"))
             try:
-                result = evaluator.evaluate(optimized.final, optimized.schema)
+                result = evaluator.evaluate(final, schema)
             finally:
                 t3 = perf_counter()
                 if obs:
@@ -723,8 +757,8 @@ class Database:
                     rewrite_ms=(t2 - t1) * 1000.0,
                     eval_ms=(t3 - t2) * 1000.0,
                     total_ms=(t3 - t0) * 1000.0,
-                    rows=len(result.rows),
-                    rule_firings=len(optimized.rewrite_result.trace),
+                    rows=len(result.rows), rule_firings=firings,
+                    plan_hit=optimized is None,
                 )
             if collector is not None:
                 nodes = collector.snapshot()

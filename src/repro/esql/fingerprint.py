@@ -11,9 +11,13 @@ OR conjuncts, which are commutative) -- plus a 12-hex **fingerprint**
 
 The fingerprint is the identity the workload-intelligence layer keys
 on: ``sys.statements`` aggregates per-fingerprint call/row/time
-statistics, the rewrite ledger and the slow-query log stamp it so
-repeated offenders group, and the planned rewrite-result cache
-(ROADMAP) will use the template as its cache key.
+statistics, and the rewrite ledger and the slow-query log stamp it so
+repeated offenders group.  The plan cache
+(:mod:`repro.engine.plans`) keys on the raw text instead -- the same
+text has the same literals, so it needs no soundness contract for
+constants -- and keeps each entry's fingerprint, so a hit installs it
+without parsing or rendering; a template-keyed cache that binds the
+``$n`` parameters is still ROADMAP work.
 
 Computation happens once per distinct statement text:
 :func:`fingerprint_source` parses and renders behind a bounded

@@ -12,7 +12,12 @@ one boolean test on the hot path -- the null-sink fast path the
 benchmarks guard (observability overhead <= 10% with no subscribers).
 
 Subscribers are plain callables; an optional ``kinds`` filter restricts
-delivery to the given event classes.  A failing subscriber is
+delivery to the given event classes.  A producer that emits many events
+of a few classes asks :meth:`EventBus.wants` once instead: a bus whose
+subscribers all filter those classes out is as good as no bus.  The
+statement path does this for :data:`~repro.obs.events.ENGINE_EVENTS`,
+so a served read with only a circuit breaker listening builds no rule
+or operator events.  A failing subscriber is
 unsubscribed after :data:`MAX_SUBSCRIBER_ERRORS` consecutive errors
 rather than poisoning the rewrite, because observability must never
 change query results.  The detachment is itself observable: the bus
@@ -110,6 +115,13 @@ class EventBus:
 
     def __bool__(self) -> bool:
         return bool(self._subscriptions)
+
+    def wants(self, kinds: frozenset) -> bool:
+        """True when some subscriber accepts at least one of the event
+        classes ``kinds`` -- asked once by a producer before it builds
+        events of those classes."""
+        return any(sub.kinds is None or not sub.kinds.isdisjoint(kinds)
+                   for sub in self._subscriptions)
 
     # -- emission -------------------------------------------------------------
     def emit(self, event: Event) -> None:

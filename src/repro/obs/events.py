@@ -84,7 +84,7 @@ __all__ = [
     "SubscriberDetached", "SlowQuery",
     "StatementCancelled", "BudgetTripped", "WatchdogReaped",
     "WorkerSpawned", "WorkerExited", "WorkerKilled", "PoolStateChanged",
-    "EquivalenceViolation", "FuzzCompleted",
+    "EquivalenceViolation", "FuzzCompleted", "ENGINE_EVENTS",
 ]
 
 
@@ -487,3 +487,14 @@ class FuzzCompleted(Event):
     cases: int
     violations: int
     duration: float
+
+
+# everything the optimizer and the evaluator emit during one query: the
+# statement path hands them its bus only when some subscriber wants one
+# of these (EventBus.wants)
+ENGINE_EVENTS = frozenset({
+    PhaseStart, PhaseEnd, BlockStart, BlockEnd, PassEnd, RuleAttempt,
+    RuleFired, ConstraintCheck, MethodCall, EvalOp, RuleFailed,
+    RuleQuarantined, Degraded, DivergenceDetected, CheckedRollback,
+    EquivalenceViolation,
+})

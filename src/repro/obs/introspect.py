@@ -114,7 +114,7 @@ def register_introspection(db, server=None) -> None:
          ("TotalMs", REAL), ("MeanMs", REAL), ("MinMs", REAL),
          ("MaxMs", REAL), ("RuleFirings", INT), ("Shed", INT),
          ("Retries", INT), ("Cancelled", INT), ("Truncated", INT),
-         ("Failed", INT)],
+         ("Failed", INT), ("PlanHits", INT)],
         lambda: db.workload.rows(),
         SYS_RELATIONS["sys.statements"],
     )
@@ -167,7 +167,7 @@ def register_introspection(db, server=None) -> None:
     catalog.register_virtual(
         "sys.metrics",
         [("Name", CHAR), ("Value", NUMERIC)],
-        lambda: _metrics_rows(registry),
+        lambda: _metrics_rows(registry, db.plans),
         SYS_RELATIONS["sys.metrics"],
     )
 
@@ -292,10 +292,12 @@ def _snapshot_rows(db):
     return [(path, present, size, db.durability.last_lsn)]
 
 
-def _metrics_rows(registry):
+def _metrics_rows(registry, plans):
+    """The serving registry's counters, joined by the database's
+    ``plan_cache.*`` counters (empty when not served)."""
     if registry is None:
         return []
-    counters = registry.snapshot()["counters"]
+    counters = {**registry.snapshot()["counters"], **plans.counters()}
     return [(name, value) for name, value in counters.items()]
 
 

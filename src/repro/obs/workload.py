@@ -38,7 +38,7 @@ class _Entry:
     __slots__ = ("template", "calls", "rows", "rewrite_ms", "eval_ms",
                  "total_ms", "min_ms", "max_ms", "rule_firings",
                  "shed", "retries", "cancelled", "truncated", "failed",
-                 "last_call")
+                 "plan_hits", "last_call")
 
     def __init__(self, template: str):
         self.template = template[:_TEMPLATE_PREVIEW]
@@ -55,6 +55,7 @@ class _Entry:
         self.cancelled = 0
         self.truncated = 0
         self.failed = 0
+        self.plan_hits = 0  # calls served by the plan cache
         # the most recent call's own numbers (not the aggregate):
         # what a pool worker ships home, so the parent merges one
         # call's worth per reply instead of re-counting the replica's
@@ -93,8 +94,10 @@ class StatementStats:
     def record_call(self, fingerprint: str, template: str,
                     rewrite_ms: float = 0.0, eval_ms: float = 0.0,
                     total_ms: Optional[float] = None,
-                    rows: int = 0, rule_firings: int = 0) -> None:
-        """One completed execution of the template."""
+                    rows: int = 0, rule_firings: int = 0,
+                    plan_hit: bool = False) -> None:
+        """One completed execution of the template (``plan_hit``: its
+        plan came from the plan cache)."""
         if not fingerprint:
             return
         if total_ms is None:
@@ -111,6 +114,7 @@ class StatementStats:
             if total_ms > entry.max_ms:
                 entry.max_ms = total_ms
             entry.rule_firings += rule_firings
+            entry.plan_hits += plan_hit
             entry.last_call = {
                 "fingerprint": fingerprint,
                 "template": entry.template,
@@ -119,6 +123,7 @@ class StatementStats:
                 "total_ms": total_ms,
                 "rows": rows,
                 "rule_firings": rule_firings,
+                "plan_hit": plan_hit,
             }
 
     def note(self, fingerprint: str, template: str, field: str,
@@ -144,6 +149,7 @@ class StatementStats:
             total_ms=float(record.get("total_ms", 0.0)),
             rows=int(record.get("rows", 0)),
             rule_firings=int(record.get("rule_firings", 0)),
+            plan_hit=bool(record.get("plan_hit", False)),
         )
 
     # -- reading ------------------------------------------------------------
@@ -169,7 +175,7 @@ class StatementStats:
                 e.rewrite_ms, e.eval_ms, e.total_ms, mean,
                 e.min_ms if e.min_ms is not None else 0.0, e.max_ms,
                 e.rule_firings, e.shed, e.retries, e.cancelled,
-                e.truncated, e.failed,
+                e.truncated, e.failed, e.plan_hits,
             ))
         out.sort(key=lambda row: (-row[2], row[0]))
         return out

@@ -258,7 +258,8 @@ class Supervisor:
         ``docs/robustness.md``).  ``settings`` (a
         :class:`~repro.engine.options.StatementOptions`) is resolved
         against *this* database here and shipped whole, so the replica
-        never applies defaults of its own."""
+        never applies defaults of its own.  A ``"read"`` is a query
+        (:meth:`eligible`); anything else is parsed by the replica."""
         settings = collect(settings).resolved(self.db)
         attempts = 0
         while True:
@@ -349,6 +350,10 @@ class Supervisor:
             context.enter_phase("pool")
         message = {
             "type": "execute", "id": request_id, "source": source,
+            # a read was classified a query before it was admitted
+            # (eligible): the replica hands its text straight to its
+            # plan cache
+            "query": request_class == "read",
             "sync": sync, "version": version,
             "options": dict(vars(settings)),
             "quarantine": sorted(self.db.quarantine.rules()),

@@ -165,23 +165,30 @@ class _Worker:
 
     def _run_statement(self, frame: dict) -> dict:
         """One statement under the *parent's* resolved options and
-        quarantine (both ride the frame whole), parsed once and run
-        through the replica's ``Database.query`` / ``execute``."""
+        quarantine (both ride the frame whole).  A statement the parent
+        classified as a query goes to the replica's ``Database.query``
+        as text, so a plan-cache hit is never parsed; an unclassified
+        one is parsed here once, and anything but a query runs through
+        ``execute``."""
         db = self.db
         options = StatementOptions(**(frame.get("options") or {}))
         benched = frozenset(frame.get("quarantine", ()))
         self._mirror_bench(benched)
-        statements = parse_script_with_sources(frame["source"])
-        if not (len(statements) == 1 and ast.is_query(statements[0][0])):
-            # the isolation-test path: DML applies to this worker's
-            # private copy under its own undo log; the parent database
-            # is untouched (the server never routes DML here)
-            db.execute(statements, options=options)
-            return {"type": "result", "rows": None, "columns": [],
-                    "types": [], **self._work_counters(),
-                    **self._statement_record(frame["source"]),
-                    **self._benched_here(benched)}
-        query = statements[0]
+        source = query = frame["source"]
+        if not frame.get("query"):
+            statements = parse_script_with_sources(source)
+            if not (len(statements) == 1
+                    and ast.is_query(statements[0][0])):
+                # the isolation-test path: DML applies to this worker's
+                # private copy under its own undo log; the parent
+                # database is untouched (the server never routes DML
+                # here)
+                db.execute(statements, options=options)
+                return {"type": "result", "rows": None, "columns": [],
+                        "types": [], **self._work_counters(),
+                        **self._statement_record(source),
+                        **self._benched_here(benched)}
+            query = statements[0]
         collector = AnalyzeCollector() if options.analyze else None
         result = db.query(query,
                           options=collect(options, analyze=collector))
@@ -193,7 +200,7 @@ class _Worker:
             "types": [getattr(t, "name", None) or str(t)
                       for __, t in result.schema],
             **self._work_counters(),
-            **self._statement_record(query[1]),
+            **self._statement_record(source),
             **self._benched_here(benched),
         }
         if collector is not None:

@@ -14,6 +14,9 @@ query along independent paths and demands bag-equal results:
   loops, naive fixpoint) vs. the default one (hash probe, semi-naive):
   a physical fast path may change how long an answer takes, never the
   answer;
+* **cache** -- the same text asked again on the same database, which
+  the plan cache serves without parsing or rewriting, vs. its first
+  (planned) answer;
 * **tier** -- the same statement through a supervised pool worker
   (its own process, booted from a snapshot) vs. in-process.
 
@@ -60,7 +63,7 @@ class Divergence:
     """One confirmed non-equivalence between execution paths."""
 
     mode: str    # "rewrite[-error]" | "engine[-error]" | "block:<name>"
-                 # | "tier" | "analyze[-error]"
+                 # | "cache[-error]" | "tier" | "analyze[-error]"
     detail: str
     query: str
 
@@ -83,6 +86,9 @@ class DifferentialOracle:
         the bag the default engine gave.
     check_subsets:
         Run the leave-one-out block-subset sweep.
+    check_cache:
+        Ask the query once more on the same database -- a plan-cache
+        hit -- and demand the bag its first, freshly planned run gave.
     check_tier:
         Replay the query through a one-worker pool supervisor.  Off by
         default: a worker boot is a subprocess spawn, so the harness
@@ -98,8 +104,10 @@ class DifferentialOracle:
                  check_subsets: bool = True,
                  check_tier: bool = False,
                  check_analyze: bool = False,
-                 check_engine: bool = True):
+                 check_engine: bool = True,
+                 check_cache: bool = True):
         self.antipattern = antipattern
+        self.check_cache = check_cache
         self.check_engine = check_engine
         self.check_subsets = check_subsets
         self.check_tier = check_tier
@@ -166,6 +174,19 @@ class DifferentialOracle:
                 "rewrite", describe_bags(baseline, rewritten),
                 case.query,
             )
+
+        if self.check_cache:
+            try:
+                rows = db.query(case.query, rewrite=True).rows
+            except Exception as error:
+                return Divergence(
+                    "cache-error",
+                    f"{type(error).__name__}: {error}", case.query,
+                )
+            if result_bag(rows) != expected:
+                return Divergence(
+                    "cache", describe_bags(rewritten, rows), case.query,
+                )
 
         if self.check_engine:
             from repro.engine.evaluate import Evaluator

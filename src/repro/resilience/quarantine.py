@@ -48,12 +48,18 @@ class QuarantineRegistry:
     Writers serialize on a lock and replace the name set whole, so
     :meth:`rules` -- what the rewrite engine reads before every scan --
     takes no lock and is falsy while nothing is benched.
+
+    ``version`` is the :class:`~repro.engine.plans.PlanVersion` of the
+    database's plan cache (None for a bench nobody caches plans
+    against): benching or lifting a rule changes what a rewrite
+    produces, so both bump it.
     """
 
-    def __init__(self):
+    def __init__(self, version=None):
         self._lock = threading.Lock()
         self._entries: dict[str, QuarantineEntry] = {}
         self._names: frozenset = frozenset()
+        self._version = version
 
     def note(self, block: str, rule: str, detail: str,
              source: str = "checked") -> bool:
@@ -68,14 +74,21 @@ class QuarantineRegistry:
                 benched_at=time.time(),
             )
             self._names = frozenset(self._entries)
-            return True
+        self._changed()
+        return True
 
     def lift(self, rule: str) -> bool:
         """Un-bench a rule (operator override); True when it was benched."""
         with self._lock:
             lifted = self._entries.pop(rule, None) is not None
             self._names = frozenset(self._entries)
-            return lifted
+        if lifted:
+            self._changed()
+        return lifted
+
+    def _changed(self) -> None:
+        if self._version is not None:
+            self._version.bump()
 
     def rules(self) -> frozenset:
         return self._names
