@@ -503,7 +503,8 @@ class Database:
         hands one over whole (a keyword actually passed wins).
         ``source`` may also be a ``(statement, source)`` pair already
         parsed.  Anything but a query is refused before it executes; a
-        text planned before is served from :attr:`plans`, unparsed.
+        text planned before is served from :attr:`plans`, unparsed,
+        unless checked mode must validate it against the rows now.
         """
         options = collect(
             options, rewrite=rewrite, checked=checked,
@@ -511,8 +512,8 @@ class Database:
             row_budget=row_budget, memory_budget=memory_budget,
             degrade=degrade, analyze=analyze or None,
         ).resolved(self)
-        key = self.plans.key(source, options)
-        plan = self.plans.get(key)
+        key = None if options.checked else self.plans.key(source, options)
+        plan = None if key is None else self.plans.get(key)
         pair = ((None, key[0]) if plan is not None
                 else self._parse_query(source))
         return self._statement(*pair, options, session=session, obs=obs,

@@ -1,6 +1,6 @@
 """The plan cache: a repeated query text is planned once.
 
-:class:`PlanCache` maps ``(text, rewrite, checked)`` to what a repeated
+:class:`PlanCache` maps ``(text, rewrite)`` to what a repeated
 query needs to run -- its :class:`~repro.esql.fingerprint.Fingerprint`,
 the final LERA plan, the plan's :class:`~repro.lera.schema.Schema` and
 the number of rule firings that built it.  ``Database.query`` consults
@@ -10,8 +10,10 @@ typecheck and rewrite and goes straight to the evaluator (see
 
 Keying on the text needs no soundness contract for constants: the same
 text carries the same literals, so it gets the same plan.  ``rewrite``
-and ``checked`` are part of the key because they change what may be
-served (a checked statement never gets a plan that was not validated).
+is part of the key because it changes the plan.  A checked statement
+neither reads nor stores an entry: checked mode validates each rewrite
+against the rows present now, and DML changes those without bumping
+the plan version.
 
 Everything a rewrite reads besides the text bumps one
 :class:`PlanVersion` counter (owned by the catalog): catalog DDL,
@@ -90,7 +92,7 @@ class PlanCache:
         """The cache key of a query-only call: its text (``source`` or
         the text of a parsed pair) and its resolved options."""
         text = source if isinstance(source, str) else source[1]
-        return text, bool(options.rewrite), bool(options.checked)
+        return text, bool(options.rewrite)
 
     def get(self, key) -> Optional[CachedPlan]:
         """The live entry for ``key``, or None (counted as a miss)."""
@@ -186,7 +188,7 @@ class PlanCache:
                     and all(map(is_, twin.args, args))):
                 return twin
             if not all(map(is_, args, old)):
-                node = _rebuilt(node, args)
+                node = node.with_args(args)
             table.setdefault(node._hash, node)
             return node
 
@@ -212,25 +214,13 @@ class PlanCache:
         return self._nodes
 
 
-def _rebuilt(node: Fun, args: tuple) -> Fun:
-    """``Fun(node.name, args)`` for ``args`` equal to ``node.args``
-    argument by argument: the structural hash is the node's own, so it
-    is copied rather than hashed again, and no per-rewrite memo rides
-    along."""
-    fresh = Fun.__new__(Fun)
-    fresh.name, fresh.args, fresh._hash = node.name, args, node._hash
-    fresh._symbols = fresh._mentions = fresh._ground = None
-    return fresh
-
-
 def _clean(optimized) -> bool:
     """A rewrite the resilience layer left alone: not degraded, no
-    sandboxed failure, no benched rule, no divergence halt, no checked
-    rollback."""
+    sandboxed failure, no benched rule, no divergence halt.  (Checked
+    mode never stores, so its rollbacks are not looked for.)"""
     if optimized.degraded:
         return False
     report = optimized.resilience
     return report is None or not (
         report.rule_failures or report.quarantined or report.divergence
-        or report.rollbacks or report.checked_errors
     )

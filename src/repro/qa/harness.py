@@ -136,7 +136,6 @@ def fuzz(n: int, seed: int = 0,
             antipattern=oracle.antipattern,
             check_subsets=oracle.check_subsets,
             check_engine=oracle.check_engine,
-            check_cache=oracle.check_cache,
             check_tier=True,
         )
 

@@ -74,6 +74,10 @@ class Divergence:
 class DifferentialOracle:
     """Executes a case along every configured path and compares.
 
+    Every case is also asked a second time on the same database -- a
+    plan-cache hit -- and must give the bag its first, freshly planned
+    run gave.
+
     Parameters
     ----------
     antipattern:
@@ -86,9 +90,6 @@ class DifferentialOracle:
         the bag the default engine gave.
     check_subsets:
         Run the leave-one-out block-subset sweep.
-    check_cache:
-        Ask the query once more on the same database -- a plan-cache
-        hit -- and demand the bag its first, freshly planned run gave.
     check_tier:
         Replay the query through a one-worker pool supervisor.  Off by
         default: a worker boot is a subprocess spawn, so the harness
@@ -104,10 +105,8 @@ class DifferentialOracle:
                  check_subsets: bool = True,
                  check_tier: bool = False,
                  check_analyze: bool = False,
-                 check_engine: bool = True,
-                 check_cache: bool = True):
+                 check_engine: bool = True):
         self.antipattern = antipattern
-        self.check_cache = check_cache
         self.check_engine = check_engine
         self.check_subsets = check_subsets
         self.check_tier = check_tier
@@ -175,18 +174,17 @@ class DifferentialOracle:
                 case.query,
             )
 
-        if self.check_cache:
-            try:
-                rows = db.query(case.query, rewrite=True).rows
-            except Exception as error:
-                return Divergence(
-                    "cache-error",
-                    f"{type(error).__name__}: {error}", case.query,
-                )
-            if result_bag(rows) != expected:
-                return Divergence(
-                    "cache", describe_bags(rewritten, rows), case.query,
-                )
+        try:
+            rows = db.query(case.query, rewrite=True).rows
+        except Exception as error:
+            return Divergence(
+                "cache-error",
+                f"{type(error).__name__}: {error}", case.query,
+            )
+        if result_bag(rows) != expected:
+            return Divergence(
+                "cache", describe_bags(rewritten, rows), case.query,
+            )
 
         if self.check_engine:
             from repro.engine.evaluate import Evaluator

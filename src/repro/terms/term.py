@@ -196,6 +196,20 @@ class Fun(Term):
         self._mentions = None
         self._ground = None
 
+    def with_args(self, args: tuple) -> "Fun":
+        """This node over ``args``, each equal to the argument it
+        replaces (a hash-consed copy): the structural hash is this
+        node's own, so it is copied rather than computed again, and no
+        memo rides along."""
+        fresh = Fun.__new__(Fun)
+        fresh.name = self.name
+        fresh.args = args
+        fresh._hash = self._hash
+        fresh._symbols = None
+        fresh._mentions = None
+        fresh._ground = None
+        return fresh
+
     def __eq__(self, other: Any) -> bool:
         # Hashes first: they are built bottom-up at construction, so
         # unequal terms part here.  Equal ones are walked with an

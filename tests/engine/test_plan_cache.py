@@ -40,9 +40,9 @@ BIG_ROWS = [(15,), (25,), (40,)]
 ALL_ROWS = [(5,), (15,), (25,), (40,)]
 
 
-def entry(db, text, rewrite=True, checked=False):
+def entry(db, text, rewrite=True):
     """The live cache entry of ``text`` (no counter moves)."""
-    found = db.plans._entries.get((text, rewrite, checked))
+    found = db.plans._entries.get((text, rewrite))
     return found if found is not None and db.plans.current(found) else None
 
 
@@ -105,15 +105,23 @@ class TestHit:
         assert sorted(db.query(SALE_QUERY).rows) == BIG_ROWS
         assert calls == []
 
-    def test_rewrite_and_checked_are_part_of_the_key(self):
+    def test_rewrite_is_part_of_the_key(self):
         db = sale_db()
         db.query(SALE_QUERY)
         db.query(SALE_QUERY, rewrite=False)
-        db.query(SALE_QUERY, checked=True)
-        assert len(db.plans) == 3
+        assert len(db.plans) == 2
         assert entry(db, SALE_QUERY, rewrite=False).firings == 0
         assert entry(db, SALE_QUERY).firings > 0
         assert db.plans.hits == 0
+
+    def test_checked_mode_neither_reads_nor_stores_a_plan(self):
+        db = sale_db()
+        db.query(SALE_QUERY, checked=True)
+        assert len(db.plans) == 0
+        db.query(SALE_QUERY)
+        db.query(SALE_QUERY, checked=True)
+        assert db.plans.hits == 0
+        assert db.plans.misses == 1
 
     def test_a_parsed_pair_shares_the_entry_of_its_text(self):
         from repro.esql.parser import parse_script_with_sources
@@ -373,11 +381,28 @@ class TestOnlyCleanPlans:
         db = sale_db(checked=True)
         db.optimizer.rewriter.add_rule(bad_comparison_rule(), "simplify")
         assert sorted(db.query(SALE_QUERY).rows) == BIG_ROWS
-        assert entry(db, SALE_QUERY, checked=True) is None
+        assert len(db.plans) == 0
         assert "bad_cmp" in db.quarantine
-        # with the rule benched the rewrite is clean again: stored
-        assert answer(db, SALE_QUERY) == BIG_ROWS
-        assert entry(db, SALE_QUERY, checked=True).firings > 0
+        # with the rule benched the rewrite is clean again: an
+        # unchecked statement stores it
+        assert answer(db, SALE_QUERY, checked=False) == BIG_ROWS
+        assert entry(db, SALE_QUERY).firings > 0
+
+    def test_checked_mode_validates_again_after_dml(self):
+        """Checked mode validates a rewrite on the rows present now.
+        A rule that was harmless on an empty table and diverges once
+        rows arrive is still caught: DML bumps no plan version, so a
+        stored plan would have been served unvalidated."""
+        db = Database(checked=True)
+        db.execute("TABLE SALE (Shop : NUMERIC, Amount : NUMERIC); "
+                   "CREATE VIEW BIG (Shop, Amount) AS "
+                   "SELECT Shop, Amount FROM SALE WHERE Amount > 10")
+        db.optimizer.rewriter.add_rule(bad_comparison_rule(), "simplify")
+        assert db.query(SALE_QUERY).rows == []
+        assert "bad_cmp" not in db.quarantine
+        db.execute("INSERT INTO SALE VALUES (1, 5), (1, 15), (2, 25), (2, 40)")
+        assert sorted(db.query(SALE_QUERY).rows) == BIG_ROWS
+        assert "bad_cmp" in db.quarantine
 
     def test_a_version_change_during_the_rewrite_is_not_stored(self):
         db = sale_db()

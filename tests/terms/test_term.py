@@ -53,6 +53,18 @@ class TestTermBasics:
     def test_fun_name_uppercased(self):
         assert mk_fun("member", []).name == "MEMBER"
 
+    def test_with_args_is_the_same_term_over_equal_args(self):
+        node = mk_fun("F", [mk_fun("G", [num(1)]), Var("x")])
+        assert node.symbols and is_ground(node) is False
+        copy = node.with_args((mk_fun("G", [num(1)]), Var("x")))
+        assert copy is not node and copy == node
+        assert hash(copy) == hash(Fun("F", copy.args))
+        # every slot is set, and the memos start empty
+        for slot in Fun.__slots__ + ("_hash",):
+            getattr(copy, slot)
+        assert copy._symbols is None and copy._ground is None
+        assert copy.symbols == node.symbols
+
 
 class TestAndOrNormalisation:
     def test_flattening(self):
