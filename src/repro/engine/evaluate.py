@@ -1050,22 +1050,21 @@ def _equi_probe(conjunct: Term, pos: int, bound: set):
 
 def _replace_nth_symbol(term: Term, name: str, n: int,
                         replacement: str) -> Term:
-    """Replace the n-th (0-based) occurrence of symbol ``name``."""
-    counter = [0]
-
-    def rec(t: Term) -> Term:
-        if isinstance(t, Const) and t.kind == "symbol" \
-                and str(t.value) == name:
-            index = counter[0]
-            counter[0] += 1
-            if index == n:
-                return sym(replacement)
-            return t
-        if isinstance(t, Fun):
-            return mk_fun(t.name, [rec(a) for a in t.args])
-        return t
-
-    return rec(term)
+    """Replace the n-th (0-based) occurrence of symbol ``name``.  Only
+    the path down to it is rebuilt: a subterm that :func:`mentions`
+    shows does not hold that occurrence is returned as it is."""
+    if isinstance(term, Fun):
+        for i, arg in enumerate(term.args):
+            seen = mentions(arg).get(name, 0)
+            if n < seen:
+                args = list(term.args)
+                args[i] = _replace_nth_symbol(arg, name, n, replacement)
+                return mk_fun(term.name, args)
+            n -= seen
+        return term
+    if n == 0 and mentions(term).get(name):
+        return sym(replacement)
+    return term
 
 
 def evaluate(term: Term, catalog: Catalog,

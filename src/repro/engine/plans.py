@@ -22,10 +22,11 @@ and extension changes, and the quarantine.  An entry stamped with an
 older version is a miss.
 
 The cache is bounded by the term nodes its plans hold
-(:data:`CAPACITY_NODES`), least recently used first out.  Stored plans
-are hash-consed: equal subterms, schemas and fingerprints of different
-entries are one object, so a thousand texts that differ only in a
-constant cost a thousand small spines, not a thousand plans.
+(:data:`CAPACITY_NODES`), least recently used first out.  Terms are
+shared when built (see :mod:`repro.terms.term`), and equal schemas and
+fingerprints of different entries are one object here, so a thousand
+texts that differ only in a constant cost a thousand small spines, not
+a thousand plans.
 """
 
 from __future__ import annotations
@@ -33,15 +34,13 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import OrderedDict
-from operator import is_
 from typing import NamedTuple, Optional
 
-from repro.terms.term import AttrRef, Const, Fun
+from repro.terms.term import term_size
 
 __all__ = ["PlanCache", "PlanVersion", "CachedPlan", "CAPACITY_NODES"]
 
-# the one capacity constant: term nodes held by the cached plans (and,
-# as a second use, the size at which the sharing table starts over)
+# the one capacity constant: term nodes held by the cached plans
 CAPACITY_NODES = 65_536
 
 
@@ -80,8 +79,7 @@ class PlanCache:
         self._lock = threading.Lock()
         self._entries: OrderedDict = OrderedDict()
         self._nodes = 0
-        # the sharing table: structural hash -> the one shared subterm,
-        # and each shared schema and fingerprint mapped to itself
+        # each shared schema and fingerprint, mapped to itself
         self._shared: dict = {}
         self.hits = self.misses = 0
         self.evictions = self.invalidations = 0
@@ -121,15 +119,14 @@ class PlanCache:
         plan is not what the rewriter produces for this text."""
         if not _clean(optimized) or version != self.version.value:
             return
+        plan = optimized.final
+        nodes = term_size(plan)
+        if nodes > CAPACITY_NODES:
+            return
         with self._lock:
-            if len(self._shared) >= CAPACITY_NODES:
-                self._shared.clear()  # entries keep theirs; sharing restarts
-            try:
-                plan, nodes = self._share_term(optimized.final)
-            except RecursionError:  # deeper than any plan worth keeping
-                return
-            if nodes > CAPACITY_NODES:
-                return
+            if len(self._shared) > 2 * len(self._entries) + 64:
+                # mostly values of dropped entries; live ones keep theirs
+                self._shared.clear()
             entry = CachedPlan(
                 self._share(fingerprint), plan,
                 self._share(optimized.schema),
@@ -150,49 +147,6 @@ class PlanCache:
     def _share(self, value):
         """The one shared object equal to ``value``."""
         return self._shared.setdefault(value, value)
-
-    def _share_term(self, term) -> tuple:
-        """``(shared term, node count)``: ``term`` with every subterm
-        that an earlier entry already holds replaced by that entry's
-        object (hash-consing).  The table is keyed by a term's cached
-        structural hash; a twin counts only if its arguments are the
-        very same shared objects -- and, for a constant, its value of
-        the same type, since ``1 == 1.0``.  A node is rebuilt only
-        where an argument was replaced."""
-        table = self._shared
-        count = 1
-
-        def share(node):
-            nonlocal count
-            old = node.args
-            count += len(old)
-            args = []
-            for arg in old:
-                kind = type(arg)
-                if kind is Fun:
-                    arg = share(arg)
-                elif kind is Const or kind is AttrRef:
-                    twin = table.setdefault(arg._hash, arg)
-                    if twin is not arg and type(twin) is kind and (
-                            twin.kind == arg.kind
-                            and type(twin.value) is type(arg.value)
-                            and twin.value == arg.value
-                            if kind is Const else
-                            twin.rel == arg.rel and twin.pos == arg.pos):
-                        arg = twin
-                args.append(arg)
-            args = tuple(args)
-            twin = table.get(node._hash)
-            if (type(twin) is Fun and twin.name == node.name
-                    and len(twin.args) == len(args)
-                    and all(map(is_, twin.args, args))):
-                return twin
-            if not all(map(is_, args, old)):
-                node = node.with_args(args)
-            table.setdefault(node._hash, node)
-            return node
-
-        return (share(term) if type(term) is Fun else term), count
 
     # -- reading --------------------------------------------------------------
     def counters(self) -> dict:

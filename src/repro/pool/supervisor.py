@@ -177,7 +177,10 @@ class Supervisor:
         self._stop_event.set()
         for slot in self._slots:
             proc = slot.proc
-            if proc is None or proc.poll() is not None:
+            if proc is None:
+                continue
+            if proc.poll() is not None:
+                _close_pipes(proc)
                 continue
             slot.deliberate_kill = True
             try:
@@ -189,6 +192,7 @@ class Supervisor:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
+            _close_pipes(proc)
             slot.state = "stopped"
             # a dispatcher parked on this worker must not hang forever
             pending = slot.pending
@@ -553,6 +557,7 @@ class Supervisor:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 returncode = proc.wait()
+            _close_pipes(proc)
         exit_code = returncode if (returncode or 0) >= 0 else None
         died_signal = -returncode if (returncode or 0) < 0 else None
         crashed = not deliberate
@@ -686,13 +691,14 @@ class Supervisor:
 
     def _read_loop(self, slot: _Slot, proc: subprocess.Popen) -> None:
         """Per-worker frame pump: heartbeats refresh liveness, results
-        complete the parked dispatcher.  Exits on EOF; death itself is
-        settled by :meth:`sweep` / :meth:`_handle_death`."""
+        complete the parked dispatcher.  Exits on EOF, or on the pipe
+        closed under it; death itself is settled by :meth:`sweep` /
+        :meth:`_handle_death`."""
         stream = proc.stdout
         while True:
             try:
                 frame = recv_frame(stream)
-            except FrameError:
+            except (FrameError, OSError, ValueError):
                 return
             if frame is None:
                 return
@@ -797,3 +803,13 @@ class Supervisor:
                 state=self.state, reason=reason,
                 workers=len(self._slots),
             ))
+
+
+def _close_pipes(proc: subprocess.Popen) -> None:
+    """Close an exited worker's stdin and stdout rather than leave them
+    to the garbage collector; its reader thread then stops."""
+    for stream in (proc.stdin, proc.stdout):
+        try:
+            stream.close()
+        except (OSError, ValueError):
+            pass  # a flush into the dead worker's pipe; closed anyway

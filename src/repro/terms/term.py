@@ -34,10 +34,18 @@ terminates expanding rules such as the transitivity rule of Figure 11.
 functions used in the paper's merging rules (Figure 7): when their
 arguments are ``LIST`` / ``SET`` terms or collection-variable bindings
 they are evaluated away at construction time.
+
+``Fun(name, args)`` returns the live node with that name over equal
+arguments, building one only when there is none (maximal sharing, as in
+the ATerm library).  Equal terms are one object, so term equality --
+what saturation detection asks of every rule application -- is
+identity, at any depth; a term nothing holds any more is freed.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from typing import Any, Iterable, Iterator, Optional, Sequence, Union
 
 from repro.errors import TermError
@@ -147,7 +155,10 @@ class Const(Term):
         self._hash = hash(("const", kind, value))
 
     def __eq__(self, other: Any) -> bool:
+        # the value's type too: 1 == 1.0, yet F(1) and F(1.0) are two
+        # terms of the table
         return (isinstance(other, Const) and self.kind == other.kind
+                and type(self.value) is type(other.value)
                 and self.value == other.value)
 
     def __hash__(self) -> int:
@@ -180,63 +191,72 @@ _SYMBOL_SETS: dict = {}
 _SYMBOL_SETS_KEPT = 4096
 
 
+# The term table: every live Fun, weakly, under its structural hash --
+# one reference, or a list where hashes collide (hash(-1) == hash(-2)).
+# Written under the lock; swept of dead references at twice its size.
+_TERMS: dict = {}
+_TERMS_LOCK = threading.Lock()
+_SWEEP_FLOOR = 4096
+_sweep_at = _SWEEP_FLOOR
+
+
+def _sweep() -> None:
+    """Drop the table's dead references (under ``_TERMS_LOCK``)."""
+    global _sweep_at
+    for key, slot in list(_TERMS.items()):
+        if type(slot) is not list:
+            if slot() is None:
+                del _TERMS[key]
+            continue
+        chain = [ref for ref in slot if ref() is not None]
+        if chain:
+            _TERMS[key] = chain if len(chain) > 1 else chain[0]
+        else:
+            del _TERMS[key]
+    _sweep_at = max(_SWEEP_FLOOR, 2 * len(_TERMS))
+
+
 class Fun(Term):
-    """A function application.  Use :func:`mk_fun` to build instances."""
+    """A function application.  Use :func:`mk_fun` to build instances;
+    ``Fun(name, args)`` itself does not normalise (the matcher builds
+    intermediate nodes with it), and returns the table's node."""
 
-    __slots__ = ("name", "args", "_symbols", "_mentions", "_ground")
+    __slots__ = ("name", "args", "_symbols", "_mentions", "_ground",
+                 "__weakref__")
 
-    def __init__(self, name: str, args: tuple):
-        # Raw constructor: no normalisation.  Library code should call
-        # mk_fun; this is exposed for the matcher, which must be able to
-        # build intermediate non-normalised nodes.
-        self.name = name
-        self.args = args
-        self._hash = hash(("fun", name, args))
-        self._symbols = None
-        self._mentions = None
-        self._ground = None
+    def __new__(cls, name: str, args: tuple):
+        key = hash(("fun", name, args))
+        slot = _TERMS.get(key)
+        if type(slot) is weakref.ref:  # the common case, inline
+            node = slot()
+            if node is not None and node.name == name and node.args == args:
+                return node
+        with _TERMS_LOCK:
+            slot = _TERMS.get(key)
+            chain = (() if slot is None else slot if type(slot) is list
+                     else (slot,))
+            for ref in chain:
+                node = ref()
+                if node is not None and node.name == name \
+                        and node.args == args:
+                    return node
+            node = object.__new__(cls)
+            node.name, node.args, node._hash = name, args, key
+            node._symbols = node._mentions = node._ground = None
+            ref = weakref.ref(node)
+            if chain:
+                chain = [live for live in chain if live() is not None]
+            _TERMS[key] = [*chain, ref] if chain else ref
+            if len(_TERMS) >= _sweep_at:
+                _sweep()
+        return node
 
-    def with_args(self, args: tuple) -> "Fun":
-        """This node over ``args``, each equal to the argument it
-        replaces (a hash-consed copy): the structural hash is this
-        node's own, so it is copied rather than computed again, and no
-        memo rides along."""
-        fresh = Fun.__new__(Fun)
-        fresh.name = self.name
-        fresh.args = args
-        fresh._hash = self._hash
-        fresh._symbols = None
-        fresh._mentions = None
-        fresh._ground = None
-        return fresh
+    def __reduce__(self):
+        # copies and unpickled terms go through the table too
+        return Fun, (self.name, self.args)
 
     def __eq__(self, other: Any) -> bool:
-        # Hashes first: they are built bottom-up at construction, so
-        # unequal terms part here.  Equal ones are walked with an
-        # explicit stack -- a plan is as deep as its stacked views, and
-        # recursing through tuple comparison would cap that depth at a
-        # third of the interpreter's recursion limit.
-        if self is other:
-            return True
-        if (not isinstance(other, Fun) or self._hash != other._hash
-                or self.name != other.name
-                or len(self.args) != len(other.args)):
-            return False
-        stack = [(self.args, other.args)]
-        while stack:
-            for a, b in zip(*stack.pop()):
-                if a is b:
-                    continue
-                if not isinstance(a, Fun):
-                    if a != b:
-                        return False
-                elif (not isinstance(b, Fun) or a._hash != b._hash
-                        or a.name != b.name
-                        or len(a.args) != len(b.args)):
-                    return False
-                else:
-                    stack.append((a.args, b.args))
-        return True
+        return self is other
 
     def __hash__(self) -> int:
         return self._hash

@@ -179,6 +179,44 @@ class TestKill:
             server.close()
 
 
+class TestPipes:
+    def test_a_reaped_and_a_stopped_worker_leave_no_pipe_open(self):
+        """A worker killed, reaped and respawned, then the respawn shut
+        down with the server: both workers' stdin / stdout are closed,
+        none is left for the garbage collector to warn about."""
+        import gc
+        import os
+        import signal
+        import warnings
+
+        gc.collect()  # earlier tests' garbage warns outside the record
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            server = _server()
+            pool = server.pool
+            try:
+                first = pool._slots[0].proc
+                os.kill(first.pid, signal.SIGKILL)
+                deadline = time.perf_counter() + 60.0
+                while (pool._slots[0].proc is first
+                       and time.perf_counter() < deadline):
+                    time.sleep(0.01)
+                assert pool._slots[0].proc is not first
+                assert pool.wait_ready(timeout_s=60.0, workers=1)
+                assert server.query("SELECT A FROM T WHERE A = 2").rows \
+                    == [(2,)]
+            finally:
+                server.close()
+            for thread in threading.enumerate():
+                if thread.name.startswith("repro-pool-"):
+                    thread.join(timeout=10.0)
+            del first, pool, server
+            gc.collect()
+        leaks = [str(w.message) for w in caught
+                 if issubclass(w.category, ResourceWarning)]
+        assert not leaks
+
+
 class TestIntrospection:
     def test_sys_workers_reflects_the_pool(self):
         server = _server()

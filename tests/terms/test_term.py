@@ -53,18 +53,6 @@ class TestTermBasics:
     def test_fun_name_uppercased(self):
         assert mk_fun("member", []).name == "MEMBER"
 
-    def test_with_args_is_the_same_term_over_equal_args(self):
-        node = mk_fun("F", [mk_fun("G", [num(1)]), Var("x")])
-        assert node.symbols and is_ground(node) is False
-        copy = node.with_args((mk_fun("G", [num(1)]), Var("x")))
-        assert copy is not node and copy == node
-        assert hash(copy) == hash(Fun("F", copy.args))
-        # every slot is set, and the memos start empty
-        for slot in Fun.__slots__ + ("_hash",):
-            getattr(copy, slot)
-        assert copy._symbols is None and copy._ground is None
-        assert copy.symbols == node.symbols
-
 
 class TestAndOrNormalisation:
     def test_flattening(self):
@@ -261,9 +249,10 @@ class TestSymbolsBelow:
 
     def test_equal_terms_agree(self):
         a = mk_fun("F", [mk_fun("G", [num(1)])])
+        assert a.symbols == {"G"}  # cached from here on
         b = mk_fun("F", [mk_fun("G", [num(1)])])
-        assert a == b and a is not b
-        assert a.symbols == b.symbols == {"G"}
+        assert a is b
+        assert b.symbols is a.symbols
 
 
 class TestMentions:
@@ -354,8 +343,8 @@ def _recursive_eq(a, b):
 
 
 class TestEqualityIsIterative:
-    """``Fun.__eq__`` compares hashes, then walks an explicit stack:
-    same answers as the recursive definition, at any depth."""
+    """``Fun.__eq__`` is identity (equal terms are one object): same
+    answers as the recursive definition, at any depth."""
 
     def test_agrees_with_the_recursive_definition_on_generated_plans(self):
         from tests.generated_plans import generated_queries
@@ -389,19 +378,109 @@ class TestEqualityIsIterative:
         assert a == c
 
     def test_depth_beyond_the_recursion_limit(self):
+        """Two chains three times the recursion limit deep, built side
+        by side, are one object; dropping them frees the chain without
+        a RecursionError."""
         import sys
+        import weakref
+        depth = sys.getrecursionlimit() * 3
         deep = other = num(0)
-        for __ in range(sys.getrecursionlimit() * 3):
+        for __ in range(depth):
             deep = Fun("S", (deep,))
             other = Fun("S", (other,))
-        assert deep == other and deep is not other
+        assert deep is other and deep == other
         assert deep != Fun("S", (other,))
-        assert term_depth(deep) == sys.getrecursionlimit() * 3 + 1
+        assert term_depth(deep) == depth + 1
+        freed = weakref.ref(deep)
+        del deep, other
+        assert freed() is None
 
     def test_term_depth(self):
         assert term_depth(num(1)) == term_depth(mk_fun("F", [])) == 1
         t = mk_fun("F", [num(1), mk_fun("G", [mk_fun("H", [sym("R")])])])
         assert term_depth(t) == 4
+
+
+class TestInterning:
+    """``Fun(name, args)`` returns the one live node equal to the
+    application: the term table of ``repro.terms.term``."""
+
+    def test_threads_building_one_term_at_once_get_one_object(self):
+        import sys
+        import threading
+
+        def build():
+            term = sym("LEAF")
+            for i in range(199):
+                term = Fun("INTERN_RACE", (term, num(i % 7)))
+            return term
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the four builds finely
+        try:
+            for __ in range(20):
+                barrier = threading.Barrier(4)
+                built = [None] * 4
+
+                def run(slot):
+                    barrier.wait(timeout=30.0)
+                    built[slot] = build()
+
+                threads = [threading.Thread(target=run, args=(slot,))
+                           for slot in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert term_size(built[0]) == 399
+                assert all(other is built[0] for other in built)
+                del built
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_term_nobody_holds_leaves_the_table_after_the_sweep(self):
+        import gc
+        import weakref
+        from repro.terms import term as module
+        t = Fun("INTERN_FREED", (num(12345),))
+        key, ref = hash(t), weakref.ref(t)
+        assert key in module._TERMS
+        del t
+        gc.collect()
+        assert ref() is None
+        with module._TERMS_LOCK:
+            module._sweep()
+        assert key not in module._TERMS
+
+    def test_colliding_hashes_are_distinct_live_nodes(self):
+        assert hash(-1) == hash(-2)  # CPython's own collision
+        a = Fun("F", (num(-1),))
+        b = Fun("F", (num(-2),))
+        assert hash(a) == hash(b) and a is not b and a != b
+        assert Fun("F", (num(-1),)) is a and Fun("F", (num(-2),)) is b
+        assert a.args[0].value == -1 and b.args[0].value == -2
+
+    def test_real_one_and_one_point_oh_stay_apart(self):
+        one = Fun("F", (Const(1, "real"),))
+        other = Fun("F", (Const(1.0, "real"),))
+        assert one is not other and one != other
+        assert type(one.args[0].value) is int
+        assert type(other.args[0].value) is float
+
+    def test_copies_and_unpickled_terms_are_the_tables_node(self):
+        import copy
+        import pickle
+        t = mk_fun("F", [mk_fun("G", [num(1)]), sym("R")])
+        assert copy.copy(t) is t and copy.deepcopy(t) is t
+        assert pickle.loads(pickle.dumps(t)) is t
+
+    def test_and_is_one_object_whatever_the_operand_order(self):
+        p, q, r = (mk_fun(name, [AttrRef(1, 1)]) for name in "PQR")
+        first = mk_fun("AND", [p, q, r])
+        assert mk_fun("AND", [r, p, q]) is first
+        assert mk_fun("AND", [q, mk_fun("AND", [r, p])]) is first
+        assert conj([r, q, p, p, TRUE]) is first
 
 
 class TestSortKey:
