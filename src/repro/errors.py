@@ -263,16 +263,16 @@ class LifecycleError(ReproError):
 
 class QueryCancelled(LifecycleError):
     """The statement's cancel token fired (``Server.kill``, CLI
-    ``.kill``, Ctrl-C, or the watchdog reaping an over-deadline
-    statement).
+    ``.kill``, Ctrl-C, or a pooled statement's dispatcher enforcing
+    its deadline on the worker).
 
     Attributes
     ----------
     query_id:
         The statement's id in ``sys.queries``.
     reason:
-        Who pulled the token (``"kill"``, ``"watchdog"``,
-        ``"keyboard-interrupt"``, ``"deadline"``, ``"chaos"``, ...).
+        Who pulled the token (``"kill"``, ``"keyboard-interrupt"``,
+        ``"deadline"``, ``"chaos"``, ...).
     phase:
         The lifecycle phase the statement was in when the token was
         observed (``"optimize"``, ``"evaluate"``, ...).

@@ -6,9 +6,11 @@ wall-clock deadline, row/memory budgets -- is minted per governed
 statement by :class:`~repro.engine.database.Database`, threaded
 through the evaluator's cooperative check sites, registered in a
 :class:`StatementRegistry` (surfaced as the ``sys.queries`` virtual
-relation), killable by id (``Server.kill`` / CLI ``.kill``), and
-swept by a :class:`Watchdog` that reaps over-deadline statements and
-recovers a poisoned writer lock.  See ``docs/robustness.md``.
+relation) and killable by id (``Server.kill`` / CLI ``.kill``).
+Nothing sweeps it from outside: the statement trips its own deadline
+at its next cooperative check, a pooled statement's dispatcher
+enforces it on the worker, and a lock waiter recovers a writer lock
+whose owner died.  See ``docs/robustness.md``.
 """
 
 from repro.lifecycle.chaos import ChaosInjector
@@ -18,11 +20,10 @@ from repro.lifecycle.context import (DEFAULT_CHECK_INTERVAL,
                                      pending_dispatch, use_context,
                                      use_dispatch)
 from repro.lifecycle.registry import StatementRegistry
-from repro.lifecycle.watchdog import Watchdog
 
 __all__ = [
     "QueryContext", "MemoryAccountant", "Truncation",
     "current_context", "use_context", "pending_dispatch",
     "use_dispatch", "DEFAULT_CHECK_INTERVAL",
-    "StatementRegistry", "Watchdog", "ChaosInjector",
+    "StatementRegistry", "ChaosInjector",
 ]

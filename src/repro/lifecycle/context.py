@@ -19,12 +19,12 @@ Design points, in cost order:
   cancel token, deadline clock -- runs at most once per interval, so
   cancellation latency is bounded by one cooperative check interval
   while per-row overhead stays a couple of attribute reads.
-* ``cancel()`` may be called from *any* thread (``Server.kill``, the
-  watchdog, Ctrl-C).  It sets a ``threading.Event`` plus the
-  ``_flagged`` bool; the evaluating thread observes the flag on its
-  next tick and raises :class:`~repro.errors.QueryCancelled` from its
-  own stack -- cooperative, never asynchronous, so undo logs and lock
-  releases run normally.
+* ``cancel()`` may be called from *any* thread (``Server.kill``,
+  Ctrl-C).  It sets a ``threading.Event`` plus the ``_flagged`` bool;
+  the evaluating thread observes the flag on its next tick and raises
+  :class:`~repro.errors.QueryCancelled` from its own stack --
+  cooperative, never asynchronous, so undo logs and lock releases run
+  normally.
 * Budgets honour the opt-in *degrade* mode: a deadline or row/memory
   trip raises the internal :class:`Truncation` control-flow exception
   instead of :class:`~repro.errors.BudgetExceeded`; each materializing
@@ -134,8 +134,8 @@ class MemoryAccountant:
 
     ``reserve``/``release`` keep a running ``current`` and a monotone
     ``peak``; the budget check lives in the owning context (which knows
-    about degrade mode), not here.  Thread-safe: the watchdog and
-    ``sys.queries`` read ``current``/``peak`` from other threads.
+    about degrade mode), not here.  Thread-safe: ``sys.queries``
+    reads ``current``/``peak`` from other threads.
     """
 
     __slots__ = ("current", "peak", "_lock")
@@ -270,8 +270,8 @@ class QueryContext:
     def cancel(self, reason: str = "kill") -> bool:
         """Pull the cancel token; returns False if already pulled.
 
-        Safe from any thread.  The first reason wins (a watchdog reap
-        racing a user kill reports whichever arrived first).
+        Safe from any thread.  The first reason wins (a Ctrl-C racing
+        a user kill reports whichever arrived first).
         """
         if self._cancel_event.is_set():
             return False
@@ -286,7 +286,8 @@ class QueryContext:
 
     def over_deadline(self) -> bool:
         """True once the wall clock has passed the statement deadline
-        (the watchdog's reap predicate; False when unbounded)."""
+        (the pool dispatcher's predicate for a statement running on
+        another process' clock; False when unbounded)."""
         return (self._deadline is not None
                 and time.perf_counter() > self._deadline)
 

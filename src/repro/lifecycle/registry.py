@@ -12,7 +12,7 @@ pulls the context's cancel token from the caller's thread; the
 evaluating thread observes it at its next cooperative check.  The
 registry never interrupts anything itself -- it is a name table plus
 a cancel-token switchboard, which is what makes it safe to call from
-the CLI's Ctrl-C handler, the watchdog, and ``Server.kill`` alike.
+the CLI's Ctrl-C handler and ``Server.kill`` alike.
 
 Thread-safety: one mutex around the tables; reads used by
 ``sys.queries`` take a list copy under it.  The registry never takes
@@ -102,18 +102,6 @@ class StatementRegistry:
                 self._note_cancel(context, reason)
                 cancelled.append(context.query_id)
         return cancelled
-
-    def reap_overdue(self, reason: str = "watchdog") -> list[str]:
-        """Cancel every statement past its wall-clock deadline (the
-        watchdog's sweep); returns the ids reaped."""
-        with self._lock:
-            contexts = list(self._active.values())
-        reaped = []
-        for context in contexts:
-            if context.over_deadline() and context.cancel(reason):
-                self._note_cancel(context, reason)
-                reaped.append(context.query_id)
-        return reaped
 
     def _note_cancel(self, context: QueryContext, reason: str) -> None:
         metrics = self.metrics

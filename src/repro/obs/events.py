@@ -43,11 +43,9 @@ sinks can serialise uniformly.  The taxonomy mirrors the pipeline:
 ``SlowQuery``      a served request crossed the slow-query threshold;
                    carries the full EXPLAIN report for reads
 ``StatementCancelled`` a statement's cancel token was pulled
-                   (kill / watchdog / Ctrl-C / chaos)
+                   (kill / Ctrl-C / chaos)
 ``BudgetTripped``  a statement crossed a deadline/row/memory budget;
                    ``truncated`` tells degrade from hard failure
-``WatchdogReaped`` the watchdog reaped an over-deadline statement or
-                   recovered a poisoned writer lock
 ``WorkerSpawned``  the pool supervisor started (or restarted) a worker
 ``WorkerExited``   a worker process ended; ``crashed`` distinguishes a
                    fault from a deliberate shutdown/escalation
@@ -82,7 +80,7 @@ __all__ = [
     "SessionOpened", "SessionClosed", "RequestAdmitted", "RequestShed",
     "RequestCompleted", "RequestFailed", "BreakerStateChanged",
     "SubscriberDetached", "SlowQuery",
-    "StatementCancelled", "BudgetTripped", "WatchdogReaped",
+    "StatementCancelled", "BudgetTripped",
     "WorkerSpawned", "WorkerExited", "WorkerKilled", "PoolStateChanged",
     "EquivalenceViolation", "FuzzCompleted", "ENGINE_EVENTS",
 ]
@@ -385,9 +383,9 @@ class SlowQuery(Event):
 @dataclass(frozen=True)
 class StatementCancelled(Event):
     """A statement's cancel token was pulled; ``reason`` names the
-    actor (``kill`` / ``watchdog`` / ``keyboard-interrupt`` /
-    ``chaos``).  Emitted by the registry when the token is pulled --
-    the evaluating thread observes it at its next cooperative check."""
+    actor (``kill`` / ``keyboard-interrupt`` / ``chaos``).  Emitted by
+    the registry when the token is pulled -- the evaluating thread
+    observes it at its next cooperative check."""
 
     query_id: str
     session: str
@@ -408,16 +406,6 @@ class BudgetTripped(Event):
     limit: float
     consumed: float
     truncated: bool
-
-
-@dataclass(frozen=True)
-class WatchdogReaped(Event):
-    """The watchdog acted: ``kind`` is ``"statement"`` (an
-    over-deadline statement was cancelled) or ``"writer_lock"`` (a
-    poisoned writer lock was force-released)."""
-
-    query_id: str
-    kind: str
 
 
 @dataclass(frozen=True)

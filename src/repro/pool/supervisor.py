@@ -4,7 +4,6 @@ the admission controller.
 Supervision-tree shape (see ``docs/architecture.md``)::
 
     Server
-     ├── Watchdog ──────────── sweeps the registry *and* the pool
      └── Supervisor (pool)
           ├── monitor thread ── heartbeats, death, backoff respawn
           ├── w1 ── worker process (private Database replica)
@@ -36,15 +35,15 @@ Failure policy (the retry/no-retry matrix of ``docs/robustness.md``):
   (state ``broken``) and the pool refuses work until the cooldown
   elapses -- the server degrades to in-process execution, it does not
   fail requests;
-* cancellation is real: a pulled cancel token is forwarded to the
-  worker, and a worker that does not unwind within ``kill_grace_s``
-  is SIGKILLed (the statement still surfaces as
+* cancellation is real: a pulled cancel token -- or a statement past
+  its deadline -- is forwarded to the worker as a cancel frame, and a
+  worker that does not unwind within ``kill_grace_s`` is SIGKILLed
+  (the statement still surfaces as
   :class:`~repro.errors.QueryCancelled`, not as a crash).
 
-The monitor thread owns failure detection; the server's
-:class:`~repro.lifecycle.watchdog.Watchdog` additionally calls
-:meth:`Supervisor.sweep` each tick, so orphaned processes are reaped
-even if the monitor itself is wedged (idempotent by construction).
+The monitor thread owns failure detection: it is :meth:`sweep`'s only
+caller.  A dispatcher waiting on a reply also settles a death it
+notices first, so both paths are idempotent by construction.
 """
 
 from __future__ import annotations
@@ -396,13 +395,15 @@ class Supervisor:
         config = self.config
         while not pending.event.wait(0.02):
             now = time.perf_counter()
-            if context is not None and context.cancelled \
-                    and slot.cancel_sent_at is None:
+            # the worker runs on its own clock, so a statement past
+            # its deadline is enforced here like a pulled token
+            if context is not None and slot.cancel_sent_at is None \
+                    and (context.cancelled or context.over_deadline()):
                 slot.cancel_sent_at = now
                 try:
                     send_frame(slot.proc.stdin, {
                         "type": "cancel",
-                        "reason": context.cancel_reason or "kill",
+                        "reason": context.cancel_reason or "deadline",
                     })
                 except (OSError, ValueError):
                     pass  # already dying; poll() below settles it
@@ -472,8 +473,8 @@ class Supervisor:
         """One supervision pass: reap dead/hung workers, settle their
         in-flight statements, re-arm the circuit breaker, respawn due
         seats.  Called by the monitor thread every
-        ``monitor_interval_s`` *and* by the server's watchdog -- both
-        callers are safe because every action is idempotent."""
+        ``monitor_interval_s``; every action is idempotent, so a
+        dispatcher settling the same death first is harmless."""
         if self.state == "stopped":
             return
         now = time.perf_counter()
@@ -508,10 +509,6 @@ class Supervisor:
                 if slot.state == "dead" and now >= slot.next_spawn:
                     self._spawn(slot)
 
-    # watchdog-facing alias: the supervision tree's second, independent
-    # reaper (see the module docstring)
-    reap_orphans = sweep
-
     def _monitor_loop(self) -> None:
         while not self._stop_event.wait(self.config.monitor_interval_s):
             try:
@@ -539,8 +536,8 @@ class Supervisor:
     def _handle_death(self, slot: _Slot) -> None:
         """Settle one dead worker: reap the process, fail or cancel
         its in-flight statement, count the crash, schedule the
-        respawn.  Idempotent -- the monitor, the watchdog and a
-        dispatcher may all notice the same death."""
+        respawn.  Idempotent -- the monitor and a dispatcher may both
+        notice the same death."""
         with self._lock:
             if slot.state in ("dead", "stopped"):
                 return

@@ -29,32 +29,43 @@ from typing import Optional
 
 __all__ = ["ReadWriteLock", "ConcurrencyGuard", "SnapshotHandle"]
 
+# the longest a waiter sleeps before it looks at the writer's owner
+_RECOVERY_SLICE_S = 0.1
+
 
 class ReadWriteLock:
     """A writer-preference shared/exclusive lock.
 
     Not re-entrant by itself -- :class:`ConcurrencyGuard` layers the
     per-thread re-entrancy on top, keeping this primitive minimal.
+
+    A thread that acquires the write side and dies without releasing
+    (a bug, or a hard kill from outside the cooperative protocol)
+    would block every later statement forever.  Waiters therefore
+    wait in slices of at most ``_RECOVERY_SLICE_S`` and release the
+    exclusive side once its recorded owner thread is dead; a live
+    writer is never preempted.  ``on_recover`` (optional) is called
+    once per recovery.
     """
 
-    def __init__(self):
+    def __init__(self, on_recover=None):
         self._cond = threading.Condition()
         self._readers = 0
         self._writer = False
         self._writers_waiting = 0
-        # the thread holding the exclusive side; lets the lifecycle
-        # watchdog detect a poisoned lock (writer died mid-hold)
+        # the thread holding the exclusive side: how a waiter tells a
+        # poisoned lock (writer died mid-hold) from a busy one
         self._writer_owner: Optional[threading.Thread] = None
+        self.on_recover = on_recover
 
     # -- shared side ----------------------------------------------------------
     def acquire_read(self, timeout: Optional[float] = None) -> bool:
         with self._cond:
             # writer preference: pending writers bar new readers
-            ok = self._cond.wait_for(
+            if not self._wait(
                 lambda: not self._writer and not self._writers_waiting,
-                timeout=timeout,
-            )
-            if not ok:
+                timeout,
+            ):
                 return False
             self._readers += 1
             return True
@@ -70,11 +81,10 @@ class ReadWriteLock:
         with self._cond:
             self._writers_waiting += 1
             try:
-                ok = self._cond.wait_for(
+                if not self._wait(
                     lambda: not self._writer and self._readers == 0,
-                    timeout=timeout,
-                )
-                if not ok:
+                    timeout,
+                ):
                     return False
                 self._writer = True
                 self._writer_owner = threading.current_thread()
@@ -88,24 +98,27 @@ class ReadWriteLock:
             self._writer_owner = None
             self._cond.notify_all()
 
-    def recover_poisoned(self) -> bool:
-        """Force-release the exclusive side if its owner thread died.
-
-        A thread that acquires the write side and then dies without
-        releasing (a bug, or a hard kill from outside the cooperative
-        protocol) would block every future statement forever.  The
-        lifecycle watchdog calls this on each sweep; it only acts when
-        the recorded owner is provably dead, so a healthy writer can
-        never be preempted.  Returns True when a lock was recovered.
-        """
-        with self._cond:
+    def _wait(self, ready, timeout: Optional[float]) -> bool:
+        """Wait (holding ``_cond``) until ``ready()``; False when
+        ``timeout`` elapses first.  Between slices, a writer whose
+        owner thread died is released."""
+        end = None if timeout is None else time.monotonic() + timeout
+        while not ready():
             owner = self._writer_owner
-            if not self._writer or owner is None or owner.is_alive():
-                return False
-            self._writer = False
-            self._writer_owner = None
-            self._cond.notify_all()
-            return True
+            if owner is not None and not owner.is_alive():
+                self._writer = False
+                self._writer_owner = None
+                self._cond.notify_all()
+                if self.on_recover is not None:
+                    self.on_recover()
+                continue
+            slice_s = _RECOVERY_SLICE_S
+            if end is not None:
+                slice_s = min(slice_s, end - time.monotonic())
+                if slice_s <= 0:
+                    return False
+            self._cond.wait(slice_s)
+        return True
 
     @contextmanager
     def read(self):
@@ -158,7 +171,7 @@ class ConcurrencyGuard:
     """
 
     def __init__(self, metrics=None):
-        self._lock = ReadWriteLock()
+        self._lock = ReadWriteLock(on_recover=self._note_recovery)
         self._held = _HoldState()
         self._version = 0
         # optional MetricsRegistry: the server points this at its own
@@ -191,6 +204,11 @@ class ConcurrencyGuard:
             held.read_depth = 0
             self._lock.release_read()
 
+    def _note_recovery(self) -> None:
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.inc("server.lock.recovered")
+
     def _acquire(self, acquire, side: str) -> None:
         metrics = self.metrics
         if metrics is None:
@@ -217,11 +235,6 @@ class ConcurrencyGuard:
         but do not change its logical state."""
         with self._exclusive():
             yield
-
-    def recover_poisoned(self) -> bool:
-        """Delegate to the underlying lock's poisoned-writer recovery
-        (see :meth:`ReadWriteLock.recover_poisoned`)."""
-        return self._lock.recover_poisoned()
 
     @contextmanager
     def _exclusive(self):

@@ -67,7 +67,6 @@ class Server:
                  telemetry=None,
                  slow_query_ms: Optional[float] = None,
                  slow_query_capacity: int = 32,
-                 watchdog_interval_s: float = 0.1,
                  workers: int = 0):
         self.db = db
         self.guard = db.enable_serving()
@@ -99,19 +98,9 @@ class Server:
         from repro.obs.introspect import register_introspection
         register_introspection(db, server=self)
         # lifecycle governance: statement cancellations and budget
-        # trips land on the server's bus/registry, and the watchdog
-        # reaps over-deadline statements (plus a poisoned writer lock)
-        # on a short sweep so a runaway query dies within one
-        # cooperative check interval of its deadline
+        # trips land on the server's bus/registry
         db.lifecycle.obs = self.bus
         db.lifecycle.metrics = self.metrics
-        from repro.lifecycle import Watchdog
-        self.watchdog = Watchdog(
-            db.lifecycle, guard=self.guard,
-            interval_s=watchdog_interval_s,
-            obs=self.bus, metrics=self.metrics,
-        )
-        self.watchdog.start()
         # the supervised process-pool execution tier (repro.pool):
         # None until enable_pool() mounts one; eligible reads then run
         # on crash-isolated worker processes, past the GIL
@@ -137,7 +126,6 @@ class Server:
         self.db.commit_hooks.append(pool.note_write)
         pool.start()
         self.pool = pool
-        self.watchdog.pool = pool
         return pool
 
     def disable_pool(self) -> None:
@@ -147,7 +135,6 @@ class Server:
         if pool is None:
             return
         self.pool = None
-        self.watchdog.pool = None
         try:
             self.db.commit_hooks.remove(pool.note_write)
         except ValueError:
@@ -203,9 +190,9 @@ class Server:
         Only a query is pool-eligible, so anything else takes the
         in-process path, which refuses it: no replica ever sees a
         write.  A pooled read's governed context is minted here (so
-        ``Server.kill`` / the watchdog can cancel the statement while
-        it executes out of process), and a pool that cannot take it
-        falls back in-process under that same context."""
+        ``Server.kill`` can cancel the statement while it executes out
+        of process), and a pool that cannot take it falls back
+        in-process under that same context."""
         statement, text = ((None, source) if isinstance(source, str)
                            else source)
         pool = self.pool
@@ -508,7 +495,6 @@ class Server:
 
     def close(self) -> None:
         self.disable_pool()
-        self.watchdog.stop()
         self.db.lifecycle.cancel_all("server-shutdown")
         for session in self.sessions.sessions():
             self.sessions.close(session.id)

@@ -199,7 +199,7 @@ def _sys_reader(harness, tag):
 
 def _killer(harness, tag):
     """Reaps long-running statements through the registry, the same
-    path Server.kill and the watchdog use."""
+    path Server.kill and Ctrl-C use."""
     registry = harness.server.db.lifecycle
     while not harness.stop.is_set():
         for context in registry.active():
@@ -213,7 +213,7 @@ def _killer(harness, tag):
 def test_cancellation_chaos_storm(tmp_path):
     path = str(tmp_path / "chaos.db")
     db = _build(path)
-    server = Server(db, watchdog_interval_s=0.02)
+    server = Server(db)
     harness = Harness(server)
 
     threads = (

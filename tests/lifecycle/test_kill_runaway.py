@@ -1,8 +1,8 @@
 """The acceptance scenario: a runaway statement is visible in
 ``sys.queries`` from another session and killed -- by ``Server.kill``
-or the watchdog -- within one cooperative check interval; mid-flight
-aborts leave a durable database fsck-clean with a gap-free WAL and a
-released writer lock."""
+or its own deadline -- within one cooperative check interval;
+mid-flight aborts leave a durable database fsck-clean with a gap-free
+WAL and a released writer lock."""
 
 import io
 import os
@@ -37,12 +37,12 @@ def _wait_for_phase(registry, phase, deadline_s=10.0):
     raise AssertionError(f"no active statement reached {phase!r}")
 
 
-def _runaway_server(**server_kwargs):
+def _runaway_server():
     db = Database()
     db.execute("TABLE BIG (Id : NUMERIC, V : NUMERIC, PRIMARY KEY (Id))")
     values = ", ".join(f"({i}, {i * 7})" for i in range(200))
     db.execute(f"INSERT INTO BIG VALUES {values}")
-    return Server(db, **server_kwargs)
+    return Server(db)
 
 
 # an unindexed triple cross product: ~8M probe ticks, far longer than
@@ -93,31 +93,10 @@ class TestKillRunaway:
         finally:
             server.close()
 
-    def test_watchdog_reaps_stuck_statement(self):
-        # a registered statement whose thread never reaches a
-        # cooperative check (stuck in a lock wait, say) is the
-        # watchdog's case: the background sweep pulls its token
-        server = _runaway_server()
-        try:
-            stuck = server.db.lifecycle.begin(
-                session="stuck", timeout_ms=10.0, source="SELECT ..."
-            )
-            deadline = time.time() + 10.0
-            while not stuck.cancelled and time.time() < deadline:
-                time.sleep(0.005)
-            assert stuck.cancelled
-            assert stuck.cancel_reason == "watchdog"
-            assert server.watchdog.reaped_total >= 1
-            server.db.lifecycle.finish(stuck, "cancelled")
-        finally:
-            server.close()
-
     def test_deadline_self_trips_during_evaluation(self):
         # the evaluating thread reaches its own deadline at a
-        # cooperative check and trips BudgetExceeded.  The watchdog
-        # would cancel the same statement if its sweep came first (the
-        # test above); its interval here is one it cannot win with
-        server = _runaway_server(watchdog_interval_s=3600.0)
+        # cooperative check and trips BudgetExceeded
+        server = _runaway_server()
         try:
             with pytest.raises(BudgetExceeded) as err:
                 server.db.query(_RUNAWAY, timeout_ms=50.0)
@@ -188,8 +167,7 @@ class TestKillDuringRewrite:
         thread = threading.Thread(target=run, daemon=True)
         thread.start()
         victim = _wait_for_phase(db.lifecycle, "optimize")
-        # the token Server.kill, Ctrl-C and the watchdog's
-        # reap_overdue all pull
+        # the token Server.kill and Ctrl-C also pull
         assert db.kill(victim.query_id) is True
         thread.join(timeout=_JOIN_TIMEOUT_S)
         assert not thread.is_alive(), "kill did not stop the rewrite"

@@ -1,62 +1,11 @@
-"""The watchdog: over-deadline reaping and poisoned-lock recovery."""
+"""Poisoned writer-lock recovery: a waiter releases the exclusive side
+once the thread holding it has died, and never preempts a live one."""
 
 import threading
 import time
 
-from repro.lifecycle import StatementRegistry, Watchdog
-from repro.obs.bus import EventBus
 from repro.obs.metrics import MetricsRegistry
 from repro.server.locks import ConcurrencyGuard, ReadWriteLock
-
-
-class TestSweep:
-    def test_sweep_reaps_overdue(self):
-        registry = StatementRegistry()
-        overdue = registry.begin(timeout_ms=0.01)
-        fresh = registry.begin(timeout_ms=60_000)
-        time.sleep(0.002)
-        watchdog = Watchdog(registry)
-        assert watchdog.sweep() == [overdue.query_id]
-        assert overdue.cancel_reason == "watchdog"
-        assert not fresh.cancelled
-        assert watchdog.reaped_total == 1
-
-    def test_sweep_emits_events_and_metrics(self):
-        registry = StatementRegistry()
-        registry.begin(timeout_ms=0.01)
-        time.sleep(0.002)
-        bus, metrics = EventBus(), MetricsRegistry()
-        seen = []
-        bus.subscribe(seen.append)
-        Watchdog(registry, obs=bus, metrics=metrics).sweep()
-        assert [type(e).__name__ for e in seen] == ["WatchdogReaped"]
-        assert seen[0].kind == "statement"
-        counters = metrics.snapshot()["counters"]
-        assert counters["lifecycle.watchdog.reaped"] == 1
-
-    def test_background_thread_reaps(self):
-        registry = StatementRegistry()
-        overdue = registry.begin(timeout_ms=10)
-        watchdog = Watchdog(registry, interval_s=0.005).start()
-        try:
-            deadline = time.time() + 5.0
-            while not overdue.cancelled and time.time() < deadline:
-                time.sleep(0.005)
-            assert overdue.cancelled
-            assert overdue.cancel_reason == "watchdog"
-        finally:
-            watchdog.stop()
-        assert watchdog.running is False
-
-    def test_start_is_idempotent(self):
-        watchdog = Watchdog(StatementRegistry(), interval_s=0.01)
-        try:
-            assert watchdog.start() is watchdog.start()
-        finally:
-            watchdog.stop()
-
-    def test_stop_without_start(self):
-        Watchdog(StatementRegistry()).stop()  # must not raise
 
 
 class TestPoisonedLock:
@@ -75,40 +24,62 @@ class TestPoisonedLock:
     def test_recover_poisoned_lock(self):
         lock = ReadWriteLock()
         self._poison(lock)
-        assert lock.acquire_write(timeout=0.01) is False  # wedged
-        assert lock.recover_poisoned() is True
-        assert lock.acquire_write(timeout=1.0) is True  # usable again
+        started = time.perf_counter()
+        assert lock.acquire_write() is True  # the waiter recovers it
+        assert time.perf_counter() - started < 1.0
         lock.release_write()
 
     def test_live_writer_is_never_preempted(self):
         lock = ReadWriteLock()
-        assert lock.acquire_write()
-        try:
-            assert lock.recover_poisoned() is False
-        finally:
+        holding, done = threading.Event(), threading.Event()
+
+        def hold():
+            assert lock.acquire_write()
+            holding.set()
+            done.wait(timeout=5.0)
             lock.release_write()
 
+        thread = threading.Thread(target=hold)
+        thread.start()
+        try:
+            assert holding.wait(timeout=5.0)
+            # more than one recovery slice: the live owner keeps it
+            assert lock.acquire_write(timeout=0.25) is False
+            assert lock.acquire_read(timeout=0.25) is False
+            # a short timeout still returns on time
+            started = time.perf_counter()
+            assert lock.acquire_write(timeout=0.01) is False
+            assert time.perf_counter() - started < 0.09
+        finally:
+            done.set()
+            thread.join(timeout=5.0)
+        assert lock.acquire_write(timeout=1.0) is True
+        lock.release_write()
+
     def test_unheld_lock_needs_no_recovery(self):
-        assert ReadWriteLock().recover_poisoned() is False
+        recoveries = []
+        lock = ReadWriteLock(on_recover=lambda: recoveries.append(1))
+        assert lock.acquire_write(timeout=0.01) is True
+        lock.release_write()
+        assert lock.acquire_read(timeout=0.01) is True
+        lock.release_read()
+        assert recoveries == []
 
-    def test_guard_delegates(self):
-        guard = ConcurrencyGuard()
+    def test_recovery_is_counted_once_on_the_guard_registry(self):
+        guard = ConcurrencyGuard(metrics=MetricsRegistry())
         self._poison(guard._lock)
-        assert guard.recover_poisoned() is True
+        waiters = [threading.Thread(target=self._write_once,
+                                    args=(guard,)) for _ in range(3)]
+        for thread in waiters:
+            thread.start()
+        for thread in waiters:
+            thread.join(timeout=5.0)
+        assert not any(thread.is_alive() for thread in waiters)
+        counters = guard.metrics.snapshot()["counters"]
+        assert counters["server.lock.recovered"] == 1
+        assert guard.version == 3  # the database is writable again
 
-    def test_watchdog_recovers_lock_on_sweep(self):
-        guard = ConcurrencyGuard()
-        self._poison(guard._lock)
-        bus, metrics = EventBus(), MetricsRegistry()
-        seen = []
-        bus.subscribe(seen.append)
-        watchdog = Watchdog(StatementRegistry(), guard=guard,
-                            obs=bus, metrics=metrics)
-        watchdog.sweep()
-        assert watchdog.recovered_locks == 1
-        assert [e.kind for e in seen] == ["writer_lock"]
-        counters = metrics.snapshot()["counters"]
-        assert counters["lifecycle.watchdog.locks_recovered"] == 1
-        # the database is writable again
+    @staticmethod
+    def _write_once(guard):
         with guard.write():
             pass

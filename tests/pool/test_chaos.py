@@ -153,9 +153,13 @@ def test_kill9_storm_never_corrupts_state(tmp_path):
     assert lsns == list(range(1, len(lsns) + 1))
 
     server.close()
+    db.close()
 
     # cold recovery replays to exactly the committed batches
     recovered = Database(path=path)
-    rows = recovered.query("SELECT Id, V FROM INV").rows
-    assert sorted(rows) == sorted(final)
-    assert recovered.fsck().violations == []
+    try:
+        rows = recovered.query("SELECT Id, V FROM INV").rows
+        assert sorted(rows) == sorted(final)
+        assert recovered.fsck().violations == []
+    finally:
+        recovered.close()

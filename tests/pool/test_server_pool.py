@@ -179,6 +179,30 @@ class TestKill:
             server.close()
 
 
+class TestDeadline:
+    def test_a_stalled_worker_is_killed_at_the_statement_deadline(self):
+        """The worker runs on its own clock, so the dispatcher enforces
+        the statement's deadline: a cancel frame once it has passed,
+        then -- the worker is wedged but still beating, so the monitor
+        sees nothing wrong -- a SIGKILL after ``kill_grace_s``."""
+        from repro.pool.protocol import send_frame
+        from repro.server import SessionSettings
+        server = _server(config=PoolConfig(workers=1, kill_grace_s=0.2))
+        try:
+            pool = server.pool
+            send_frame(pool._slots[0].proc.stdin,
+                       {"type": "stall", "seconds": 30, "beat": True})
+            session = server.open_session(
+                settings=SessionSettings(timeout_ms=100))
+            started = time.perf_counter()
+            with pytest.raises(QueryCancelled):
+                server.query("SELECT A FROM T", session=session.id)
+            assert time.perf_counter() - started < 1.0
+            assert pool.escalated_kills == 1
+        finally:
+            server.close()
+
+
 class TestPipes:
     def test_a_reaped_and_a_stopped_worker_leave_no_pipe_open(self):
         """A worker killed, reaped and respawned, then the respawn shut

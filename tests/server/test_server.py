@@ -39,6 +39,15 @@ class TestServing:
         assert result.rows == [(20,)]
         assert server.stats()["requests"]["server.requests.read"] == 1
 
+    def test_a_server_without_a_pool_starts_no_thread(self):
+        import threading
+        before = threading.active_count()
+        server = _server()
+        try:
+            assert threading.active_count() == before
+        finally:
+            server.close()
+
     def test_more_readers_than_slots_queue_and_none_is_shed(self):
         import threading
         server = _server(limits=AdmissionLimits(
