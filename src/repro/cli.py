@@ -17,8 +17,6 @@ Statements end with ``;``.  Dot-commands:
 ``.checked on``    toggle checked mode (also ``off``): every rewrite
                    block is validated against a sampled database and
                    rolled back when its results diverge
-``.deadline N``    give every rewrite a deadline of N milliseconds
-                   (best-so-far plans past it; ``off`` clears)
 ``.profile on``    toggle profiling (also ``off``): ``.explain`` and
                    ``.stats`` then include per-rule/per-block telemetry
 ``.stats <q>``     run a query and print the evaluator work counters
@@ -69,7 +67,7 @@ Statements end with ``;``.  Dot-commands:
 ``.quit``          leave
 =================  =====================================================
 
-The ``.rewrite`` / ``.checked`` / ``.deadline`` / ``.profile`` toggles
+The ``.rewrite`` / ``.checked`` / ``.profile`` toggles
 -- and the lifecycle knobs ``.timeout`` / ``.budget`` / ``.degrade`` --
 are *session* state: they never mutate the shared Database, so two
 shells (or serving sessions) over one database cannot leak settings
@@ -217,22 +215,6 @@ class Shell:
                         f"{'on' if self.settings.checked else 'off'}"]
             return [f"checked mode is "
                     f"{'on' if self.settings.checked else 'off'}"]
-        if command == ".deadline":
-            if argument.lower() in ("off", "none"):
-                self.settings.deadline_ms = None
-                return ["deadline off"]
-            if argument:
-                try:
-                    value = float(argument)
-                except ValueError:
-                    return ["usage: .deadline <milliseconds>|off"]
-                if value <= 0:
-                    return ["usage: .deadline <milliseconds>|off"]
-                self.settings.deadline_ms = value
-                return [f"deadline {value:g} ms"]
-            if self.settings.deadline_ms is None:
-                return ["no deadline"]
-            return [f"deadline is {self.settings.deadline_ms:g} ms"]
         if command == ".profile":
             if argument.lower() in ("on", "off"):
                 self.settings.profile = argument.lower() == "on"
@@ -537,7 +519,7 @@ class Shell:
             slow_query_ms=100.0,
         )
         # the active session shares the shell's settings object, so
-        # .checked/.deadline keep applying to it in place
+        # .checked/.timeout keep applying to it in place
         self.session = self.server.open_session(settings=self.settings)
 
     def _serve_command(self, argument: str) -> list[str]:

@@ -65,7 +65,6 @@ class Database:
                  hash_joins: bool = True,
                  dynamic_limits: bool = False,
                  checked: bool = False,
-                 deadline_ms: Optional[float] = None,
                  resilient: bool = False,
                  antipattern: bool = False,
                  path: Optional[str] = None,
@@ -82,11 +81,10 @@ class Database:
         self.semi_naive = semi_naive
         self.hash_joins = hash_joins
         self.dynamic_limits = dynamic_limits
-        # resilience defaults (all three are re-read per statement by
-        # _rewrite_policy, so the CLI's .checked / .deadline toggles
-        # take effect immediately); see docs/robustness.md
+        # resilience defaults (both are re-read per statement by
+        # _rewrite_policy, so the CLI's .checked toggle takes effect
+        # immediately); see docs/robustness.md
         self.checked = checked
-        self.deadline_ms = deadline_ms
         self.resilient = resilient
         # the optional anti-pattern block (OR-chain -> IN, redundant
         # DISTINCT, double negation, trivial arithmetic); installed
@@ -472,7 +470,6 @@ class Database:
     def query(self, source, rewrite: Optional[bool] = None,
               stats: Optional[EvalStats] = None,
               checked: Optional[bool] = None,
-              deadline_ms: Optional[float] = None,
               timeout_ms: Optional[float] = None,
               row_budget: Optional[int] = None,
               memory_budget: Optional[int] = None,
@@ -483,11 +480,11 @@ class Database:
               options: Optional[StatementOptions] = None) -> Result:
         """Run one SELECT and return its result.
 
-        ``checked`` / ``deadline_ms`` override the database-wide
-        resilience defaults for this one call (what per-session
-        settings ride on; see ``docs/server.md``).  ``timeout_ms`` /
-        ``row_budget`` / ``memory_budget`` / ``degrade`` likewise
-        override the lifecycle-governance defaults: any of them set
+        ``checked`` overrides the database-wide resilience default for
+        this one call (what per-session settings ride on; see
+        ``docs/server.md``).  ``timeout_ms`` / ``row_budget`` /
+        ``memory_budget`` / ``degrade`` likewise override the
+        lifecycle-governance defaults: any of them set
         runs the statement under a :class:`QueryContext` (killable,
         visible in ``sys.queries``).  ``obs`` is an optional per-call
         event bus for this query's rewrite/eval events (the server
@@ -508,9 +505,9 @@ class Database:
         """
         options = collect(
             options, rewrite=rewrite, checked=checked,
-            deadline_ms=deadline_ms, timeout_ms=timeout_ms,
-            row_budget=row_budget, memory_budget=memory_budget,
-            degrade=degrade, analyze=analyze or None,
+            timeout_ms=timeout_ms, row_budget=row_budget,
+            memory_budget=memory_budget, degrade=degrade,
+            analyze=analyze or None,
         ).resolved(self)
         key = None if options.checked else self.plans.key(source, options)
         plan = None if key is None else self.plans.get(key)
@@ -522,13 +519,11 @@ class Database:
     def query_with_stats(
         self, source, rewrite: Optional[bool] = None,
         obs=None, checked: Optional[bool] = None,
-        deadline_ms: Optional[float] = None,
         options: Optional[StatementOptions] = None,
     ) -> tuple[Result, EvalStats, OptimizedQuery]:
         """Run one SELECT, returning work counters and the optimization."""
         stats = EvalStats()
-        options = collect(options, rewrite=rewrite, checked=checked,
-                          deadline_ms=deadline_ms)
+        options = collect(options, rewrite=rewrite, checked=checked)
         result, optimized = self._statement(
             *self._parse_query(source), options, obs=obs, stats=stats
         )
@@ -536,26 +531,23 @@ class Database:
 
     def optimize(self, source,
                  rewrite: bool = True, obs=None,
-                 deadline_ms: Optional[float] = None,
                  checked: Optional[bool] = None,
                  options: Optional[StatementOptions] = None
                  ) -> OptimizedQuery:
         """Optimize one SELECT without executing it.
 
-        ``deadline_ms`` / ``checked`` override the database-wide
-        resilience defaults for this one call; ``rewrite`` is on
-        unless switched off *here* (neither the database default nor
-        ``options`` turns an EXPLAIN's rewrite off).
+        ``checked`` overrides the database-wide resilience default for
+        this one call; ``rewrite`` is on unless switched off *here*
+        (neither the database default nor ``options`` turns an
+        EXPLAIN's rewrite off).
         """
-        options = collect(options, rewrite=rewrite, checked=checked,
-                          deadline_ms=deadline_ms)
+        options = collect(options, rewrite=rewrite, checked=checked)
         return self._statement(*self._parse_query(source), options,
                                obs=obs, evaluate=False)[1]
 
     def explain(self, source, verbose: bool = False,
                 profile: bool = False,
                 checked: Optional[bool] = None,
-                deadline_ms: Optional[float] = None,
                 options: Optional[StatementOptions] = None) -> str:
         """Human-readable EXPLAIN: the report :meth:`explain_json`
         builds without executing, rendered by
@@ -564,7 +556,7 @@ class Database:
         ``.profile on``) attaches a :class:`~repro.obs.profile.Profiler`,
         whose section the text then shows."""
         options = collect(options, rewrite=True, checked=checked,
-                          deadline_ms=deadline_ms, profile=profile or None)
+                          profile=profile or None)
         return explain_text(
             self._explain(source, options, execute=False,
                           profile=options.profile),
@@ -574,7 +566,6 @@ class Database:
     def explain_json(self, source, execute: bool = False,
                      rewrite: Optional[bool] = None,
                      checked: Optional[bool] = None,
-                     deadline_ms: Optional[float] = None,
                      session: str = "",
                      analyze=False,
                      options: Optional[StatementOptions] = None) -> dict:
@@ -589,7 +580,7 @@ class Database:
         schema-v8 ``analyze`` section and logged to ``sys.plan_nodes``.
         """
         options = collect(options, rewrite=rewrite, checked=checked,
-                          deadline_ms=deadline_ms, analyze=analyze or None)
+                          analyze=analyze or None)
         return self._explain(source, options,
                              execute=execute or bool(options.analyze),
                              profile=True, session=session)
@@ -676,16 +667,14 @@ class Database:
     def _rewrite_policy(self, opts: StatementOptions
                         ) -> Optional[ResiliencePolicy]:
         """The rewrite policy of one statement -- the one place it is
-        decided.  ``checked`` and ``deadline_ms`` each ask for one
-        (sandboxing and divergence detection come with it),
-        ``resilient`` for those two protections alone; a statement
-        timeout, a kill or a benched rule does not (the engine reads
-        the ambient :class:`QueryContext` and the quarantine itself)."""
-        if not (opts.checked or opts.deadline_ms is not None
-                or self.resilient):
+        decided.  ``checked`` asks for one (sandboxing and divergence
+        detection come with it), ``resilient`` for those two
+        protections alone; a statement timeout, a kill or a benched
+        rule does not (the engine reads the ambient
+        :class:`QueryContext` and the quarantine itself)."""
+        if not (opts.checked or self.resilient):
             return None
         return ResiliencePolicy(
-            deadline_ms=opts.deadline_ms,
             validator=(make_checked_validator(self.catalog)
                        if opts.checked else None),
         )

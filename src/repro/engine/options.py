@@ -20,7 +20,7 @@ __all__ = ["StatementOptions", "collect"]
 # knob -> the Database attribute holding its default
 _DATABASE_DEFAULTS = (
     ("rewrite", "rewrite_default"), ("checked", "checked"),
-    ("deadline_ms", "deadline_ms"), ("timeout_ms", "statement_timeout_ms"),
+    ("timeout_ms", "statement_timeout_ms"),
     ("row_budget", "row_budget"), ("memory_budget", "memory_budget"),
     ("degrade", "degrade"),
 )
@@ -30,7 +30,7 @@ _DATABASE_DEFAULTS = (
 class StatementOptions:
     """The per-statement knobs (``None`` defers to the database default).
 
-    ``rewrite``/``checked``/``deadline_ms`` mirror the CLI toggles;
+    ``rewrite``/``checked`` mirror the CLI toggles;
     ``profile`` drives whether EXPLAIN output embeds telemetry.
     ``timeout_ms``/``row_budget``/``memory_budget``/``degrade`` are the
     lifecycle-governance knobs (whole-statement wall clock, row and
@@ -40,7 +40,6 @@ class StatementOptions:
 
     rewrite: Optional[bool] = None
     checked: Optional[bool] = None
-    deadline_ms: Optional[float] = None
     profile: bool = False
     timeout_ms: Optional[float] = None
     row_budget: Optional[int] = None
@@ -69,8 +68,6 @@ class StatementOptions:
             parts.append(f"rewrite={'on' if self.rewrite else 'off'}")
         if self.checked is not None:
             parts.append(f"checked={'on' if self.checked else 'off'}")
-        if self.deadline_ms is not None:
-            parts.append(f"deadline={self.deadline_ms:g}ms")
         if self.profile:
             parts.append("profile=on")
         if self.timeout_ms is not None:

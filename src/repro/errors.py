@@ -322,10 +322,9 @@ class BudgetExceeded(LifecycleError):
 # a deadline's elapsed/budget, a quarantined rule's name, ...).
 _PAYLOAD_ATTRS = (
     "retry_after", "request_class", "queue_depth", "failure_class",
-    "attempts", "session_id", "deadline_ms", "elapsed_ms", "rule",
-    "block", "line", "column", "query_id", "reason", "phase",
-    "resource", "limit", "consumed", "worker_id", "exit_code",
-    "signal",
+    "attempts", "session_id", "elapsed_ms", "rule", "block", "line",
+    "column", "query_id", "reason", "phase", "resource", "limit",
+    "consumed", "worker_id", "exit_code", "signal",
 )
 
 

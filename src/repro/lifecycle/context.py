@@ -284,6 +284,12 @@ class QueryContext:
     def cancelled(self) -> bool:
         return self._cancel_event.is_set()
 
+    def expire(self) -> None:
+        """Pass the deadline now, from any thread: the next check trips
+        it as if this statement's own clock had run out (how a pool
+        replica obeys its parent's clock)."""
+        self._deadline = time.perf_counter()
+
     def over_deadline(self) -> bool:
         """True once the wall clock has passed the statement deadline
         (the pool dispatcher's predicate for a statement running on

@@ -216,8 +216,9 @@ class RuleQuarantined(Event):
 
 @dataclass(frozen=True)
 class Degraded(Event):
-    """A deadline or work budget expired; the best-so-far term is
-    returned with ``degraded=True`` instead of raising."""
+    """The statement's deadline passed mid-rewrite (``reason`` is
+    ``"deadline"``); the best-so-far term is returned with
+    ``degraded=True`` instead of raising."""
 
     reason: str
     applications: int

@@ -19,7 +19,8 @@ supervisor -> worker
 ``execute``     one statement: source, sync delta, the statement's
                 resolved options as one object, the parent's benched
                 rule names
-``cancel``      pull the cancel token of the in-flight statement
+``cancel``      pull the cancel token of the in-flight statement (a
+                ``deadline`` reason expires its deadline instead)
 ``shutdown``    drain and exit 0
 ``stall``       test/chaos hook: stop heartbeating and sleep (simulates
                 a wedged worker that holds the GIL or a native call)

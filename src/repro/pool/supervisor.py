@@ -36,10 +36,10 @@ Failure policy (the retry/no-retry matrix of ``docs/robustness.md``):
   elapses -- the server degrades to in-process execution, it does not
   fail requests;
 * cancellation is real: a pulled cancel token -- or a statement past
-  its deadline -- is forwarded to the worker as a cancel frame, and a
-  worker that does not unwind within ``kill_grace_s`` is SIGKILLed
-  (the statement still surfaces as
-  :class:`~repro.errors.QueryCancelled`, not as a crash).
+  its deadline, which the worker trips as its own -- is forwarded to
+  the worker as a cancel frame, and a worker that does not unwind
+  within ``kill_grace_s`` is SIGKILLed (the statement still surfaces
+  as :class:`~repro.errors.QueryCancelled`, not as a crash).
 
 The monitor thread owns failure detection: it is :meth:`sweep`'s only
 caller.  A dispatcher waiting on a reply also settles a death it
@@ -666,7 +666,6 @@ class Supervisor:
                 "dynamic_limits": db.dynamic_limits,
                 "antipattern": db.antipattern,
                 "checked": db.checked,
-                "deadline_ms": db.deadline_ms,
                 "resilient": db.resilient,
             },
         }

@@ -18,7 +18,8 @@ Three threads:
   contract that a worker is either idle or owns exactly one statement;
 * a **reader** thread drains stdin so ``cancel`` frames are observed
   *while* a statement is evaluating (it pulls the local registry's
-  cancel token; the evaluating thread unwinds cooperatively).  EOF on
+  cancel token, or for a ``deadline`` frame expires the statement's
+  deadline; the evaluating thread unwinds cooperatively).  EOF on
   stdin means the supervisor is gone: the worker ``os._exit(0)``s
   rather than orphan itself;
 * a **heartbeat** thread writes a beacon frame every
@@ -109,11 +110,15 @@ class _Worker:
                 self.requests.put({"type": "shutdown"})
                 return
             if frame["type"] == "cancel":
-                # observed mid-statement on purpose; cancel_all is
-                # exact because a worker owns at most one statement
-                self.db.lifecycle.cancel_all(
-                    frame.get("reason", "kill")
-                )
+                # observed mid-statement on purpose (a worker owns at
+                # most one statement); the parent's deadline is this
+                # statement's own, so it trips as it would in-process
+                reason = frame.get("reason", "kill")
+                if reason == "deadline":
+                    for context in self.db.lifecycle.active():
+                        context.expire()
+                else:
+                    self.db.lifecycle.cancel_all(reason)
                 continue
             self.requests.put(frame)
 

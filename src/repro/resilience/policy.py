@@ -5,7 +5,7 @@
 :class:`ResilienceRuntime` is created per ``rewrite()`` call and holds
 what governs it (the policy, the statement's ``QueryContext``, the
 quarantine registry) and its mutable state (failure counts, the
-deadline, the aggregated :class:`ResilienceReport`).
+aggregated :class:`ResilienceReport`).
 
 The module deliberately depends only on ``repro.terms`` and
 ``repro.obs`` so the rule engine can import it without touching the
@@ -48,29 +48,16 @@ def term_snippet(term: Term, limit: int = _SNIPPET_LIMIT) -> str:
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """What the engine is allowed to tolerate and how hard it may work.
+    """What the engine tolerates: a rewrite under a policy sandboxes
+    its rules and watches its blocks for divergence; one without a
+    policy does neither.  Only the statement's deadline bounds a
+    rewrite's time, with or without a policy.
 
     Attributes
     ----------
-    deadline_ms:
-        Wall-clock budget for one rewrite; checked cooperatively
-        before each block and before each application search.  On
-        expiry the engine stops and returns the best-so-far term with
-        ``degraded=True``.  A governed statement's own deadline cuts
-        the rewrite the same way, with or without a policy.
-    max_applications:
-        Global cap on rule applications across all blocks and passes
-        (distinct from per-block limits); exhaustion degrades rather
-        than raises.
-    sandbox:
-        Quarantine rules whose application raises instead of aborting
-        the rewrite.
     failure_threshold:
         Failures of one rule within a rewrite before it is benched in
         the engine's quarantine registry (1 benches on first failure).
-    detect_divergence:
-        Track per-block term history and halt a block on oscillation
-        or unbounded growth.
     growth_factor / growth_slack:
         A block halts with a ``growth`` report when the term exceeds
         ``initial_size * growth_factor + growth_slack`` nodes.
@@ -81,19 +68,10 @@ class ResiliencePolicy:
         See :func:`repro.resilience.make_checked_validator`.
     """
 
-    deadline_ms: Optional[float] = None
-    max_applications: Optional[int] = None
-    sandbox: bool = True
     failure_threshold: int = 3
-    detect_divergence: bool = True
     growth_factor: float = 8.0
     growth_slack: int = 64
     validator: Optional[Callable[[Term, Term], Optional[str]]] = None
-
-
-# what a rewrite without a policy runs under: every protection off, so
-# only its statement's deadline and cancel token bound it
-_NO_POLICY = ResiliencePolicy(sandbox=False, detect_divergence=False)
 
 
 @dataclass(frozen=True)
@@ -236,7 +214,7 @@ def _unique(names) -> list[str]:
 
 
 class ResilienceRuntime:
-    """Mutable per-rewrite state: budgets, failure counts, the report.
+    """Mutable per-rewrite state: failure counts and the report.
 
     ``policy`` None is a rewrite asked only to obey its statement,
     whose :class:`QueryContext` is ``context`` (None when ungoverned);
@@ -245,39 +223,27 @@ class ResilienceRuntime:
 
     def __init__(self, policy: Optional[ResiliencePolicy], registry,
                  context=None):
-        self.policy = policy = policy or _NO_POLICY
+        self.policy = policy
         self.registry = registry
         self.context = context
         self.report = ResilienceReport()
         self._failures: dict[str, int] = {}
         self._started = perf_counter()
-        self.deadline = (
-            self._started + policy.deadline_ms / 1000.0
-            if policy.deadline_ms is not None else None
-        )
 
-    # -- budgets -------------------------------------------------------------
+    # -- the statement's clock -----------------------------------------------
     def exhausted(self, applications: int, bus=None) -> bool:
         """The poll before each block and each application search:
         raises :class:`~repro.errors.QueryCancelled` once the
         statement's cancel token is pulled; True (the report flagged
-        degraded) once the rewrite's deadline, its statement's or the
-        work budget ran out."""
+        degraded) once the statement's deadline has passed."""
         context = self.context
-        if (context is not None and context.poll()) or (
-                self.deadline is not None
-                and perf_counter() >= self.deadline):
-            reason = "deadline"
-        elif self.policy.max_applications is not None and \
-                applications >= self.policy.max_applications:
-            reason = "max_applications"
-        else:
+        if context is None or not context.poll():
             return False
         if not self.report.degraded:
             self.report.degraded = True
-            self.report.degraded_reason = reason
+            self.report.degraded_reason = "deadline"
             if bus:
-                bus.emit(Degraded(reason, applications,
+                bus.emit(Degraded("deadline", applications,
                                   perf_counter() - self._started))
         return True
 
@@ -306,10 +272,10 @@ class ResilienceRuntime:
 
     # -- divergence ----------------------------------------------------------
     def history_for(self, term: Term) -> Optional[TermHistory]:
-        if not self.policy.detect_divergence:
+        policy = self.policy
+        if policy is None:
             return None
-        return TermHistory(term, self.policy.growth_factor,
-                           self.policy.growth_slack)
+        return TermHistory(term, policy.growth_factor, policy.growth_slack)
 
     def record_divergence(self, block: str, verdict: tuple,
                           bus=None) -> DivergenceReport:
@@ -324,7 +290,7 @@ class ResilienceRuntime:
     def validate_block(self, block: str, before: Term, after: Term,
                        applications: int, bus=None) -> bool:
         """Run the checked-mode validator; True means keep the block."""
-        validator = self.policy.validator
+        validator = self.policy.validator if self.policy else None
         if validator is None:
             return True
         self.report.checked_validations += 1

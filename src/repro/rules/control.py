@@ -87,10 +87,10 @@ class TraceEntry:
 class RewriteResult:
     """The outcome of running a rewrite program.
 
-    ``degraded`` is True when a deadline (the rewrite's or its
-    statement's) or a global work budget expired before saturation:
-    ``term`` is then the best term found so far, not a fixpoint (the
-    graceful-degradation contract of ``docs/robustness.md``).
+    ``degraded`` is True when its statement's deadline passed before
+    saturation: ``term`` is then the best term found so far, not a
+    fixpoint (the graceful-degradation contract of
+    ``docs/robustness.md``).
     ``resilience`` carries the rewrite's
     :class:`~repro.resilience.policy.ResilienceReport` when the engine
     ran with a resilience policy, else None.
@@ -383,7 +383,7 @@ class RewriteEngine:
         by_root, rootless, roots, screens = block.dispatch()
         clean = self._clean.setdefault(block, set())
         root = result.term
-        sandbox = runtime.policy.sandbox
+        sandbox = runtime.policy is not None
         quarantined = self.quarantine.rules()
         checks_left = budget if block.count == "checks" else None
         checks_this_scan = 0

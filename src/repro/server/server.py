@@ -7,7 +7,7 @@
   exclusive statement-scoped writer lock and queries a shared snapshot
   view;
 * a :class:`~repro.server.session.SessionManager` so per-caller
-  settings (rewrite, checked, deadline) never leak across callers;
+  settings (rewrite, checked, timeout) never leak across callers;
 * an :class:`~repro.server.admission.AdmissionController` that bounds
   the waiting room and sheds load with typed, retryable rejections;
 * an observability stream (``server.*`` events and metrics on the

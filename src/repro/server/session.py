@@ -1,11 +1,11 @@
 """Per-session state and the session registry.
 
-The CLI used to toggle ``.checked`` / ``.deadline`` by mutating the
-shared :class:`~repro.engine.database.Database` -- which leaks one
+A CLI toggle such as ``.checked`` / ``.timeout`` that mutated the
+shared :class:`~repro.engine.database.Database` would leak one
 caller's settings into every other caller the moment the database is
 served.  A :class:`Session` owns those knobs instead -- one
 :class:`~repro.engine.options.StatementOptions` object, handed whole
-to every database call -- so two sessions with different deadlines can
+to every database call -- so two sessions with different timeouts can
 share one database without observing each other.
 
 :class:`SessionManager` is the thread-safe registry: sessions are

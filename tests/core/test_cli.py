@@ -176,32 +176,18 @@ class TestResilienceCommands:
         # the settings-leakage fix: the toggle is session state, so a
         # second caller of the same Database keeps its own defaults
         run(shell, ".checked on")
-        run(shell, ".deadline 5")
+        run(shell, ".timeout 5")
         assert shell.db.checked is False
-        assert shell.db.deadline_ms is None
+        assert shell.db.statement_timeout_ms is None
 
     def test_checked_queries_still_answer(self, shell):
         run(shell, ".checked on")
         out = run(shell, "SELECT Dst FROM EDGE WHERE Src = 1;")
         assert "(1 row)" in out[0]
 
-    def test_deadline_set_show_clear(self, shell):
-        assert run(shell, ".deadline") == ["no deadline"]
-        assert run(shell, ".deadline 5") == ["deadline 5 ms"]
-        assert shell.settings.deadline_ms == 5.0
-        assert run(shell, ".deadline") == ["deadline is 5 ms"]
-        assert run(shell, ".deadline off") == ["deadline off"]
-        assert shell.settings.deadline_ms is None
-
-    def test_deadline_rejects_garbage(self, shell):
-        (out,) = run(shell, ".deadline soon")
-        assert out.startswith("usage:")
-        (out,) = run(shell, ".deadline -3")
-        assert out.startswith("usage:")
-        assert shell.settings.deadline_ms is None
-
     def test_stats_reports_degradation(self, shell):
-        run(shell, ".deadline 1e-9")
+        run(shell, ".timeout 1e-9")
+        run(shell, ".degrade on")
         out = run(shell, ".stats SELECT Dst FROM EDGE WHERE Src = 1")
         assert any("degraded: best-so-far plan" in line for line in out)
         # degraded, not broken: the result table is still there
@@ -222,6 +208,19 @@ class TestBudgetCommand:
         assert run(shell, ".budget off") == ["budgets off"]
         assert (shell.settings.row_budget,
                 shell.settings.memory_budget) == (None, None)
+
+    def test_timeout_set_show_clear(self, shell):
+        # the one deadline knob: it bounds rewrite and evaluation
+        assert run(shell, ".timeout") == ["no statement timeout"]
+        assert run(shell, ".timeout 5") == ["statement timeout 5 ms"]
+        assert run(shell, ".timeout") == ["statement timeout is 5 ms"]
+        assert shell.db.statement_timeout_ms is None  # session state
+        for garbage in ("soon", "-3"):
+            (out,) = run(shell, f".timeout {garbage}")
+            assert out.startswith("usage:")
+        assert shell.settings.timeout_ms == 5.0
+        assert run(shell, ".timeout off") == ["statement timeout off"]
+        assert shell.settings.timeout_ms is None
 
     def test_the_budget_governs_the_next_statement(self, shell):
         run(shell, ".budget rows 1")

@@ -13,6 +13,7 @@ import pytest
 
 from repro import Database
 from repro.core.explain import INVARIANTS, REPORT, validate_explain
+from repro.engine.options import StatementOptions
 from repro.errors import ReproError, ServerOverloaded
 from repro.pool import PoolConfig
 from repro.server import AdmissionLimits, Server, SessionSettings
@@ -224,7 +225,8 @@ def test_a_report_with_the_pool_section_validates():
 
 
 def test_checked_degraded_and_governed_reports_validate(full_report):
-    degraded = sale_db().explain_json(SALE_QUERY, deadline_ms=1e-9)
+    degraded = sale_db().explain_json(
+        SALE_QUERY, options=StatementOptions(timeout_ms=1e-9))
     assert degraded["rewrite"]["degraded"]
     governed = sale_db(statement_timeout_ms=60_000).explain_json(
         SALE_QUERY, execute=True)

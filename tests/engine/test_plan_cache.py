@@ -23,6 +23,7 @@ from benchmarks.perf import workloads
 from benchmarks.perf.measure import load
 from repro import Database, Extension
 from repro.adt.types import INT
+from repro.engine.options import StatementOptions
 from repro.engine.plans import PlanCache
 from repro.qa.harness import case_seed
 from repro.qa.oracle import DifferentialOracle
@@ -366,8 +367,9 @@ class TestOnlyCleanPlans:
         db = sale_db()
         db.optimizer.rewriter.add_rule(StallingRule(delay_s=0.01),
                                        "simplify")
-        assert db.optimize(SALE_QUERY, deadline_ms=5).degraded
-        db.query(SALE_QUERY, deadline_ms=5)
+        assert db.optimize(
+            SALE_QUERY, options=StatementOptions(timeout_ms=5)).degraded
+        db.query(SALE_QUERY, timeout_ms=5, degrade=True)
         assert entry(db, SALE_QUERY) is None
         assert len(db.plans) == 0
 

@@ -75,7 +75,7 @@ class TestEngineSettingsReachTheReplica:
         monkeypatch.setattr(supervisor_mod, "send_frame", recording)
         flags = dict(rewrite=False, semi_naive=False, hash_joins=False,
                      dynamic_limits=True, antipattern=True, checked=True,
-                     deadline_ms=5000.0, resilient=True)
+                     resilient=True)
         server = _server(**flags)
         try:
             (boot,) = [f for f in frames if f["type"] == "boot"]
@@ -90,7 +90,7 @@ class TestEngineSettingsReachTheReplica:
         replica, parent = worker.db, server.db
         for attribute in ("rewrite_default", "semantic_limit", "semi_naive",
                           "hash_joins", "dynamic_limits", "antipattern",
-                          "checked", "deadline_ms", "resilient"):
+                          "checked", "resilient"):
             assert getattr(replica, attribute) == getattr(parent, attribute)
         assert replica.checked is True and replica.antipattern is True
         assert replica.hash_joins is False  # not the replica's default

@@ -202,6 +202,46 @@ class TestDeadline:
         finally:
             server.close()
 
+    @staticmethod
+    def _after_cancel_frame(reason, degrade=True):
+        """A worker's reader, in process, reads one cancel frame while
+        its database runs one registered statement; returns the
+        statement's context."""
+        import io
+
+        from repro.lifecycle.context import QueryContext
+        from repro.pool.protocol import send_frame
+        from repro.pool.worker import _Worker
+        frames = io.BytesIO()
+        send_frame(frames, {"type": "cancel", "reason": reason})
+        frames.seek(0)
+        worker = _Worker(frames, io.BytesIO())
+        worker.db = Database()
+        context = worker.db.lifecycle.begin(
+            QueryContext(timeout_ms=60_000, degrade=degrade))
+        worker.reader()  # the one frame, then EOF
+        return context
+
+    @pytest.mark.parametrize("degrade", [True, False])
+    def test_a_deadline_frame_trips_the_workers_own_deadline(self,
+                                                            degrade):
+        """ROADMAP item 21 (b): the dispatcher's ``deadline`` frame can
+        land a fraction of a millisecond before the worker's own
+        deadline.  It must trip that deadline, so the pooled outcome is
+        the in-process one (truncation under ``degrade``, else
+        ``BudgetExceeded``), never a pulled cancel token."""
+        from repro.errors import BudgetExceeded
+        from repro.lifecycle.context import Truncation
+        context = self._after_cancel_frame("deadline", degrade)
+        assert not context.cancelled
+        with pytest.raises(Truncation if degrade else BudgetExceeded):
+            context.check()
+        assert context.trip_info[0] == "deadline"
+
+    def test_any_other_cancel_frame_pulls_the_token(self):
+        context = self._after_cancel_frame("kill")
+        assert context.cancelled and context.cancel_reason == "kill"
+
 
 class TestPipes:
     def test_a_reaped_and_a_stopped_worker_leave_no_pipe_open(self):

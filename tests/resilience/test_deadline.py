@@ -1,6 +1,9 @@
-"""Deadlines and work budgets: graceful degradation, never an error."""
+"""The statement's deadline cuts the rewrite: graceful degradation,
+never an error."""
 
-from repro.resilience import ResiliencePolicy
+from repro.engine.evaluate import Evaluator
+from repro.engine.options import StatementOptions
+from repro.lifecycle.context import QueryContext, use_context
 from repro.rules.control import Block, RewriteEngine, Seq
 from repro.rules.rule import RuleContext
 from repro.terms.parser import parse_term
@@ -9,44 +12,18 @@ from tests.resilience.chaos import (SlowRule, sale_db, shrink_rule,
                                     SALE_QUERY)
 
 
-def engine(rules, policy):
-    return RewriteEngine(Seq([Block("b", rules)]), resilience=policy)
-
-
-class TestWorkBudget:
-    def test_max_applications_returns_best_so_far(self):
-        e = engine([shrink_rule()],
-                   ResiliencePolicy(max_applications=2))
-        result = e.rewrite(parse_term("P(P(P(P(P(Z)))))"), RuleContext())
-        assert result.degraded is True
-        assert result.degraded_reason == "max_applications"
-        assert result.applications == 2
-        # two of the four possible shrinks happened: genuinely partial
-        assert result.term == parse_term("P(P(P(Z)))")
-
-    def test_budget_spans_blocks_and_passes(self):
-        seq = Seq([Block("one", [shrink_rule()]),
-                   Block("two", [shrink_rule()])], passes=3)
-        e = RewriteEngine(seq,
-                          resilience=ResiliencePolicy(max_applications=3))
-        result = e.rewrite(parse_term("P(P(P(P(P(Z)))))"), RuleContext())
-        assert result.applications == 3
-        assert result.degraded is True
-
-    def test_untouched_budget_not_degraded(self):
-        e = engine([shrink_rule()],
-                   ResiliencePolicy(max_applications=100))
-        result = e.rewrite(parse_term("P(P(Z))"), RuleContext())
-        assert result.degraded is False
-        assert result.degraded_reason is None
-        assert result.term == parse_term("P(Z)")
+def rewrite(rules, term, timeout_ms):
+    """Rewrite ``term`` with one block of ``rules`` inside a statement
+    whose deadline is ``timeout_ms`` away."""
+    engine = RewriteEngine(Seq([Block("b", rules)]))
+    with use_context(QueryContext(timeout_ms=timeout_ms)):
+        return engine.rewrite(term, RuleContext())
 
 
 class TestDeadline:
     def test_expired_deadline_keeps_the_input_term(self):
-        e = engine([shrink_rule()], ResiliencePolicy(deadline_ms=0.0))
         deep = parse_term("P(P(P(Z)))")
-        result = e.rewrite(deep, RuleContext())
+        result = rewrite([shrink_rule()], deep, timeout_ms=0.0)
         assert result.degraded is True
         assert result.degraded_reason == "deadline"
         assert result.term == deep
@@ -55,9 +32,8 @@ class TestDeadline:
     def test_deadline_interrupts_mid_block(self):
         # each application sleeps well past the deadline, so the
         # cooperative check stops the block after the first one
-        e = engine([SlowRule(shrink_rule(), delay_s=0.02)],
-                   ResiliencePolicy(deadline_ms=5.0))
-        result = e.rewrite(parse_term("P(P(P(P(Z))))"), RuleContext())
+        result = rewrite([SlowRule(shrink_rule(), delay_s=0.02)],
+                         parse_term("P(P(P(P(Z))))"), timeout_ms=5.0)
         assert result.degraded is True
         assert result.degraded_reason == "deadline"
         assert 1 <= result.applications < 3
@@ -66,19 +42,21 @@ class TestDeadline:
         assert result.term != parse_term("P(Z)")
 
     def test_degradation_flows_into_explain_json(self):
-        db = sale_db(deadline_ms=0.0)
+        db = sale_db(resilient=True, statement_timeout_ms=0.0)
         report = db.explain_json(SALE_QUERY)
         assert report["rewrite"]["degraded"] is True
         assert report["resilience"]["degraded_reason"] == "deadline"
-        # degraded, not broken: the un-rewritten plan still answers
-        rows = sorted(db.query(SALE_QUERY).rows)
-        assert rows == [(15,), (25,), (40,)]
 
     def test_optimize_deadline_argument(self):
         db = sale_db()
-        optimized = db.optimize(SALE_QUERY, deadline_ms=0.0)
+        optimized = db.optimize(
+            SALE_QUERY, options=StatementOptions(timeout_ms=0.0))
         assert optimized.degraded is True
-        assert optimized.resilience.degraded_reason == "deadline"
+        assert optimized.rewrite_result.degraded_reason == "deadline"
+        assert optimized.resilience is None
+        # degraded, not broken: the best-so-far plan still answers
+        rows = Evaluator(db.catalog).evaluate(optimized.final).rows
+        assert sorted(rows) == [(15,), (25,), (40,)]
         unconstrained = db.optimize(SALE_QUERY)
         assert unconstrained.degraded is False
         assert unconstrained.resilience is None

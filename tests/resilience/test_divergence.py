@@ -43,13 +43,6 @@ class TestOscillation:
         with pytest.raises(RewriteError):
             e.rewrite(parse_term("AAA(1)"), RuleContext())
 
-    def test_detection_can_be_disabled(self):
-        e = engine(looping_pair(),
-                   ResiliencePolicy(detect_divergence=False), limit=40)
-        result = e.rewrite(parse_term("AAA(1)"), RuleContext())
-        assert result.resilience.divergence == []
-        assert result.applications == 40  # burned the whole budget
-
     def test_other_blocks_still_run_after_a_halted_block(self):
         from repro.rules.rule import rule_from_text
         seq = Seq([

@@ -61,7 +61,7 @@ class ReferenceEngine(RewriteEngine):
                           runtime=None):
         ctx = self._base  # the context rewrite() was given
         checks_this_scan = 0
-        sandbox = runtime.policy.sandbox
+        sandbox = runtime.policy is not None
 
         def missed(rule, path, attempt_t0):
             if bus:

@@ -108,12 +108,12 @@ class TestServing:
     def test_session_isolation_via_server(self):
         server = _server()
         strict = server.open_session(
-            "strict", SessionSettings(checked=True, deadline_ms=100.0))
+            "strict", SessionSettings(checked=True, timeout_ms=60_000))
         lax = server.open_session("lax")
         server.query("SELECT A FROM T", session=strict.id)
         server.query("SELECT A FROM T", session=lax.id)
         assert server.db.checked is False
-        assert server.db.deadline_ms is None
+        assert server.db.statement_timeout_ms is None
 
     def test_error_history_records_typed_payloads(self):
         server = _server()

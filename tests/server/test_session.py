@@ -32,16 +32,16 @@ class TestSessionSettings:
         settings = SessionSettings()
         assert settings.rewrite is None
         assert settings.checked is None
-        assert settings.deadline_ms is None
+        assert settings.timeout_ms is None
         assert settings.describe() == "defaults"
 
     def test_describe_lists_overrides(self):
         text = SessionSettings(
-            rewrite=False, checked=True, deadline_ms=5.0, profile=True
+            rewrite=False, checked=True, timeout_ms=5.0, profile=True
         ).describe()
         assert "rewrite=off" in text
         assert "checked=on" in text
-        assert "deadline=5ms" in text
+        assert "timeout=5ms" in text
         assert "profile=on" in text
 
 
@@ -55,15 +55,15 @@ class TestSession:
 
     def test_sessions_do_not_leak_into_each_other(self):
         """The settings-leakage fix: two sessions over one database
-        keep independent checked/deadline settings, and the shared
+        keep independent checked/timeout settings, and the shared
         Database object is never mutated."""
         db = _db()
         strict = Session("strict", db,
-                         SessionSettings(checked=True, deadline_ms=50.0))
+                         SessionSettings(checked=True, timeout_ms=60_000))
         lax = Session("lax", db)
         strict.query("SELECT B FROM T WHERE A = 1")
         assert db.checked is False
-        assert db.deadline_ms is None
+        assert db.statement_timeout_ms is None
         lax.query("SELECT B FROM T WHERE A = 1")
         assert strict.settings.checked is True
         assert lax.settings.checked is None
