@@ -72,6 +72,8 @@ class FunctionRegistry:
 
     def __init__(self):
         self._defs: dict[str, dict[Optional[int], FunctionDef]] = {}
+        # called after each registration (compiled plans bind impls)
+        self.on_change: Optional[Callable[[], None]] = None
 
     def register(self, fdef: FunctionDef, replace: bool = False) -> FunctionDef:
         key = fdef.name.upper()
@@ -81,6 +83,8 @@ class FunctionRegistry:
                 f"function {key}/{fdef.arity} already registered"
             )
         by_arity[fdef.arity] = fdef
+        if self.on_change is not None:
+            self.on_change()
         return fdef
 
     def define(self, name: str, impl: Impl, arity: Optional[int] = None,

@@ -59,8 +59,10 @@ class Catalog:
         # the list holds whatever rule objects repro.rules produces.
         self.integrity_constraints: list = []
         # bumped by every change a cached plan may depend on: the DDL
-        # below, and (through this object) the rewriter and quarantine
+        # below, the registry, and (through this object) the rewriter
+        # and quarantine
         self.plan_version = PlanVersion()
+        self.registry.on_change = self.plan_version.bump
 
     # -- relations ---------------------------------------------------------
     def define_table(self, name: str,

@@ -56,8 +56,20 @@ _DDL_STATEMENTS = (ast.EnumTypeDef, ast.TupleTypeDef, ast.CollTypeDef,
                    ast.TableDef, ast.ViewDef, ast.DropStmt)
 
 
+def _compiled_in(slot: str) -> property:
+    """An engine setting a cached tree compiles in: setting it bumps
+    the plan version."""
+    def assign(db, value: bool) -> None:
+        setattr(db, slot, value)
+        db.catalog.plan_version.bump()
+    return property(lambda db: getattr(db, slot), assign)
+
+
 class Database:
     """An in-memory extensible DBMS instance."""
+
+    semi_naive = _compiled_in("_semi_naive")
+    hash_joins = _compiled_in("_hash_joins")
 
     def __init__(self, rewrite: bool = True,
                  semantic_limit: Optional[int] = DEFAULT_SEMANTIC_LIMIT,
@@ -701,6 +713,9 @@ class Database:
             # a writer changed a plan input between lookup and lock
             plan, statement = None, self._parse_query(source)[0]
         optimized = None
+        # analyze: off, on (a fresh collector) or the caller's own
+        collector = (AnalyzeCollector() if opts.analyze is True
+                     else opts.analyze or None)
         if plan is None:
             version = self.plans.version.value
             term = self.translator.execute(statement)
@@ -713,8 +728,11 @@ class Database:
             )
             t2 = perf_counter()
             if key is not None:
-                self.plans.put(key, fingerprint_source(source, statement),
-                               optimized, version)
+                plan = self.plans.put(
+                    key, fingerprint_source(source, statement), optimized,
+                    version, Evaluator(self.catalog,
+                                       semi_naive=self.semi_naive,
+                                       hash_joins=self.hash_joins).compile)
             final, schema = optimized.final, optimized.schema
             firings = len(optimized.rewrite_result.trace)
         else:
@@ -724,17 +742,17 @@ class Database:
         if evaluate:
             if context is not None:
                 context.enter_phase("evaluate")
-            # analyze: off, on (a fresh collector) or the caller's own
-            collector = (AnalyzeCollector() if opts.analyze is True
-                         else opts.analyze or None)
-            evaluator = Evaluator(
-                self.catalog, stats=stats, semi_naive=self.semi_naive,
-                hash_joins=self.hash_joins, obs=obs, analyze=collector,
-            )
             if obs:
                 obs.emit(PhaseStart("evaluate"))
+            # a kept plan runs its shape's tree; analyze or a bus compiles
+            reuse = plan is not None and collector is None and not obs
             try:
-                result = evaluator.evaluate(final, schema)
+                result = Evaluator(
+                    self.catalog, stats=stats, semi_naive=self.semi_naive,
+                    hash_joins=self.hash_joins, obs=obs, analyze=collector,
+                    context=context,
+                ).evaluate(final, schema, plan.root if reuse else None,
+                           plan.params if reuse else ())
             finally:
                 t3 = perf_counter()
                 if obs:

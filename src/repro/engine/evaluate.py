@@ -1,11 +1,11 @@
 """The LERA evaluator: compiles algebra terms to closures and runs them.
 
 This is the execution substrate that makes rewriting *measurable*.
-:meth:`Evaluator.evaluate` walks the plan once, turning every operator
-into a closure ``run(fix_rows, fix_env) -> rows`` and every scalar
-expression into a closure ``f(env)``; what does not depend on the data
-is decided during that walk, never per row.  The physical strategy is
-deliberately simple and deterministic:
+:meth:`Evaluator.compile` walks the plan once, turning every operator
+into a closure ``run(frame, fix_rows, fix_env) -> rows`` and every
+scalar expression into a closure ``f(env, params)``; what does not
+depend on the data is decided during that walk, never per row.  The
+physical strategy is deliberately simple and deterministic:
 
 * SEARCH / JOIN run as nested loops over their inputs, applying each
   conjunct of the qualification as soon as all the relations it
@@ -24,10 +24,12 @@ deliberately simple and deterministic:
   iteration), with naive recomputation available as the A3 ablation
   baseline.
 
-Compiled nodes are memoised on the evaluator for the length of one
-``evaluate`` call: nothing compiled outlives a statement, so DDL and
-``Database.install`` have nothing to invalidate.  What does outlive a
-statement is data: a loop depth whose input is a stored table (not
+A compiled tree holds no per-run state: a run's counters, context,
+shared results, ``sys.*`` snapshots and parameter vector (read by
+``PARAM(i)`` leaves) are its :class:`Frame`, so the plan cache
+(:mod:`repro.engine.plans`) runs one tree per plan shape for any
+number of statements and threads.  What outlives a statement besides
+the tree is data: a loop depth whose input is a stored table (not
 shadowed by a fixpoint relation) reads its candidates from the table's
 own per-column hash index (``BaseRelation.index``) -- the join probe
 looks its key up there, and a conjunct equating a column with a scalar
@@ -49,20 +51,21 @@ budget trip surfaces as :class:`~repro.errors.QueryCancelled` /
 the context's *degrade* mode a budget trip instead raises the internal
 :class:`~repro.lifecycle.Truncation`, which every materializing
 operator catches, keeping its partial rows -- the statement completes
-with a truncated result flagged in ``EvalStats.truncated``.  Whether a
-context, an analyze collector or a subscribed bus is present is read
-once, when a node is compiled.
+with a truncated result flagged in ``EvalStats.truncated``.  Whether an
+analyze collector or a subscribed bus is present is read once, when a
+node is compiled.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.adt.functions import EQUALS
 from repro.adt.values import (ArrayValue, BagValue, CollectionValue,
                               ListValue, SetValue, TupleValue)
 from repro.engine.catalog import Catalog
+from repro.engine.plans import PARAM
 from repro.engine.stats import EvalStats
 from repro.errors import EvaluationError, FunctionError
 from repro.lera import ops
@@ -73,7 +76,7 @@ from repro.obs.events import EvalOp
 from repro.terms.term import (AttrRef, Const, Fun, Term, conjuncts, is_fun,
                               mentions, mk_fun, sym)
 
-__all__ = ["Evaluator", "Result", "evaluate"]
+__all__ = ["Evaluator", "Frame", "Result", "evaluate"]
 
 _MAX_DEFAULT_ITERATIONS = 100_000
 
@@ -134,8 +137,95 @@ def _dedupe(rows: Sequence[tuple]) -> list[tuple]:
     return list(dict.fromkeys(rows))
 
 
+class Frame:
+    """What one run of a compiled tree reads besides the tree: its
+    counters, its context (or None), its parameter vector, one result
+    per shared subterm and one snapshot per ``sys.*`` relation (a plan
+    scanning one virtual twice sees the same rows twice)."""
+
+    __slots__ = ("stats", "incr", "context", "tick", "params", "shared",
+                 "virtual", "reserved")
+
+    def __init__(self, stats: EvalStats, context=None, params: tuple = ()):
+        self.stats = stats
+        self.incr = stats.incr
+        self.context = context
+        self.tick = context.tick if context is not None else None
+        self.params = params
+        self.shared: dict[Term, list[tuple]] = {}
+        self.virtual: dict[str, list[tuple]] = {}
+        self.reserved = 0  # bytes reserved against the memory budget
+
+    def run(self, root: Callable) -> list[tuple]:
+        try:
+            try:
+                return root(self, {}, {})
+            except Truncation:
+                # the trip escaped every materializing handler (e.g. a
+                # bare-relation plan): an empty prefix is the result
+                self.note_truncated()
+                return []
+        finally:
+            # zero-balance the statement's memory account: every byte
+            # this run reserved is released here, completion or abort
+            # alike (the hypothesis property relies on this)
+            if self.reserved:
+                self.context.release(self.reserved)
+                self.reserved = 0
+
+    def note_truncated(self) -> None:
+        if not self.stats.truncated:
+            self.incr("truncated")
+
+    def reserve(self, rows: list) -> None:
+        """Reserve the estimated bytes of one materialized row list
+        against the context's memory budget (may trip it)."""
+        nbytes = _estimate_bytes(rows)
+        # the accountant records the reservation *before* the budget
+        # check raises, so the release at the end stays zero-balanced
+        self.reserved += nbytes
+        self.context.reserve(nbytes)
+
+    def account(self, rows: list) -> list:
+        """Charge one operator's output batch (rows + memory).
+
+        A degrade-mode trip here keeps the batch: the context is now
+        flagged truncated, so the very next tick anywhere unwinds the
+        operator stack.  A hard trip propagates as BudgetExceeded.
+        """
+        ctx = self.context
+        if ctx is None or not rows:
+            return rows
+        try:
+            ctx.charge_rows(len(rows))
+            self.reserve(rows)
+        except Truncation:
+            self.note_truncated()
+        return rows
+
+    def charge_scan(self, rows: list) -> list:
+        """Charge one relation scan; returns the (possibly truncated)
+        batch to hand to the consuming operator."""
+        ctx = self.context
+        before = ctx.rows_charged
+        try:
+            ctx.tick(len(rows))
+            ctx.charge_rows(len(rows))
+            self.reserve(rows)
+            return rows
+        except Truncation:
+            self.note_truncated()
+            if ctx.row_budget is not None:
+                return rows[:max(0, ctx.row_budget - before)]
+            return []
+
+    def output(self, out: list) -> list:
+        self.incr("tuples_output", len(out))
+        return self.account(out)
+
+
 class Evaluator:
-    """Evaluates LERA terms.
+    """Compiles LERA terms, and evaluates them.
 
     Parameters
     ----------
@@ -156,8 +246,8 @@ class Evaluator:
         subscribers every evaluated operator emits an ``EvalOp`` event
         (operator name, rows produced, monotonic duration).
     context:
-        Optional :class:`~repro.lifecycle.QueryContext` governing this
-        evaluation; defaults to the ambient statement context, so
+        Optional :class:`~repro.lifecycle.QueryContext` governing
+        :meth:`evaluate`; defaults to the ambient statement context, so
         evaluators built deep inside the translator (DML predicate
         subqueries) inherit the statement's cancel token and budgets
         without signature plumbing.
@@ -179,119 +269,38 @@ class Evaluator:
         # actuals, or None (the default); like the event bus it is read
         # when a node is compiled, so the off path costs nothing per run
         self.analyze = analyze
-        self.context = context if context is not None \
-            else current_context()
-        # bytes this evaluator has reserved against the context's
-        # memory budget; released wholesale when evaluate() exits
-        self._mem_reserved = 0
-        # per evaluation: the compiled nodes, the shared results and
-        # one snapshot per sys.* relation
+        self.context = context
+        # per compile: the compiled nodes, by term
         self._compiled: dict[Term, Callable] = {}
-        self._cache: dict[Term, list[tuple]] = {}
-        self._vrows: dict[str, list[tuple]] = {}
-
-    # registry implementations receive the evaluator as their context
-    @property
-    def objects(self):
-        return self.catalog.objects
-
-    @property
-    def type_system(self):
-        return self.catalog.type_system
-
-    @property
-    def _tick(self) -> Optional[Callable]:
-        """The per-row check site a compiled loop carries: the
-        context's ``tick``, or None without one."""
-        return self.context.tick if self.context is not None else None
 
     # -- public API ---------------------------------------------------------
-    def evaluate(self, term: Term,
-                 schema: Optional[Schema] = None) -> Result:
-        """Run ``term``; ``schema`` is its output schema when the
-        caller already holds it (the statement path does, from the
-        optimizer), derived here otherwise."""
-        # one snapshot per sys.* relation per evaluation: a plan that
-        # scans the same virtual twice (self-join, fixpoint) must see
-        # the same point-in-time rows both times
-        self._compiled, self._cache, self._vrows = {}, {}, {}
+    def evaluate(self, term: Term, schema: Optional[Schema] = None,
+                 root: Optional[Callable] = None,
+                 params: tuple = ()) -> Result:
+        """Compile and run ``term``, or run ``root``, the tree of its
+        shape, with ``params`` (a plan-cache hit); ``schema`` is derived
+        unless the caller holds it (the statement path, from the
+        optimizer)."""
+        context = self.context or current_context()
+        rows = Frame(self.stats, context, params).run(
+            root or self.compile(term))
+        if schema is None:
+            schema = schema_of(term, self.catalog)
+        return Result(rows, schema)
+
+    def compile(self, term: Term) -> Callable:
+        """``term`` as one closure ``run(frame, fix_rows, fix_env)``,
+        for :meth:`Frame.run`; it holds no per-run state."""
         try:
-            try:
-                rows = self._compile(term)({}, {})
-            except Truncation:
-                # the trip escaped every materializing handler (e.g. a
-                # bare-relation plan): an empty prefix is the result
-                self._note_truncated()
-                rows = []
-            if schema is None:
-                schema = schema_of(term, self.catalog)
-            return Result(rows, schema)
+            return self._compile(term)
         finally:
-            # the closures hold the evaluator: let go of them, so both
-            # are freed on return rather than by a later gc pass
             self._compiled = {}
-            # zero-balance the statement's memory account: every byte
-            # this evaluator reserved is released here, completion or
-            # abort alike (the hypothesis property relies on this)
-            if self._mem_reserved:
-                self.context.release(self._mem_reserved)
-                self._mem_reserved = 0
-
-    # -- lifecycle accounting -------------------------------------------------
-    def _note_truncated(self) -> None:
-        if not self.stats.truncated:
-            self.stats.incr("truncated")
-
-    def _reserve(self, rows: list) -> None:
-        """Reserve the estimated bytes of one materialized row list
-        against the context's memory budget (may trip it)."""
-        nbytes = _estimate_bytes(rows)
-        # the accountant records the reservation *before* the budget
-        # check raises, so the finally-release stays zero-balanced
-        self._mem_reserved += nbytes
-        self.context.reserve(nbytes)
-
-    def _account_out(self, rows: list) -> list:
-        """Charge one operator's output batch (rows + memory).
-
-        A degrade-mode trip here keeps the batch: the context is now
-        flagged truncated, so the very next tick anywhere unwinds the
-        operator stack.  A hard trip propagates as BudgetExceeded.
-        """
-        ctx = self.context
-        if ctx is None or not rows:
-            return rows
-        try:
-            ctx.charge_rows(len(rows))
-            self._reserve(rows)
-        except Truncation:
-            self._note_truncated()
-        return rows
-
-    def _charge_scan(self, rows: list, ctx) -> list:
-        """Charge one relation scan; returns the (possibly truncated)
-        batch to hand to the consuming operator."""
-        before = ctx.rows_charged
-        try:
-            ctx.tick(len(rows))
-            ctx.charge_rows(len(rows))
-            self._reserve(rows)
-            return rows
-        except Truncation:
-            self._note_truncated()
-            if ctx.row_budget is not None:
-                return rows[:max(0, ctx.row_budget - before)]
-            return []
-
-    def _output(self, out: list) -> list:
-        self.stats.incr("tuples_output", len(out))
-        return self._account_out(out)
 
     # -- compilation: relations -----------------------------------------------
     def _compile(self, term: Term) -> Callable:
-        """The closure ``run(fix_rows, fix_env) -> rows`` of one plan
-        node.  Equal subterms share one closure (the delta variants of
-        a fixpoint differ from their branch along one path only)."""
+        """The closure of one plan node.  Equal subterms share one
+        closure (the delta variants of a fixpoint differ from their
+        branch along one path only)."""
         run = self._compiled.get(term)
         if run is None:
             run = self._compiled[term] = self._compile_node(term)
@@ -316,28 +325,27 @@ class Evaluator:
             # a node that cannot be compiled fails when it is run, not
             # before: under a constant-false qualification, or after an
             # input that raises first, it is never reached
-            def body(fix_rows, fix_env, exc=exc):
+            def body(frame, fix_rows, fix_env, exc=exc):
                 raise exc
 
-        incr = self.stats.incr
         analyze, bus = self.analyze, self.obs
         if analyze is None and not bus:
-            def node(fix_rows: dict, fix_env: dict) -> list[tuple]:
-                incr("operators_evaluated")
-                return body(fix_rows, fix_env)
+            def node(frame, fix_rows: dict, fix_env: dict) -> list[tuple]:
+                frame.incr("operators_evaluated")
+                return body(frame, fix_rows, fix_env)
         else:
             operator = (term.name if isinstance(term, Fun)
                         else "SCAN" if ops.is_relation_name(term)
                         else type(term).__name__)
 
-            def node(fix_rows: dict, fix_env: dict) -> list[tuple]:
+            def node(frame, fix_rows: dict, fix_env: dict) -> list[tuple]:
                 rows = None
                 if analyze is not None:
                     analyze.enter(term)
                 t0 = perf_counter()
                 try:
-                    incr("operators_evaluated")
-                    rows = body(fix_rows, fix_env)
+                    frame.incr("operators_evaluated")
+                    rows = body(frame, fix_rows, fix_env)
                 finally:
                     # exit even when a Truncation / budget trip unwinds
                     # through this node, keeping the collector's nesting
@@ -361,42 +369,42 @@ class Evaluator:
         # same rows within one query; the Alexander rewrite relies on this
         # (the inlined magic fixpoint is shared by every specialized
         # branch and must be computed once).
-        cache = self._cache
 
-        def shared(fix_rows: dict, fix_env: dict) -> list[tuple]:
+        def shared(frame, fix_rows: dict, fix_env: dict) -> list[tuple]:
             if fix_rows and not mentions(term).keys().isdisjoint(fix_rows):
-                return node(fix_rows, fix_env)
+                return node(frame, fix_rows, fix_env)
+            cache = frame.shared
             rows = cache.get(term)
             if rows is None:
-                rows = cache[term] = node(fix_rows, fix_env)
+                rows = cache[term] = node(frame, fix_rows, fix_env)
             return rows
         return shared
 
     def _compile_scan(self, term: Term) -> Callable:
         name = str(term.value)  # type: ignore[union-attr]
-        catalog, incr, ctx = self.catalog, self.stats.incr, self.context
+        catalog, compile = self.catalog, self.compile
 
-        def scan(fix_rows: dict, fix_env: dict) -> list[tuple]:
+        def scan(frame, fix_rows: dict, fix_env: dict) -> list[tuple]:
             if name in fix_rows:
                 rows = fix_rows[name]
             elif catalog.is_table(name):
                 rows = catalog.rows(name)
             elif catalog.is_virtual(name):
-                vrows = self._vrows
-                if name not in vrows:
-                    vrows[name] = catalog.virtual_rows(name)
-                rows = vrows[name]
+                snapshots = frame.virtual
+                if name not in snapshots:
+                    snapshots[name] = catalog.virtual_rows(name)
+                rows = snapshots[name]
             elif catalog.is_view(name):
                 # views are normally expanded at translation time; keep a
                 # fallback so hand-built plans can reference them
-                view = self._compile(catalog.view(name).term)
-                return view(fix_rows, fix_env)
+                view = compile(catalog.view(name).term)
+                return view(frame, fix_rows, fix_env)
             else:
                 raise EvaluationError(f"unknown relation {name!r}")
-            incr("tuples_scanned", len(rows))
-            if ctx is None:
+            frame.incr("tuples_scanned", len(rows))
+            if frame.context is None:
                 return list(rows)
-            return self._charge_scan(list(rows), ctx)
+            return frame.charge_scan(list(rows))
         return scan
 
     def _compile_search(self, term: Fun) -> Callable:
@@ -446,6 +454,7 @@ class Evaluator:
         # input to an already-bound one, probed through a hash index on
         # the input; at depth 0 the first conjunct equating a column
         # with a scalar constant, a lookup when the input is a table
+        # (its key is compiled: a lifted constant is a parameter)
         static_probes: list = [None] * n
         # (depth, table name, column): a depth whose input may be read
         # through the table's own index instead of a scan
@@ -463,6 +472,8 @@ class Evaluator:
                 elif named:
                     probe = next(filter(None, (
                         _constant_probe(c, pos) for c in by_depth[0])), None)
+                    if probe is not None:
+                        probe = probe[0], self.compile_expr(probe[1])
                 else:
                     continue
                 static_probes[depth] = probe
@@ -474,13 +485,14 @@ class Evaluator:
         children = [self._compile(r) for r in inputs]
         slots = [pos - 1 for pos in order]
         innermost = n - 1
-        incr, catalog, ctx = self.stats.incr, self.catalog, self.context
-        # the join-probe cooperative check site: one tick per candidate
-        # row extended at any depth
-        tick = self._tick
+        catalog = self.catalog
 
-        def run(fix_rows: dict, fix_env: dict) -> list[tuple]:
+        def run(frame, fix_rows: dict, fix_env: dict) -> list[tuple]:
             out: list[tuple] = []
+            params, ctx = frame.params, frame.context
+            # the join-probe cooperative check site: one tick per
+            # candidate row extended at any depth
+            tick = frame.tick
             # tuples_scanned, join_pairs, qual_evaluations of this run
             work = [0, 0, 0]
 
@@ -502,7 +514,7 @@ class Evaluator:
                 if charged[depth] and candidates:
                     # read from the table itself: charged as a scan of
                     # the candidates
-                    candidates = self._charge_scan(candidates, ctx)
+                    candidates = frame.charge_scan(candidates)
                 level = preds[depth]
                 seen = evaluated = 0
                 try:
@@ -513,11 +525,11 @@ class Evaluator:
                         env[slot] = row
                         for pred in level:
                             evaluated += 1
-                            if not pred(env):
+                            if not pred(env, params):
                                 break
                         else:
                             if depth == innermost:
-                                out.append(emit(env))
+                                out.append(emit(env, params))
                             else:
                                 extend(depth + 1)
                 finally:
@@ -528,10 +540,12 @@ class Evaluator:
                 # constant conjuncts: decide before touching any input
                 for pred in constants:
                     work[2] += 1
-                    if not pred(()):
+                    if not pred((), params):
                         break
                 else:
                     probes = list(static_probes)
+                    if n and probes[0] is not None:
+                        probes[0] = probes[0][0], probes[0][1]((), params)
                     indexes: list = [None] * n
                     relations: list = [None] * n
                     charged = [False] * n
@@ -550,30 +564,30 @@ class Evaluator:
                             probes[0] = None  # no lookup: scan
                     for slot, child in enumerate(children):
                         if relations[slot] is None:
-                            relations[slot] = child(fix_rows, fix_env)
+                            relations[slot] = child(frame, fix_rows, fix_env)
                     env: list = [None] * n
                     if n:
                         extend(0)
                     else:
-                        out.append(emit(env))
+                        out.append(emit(env, params))
             except Truncation:
-                self._note_truncated()
+                frame.note_truncated()
             finally:
                 extend = None  # the function refers to itself: free it now
+                incr = frame.incr
                 incr("tuples_scanned", work[0])
                 incr("join_pairs", work[1])
                 incr("qual_evaluations", work[2])
-            return self._output(out)
+            return frame.output(out)
         return run
 
     def _compile_filter(self, term: Fun) -> Callable:
         child = self._compile(term.args[0])
         pred = self.compile_expr(term.args[1])
-        incr = self.stats.incr
-        tick = self._tick
 
-        def run(fix_rows: dict, fix_env: dict) -> list[tuple]:
-            rows = child(fix_rows, fix_env)
+        def run(frame, fix_rows: dict, fix_env: dict) -> list[tuple]:
+            rows = child(frame, fix_rows, fix_env)
+            params, tick = frame.params, frame.tick
             out = []
             evaluated = 0
             try:
@@ -581,51 +595,51 @@ class Evaluator:
                     if tick is not None:
                         tick()
                     evaluated += 1
-                    if pred((row,)):
+                    if pred((row,), params):
                         out.append(row)
             except Truncation:
-                self._note_truncated()
+                frame.note_truncated()
             finally:
-                incr("qual_evaluations", evaluated)
-            return self._output(out)
+                frame.incr("qual_evaluations", evaluated)
+            return frame.output(out)
         return run
 
     def _compile_projection(self, term: Fun) -> Callable:
         child = self._compile(term.args[0])
         build = self._row_builder(
             [ops.item_expr(i) for i in ops.proj_items(term)])
-        tick = self._tick
 
-        def run(fix_rows: dict, fix_env: dict) -> list[tuple]:
-            rows = child(fix_rows, fix_env)
+        def run(frame, fix_rows: dict, fix_env: dict) -> list[tuple]:
+            rows = child(frame, fix_rows, fix_env)
+            params, tick = frame.params, frame.tick
             out = []
             try:
                 for row in rows:
                     if tick is not None:
                         tick()
-                    out.append(build((row,)))
+                    out.append(build((row,), params))
             except Truncation:
-                self._note_truncated()
-            return self._output(out)
+                frame.note_truncated()
+            return frame.output(out)
         return run
 
     def _compile_empty(self, term: Fun) -> Callable:
-        return lambda fix_rows, fix_env: []
+        return lambda frame, fix_rows, fix_env: []
 
     def _compile_distinct(self, term: Fun) -> Callable:
         child = self._compile(term.args[0])
-        return lambda fix_rows, fix_env: _dedupe(child(fix_rows, fix_env))
+        return lambda frame, fix_rows, fix_env: _dedupe(
+            child(frame, fix_rows, fix_env))
 
     def _compile_existential(self, term: Fun, keep: bool) -> Callable:
         left_run = self._compile(term.args[0])
         right_run = self._compile(term.args[1])
         pred = self.compile_expr(term.args[2])
-        incr = self.stats.incr
-        tick = self._tick
 
-        def run(fix_rows: dict, fix_env: dict) -> list[tuple]:
-            left = left_run(fix_rows, fix_env)
-            right = right_run(fix_rows, fix_env)
+        def run(frame, fix_rows: dict, fix_env: dict) -> list[tuple]:
+            left = left_run(frame, fix_rows, fix_env)
+            right = right_run(frame, fix_rows, fix_env)
+            params, tick = frame.params, frame.tick
             out = []
             scanned = pairs = 0
             try:
@@ -638,37 +652,38 @@ class Evaluator:
                         pairs += 1
                         if tick is not None:
                             tick()
-                        if pred((row, partner)):
+                        if pred((row, partner), params):
                             found = True
                             break
                     if found == keep:
                         out.append(row)
             except Truncation:
-                self._note_truncated()
+                frame.note_truncated()
             finally:
+                incr = frame.incr
                 incr("tuples_scanned", scanned)
                 incr("join_pairs", pairs)
                 incr("qual_evaluations", pairs)
-            return self._output(out)
+            return frame.output(out)
         return run
 
     def _compile_values(self, term: Fun) -> Callable:
         rows = [[self.compile_expr(cell) for cell in row_term.args]
                 for row_term in term.args[0].args]  # type: ignore
-        return lambda fix_rows, fix_env: [
-            tuple([cell(()) for cell in row]) for row in rows
+        return lambda frame, fix_rows, fix_env: [
+            tuple([cell((), frame.params) for cell in row]) for row in rows
         ]
 
     def _compile_union(self, term: Fun) -> Callable:
         branches = [self._compile(r) for r in ops.relation_inputs(term)]
 
-        def run(fix_rows: dict, fix_env: dict) -> list[tuple]:
+        def run(frame, fix_rows: dict, fix_env: dict) -> list[tuple]:
             out: list[tuple] = []
             try:
                 for branch in branches:
-                    out.extend(branch(fix_rows, fix_env))
+                    out.extend(branch(frame, fix_rows, fix_env))
             except Truncation:
-                self._note_truncated()
+                frame.note_truncated()
             return _dedupe(out)
         return run
 
@@ -676,10 +691,10 @@ class Evaluator:
         first, *others = [self._compile(r)
                           for r in ops.relation_inputs(term)]
 
-        def run(fix_rows: dict, fix_env: dict) -> list[tuple]:
-            out = _dedupe(first(fix_rows, fix_env))
+        def run(frame, fix_rows: dict, fix_env: dict) -> list[tuple]:
+            out = _dedupe(first(frame, fix_rows, fix_env))
             for other in others:
-                keep = set(other(fix_rows, fix_env))
+                keep = set(other(frame, fix_rows, fix_env))
                 out = [row for row in out if row in keep]
             return out
         return run
@@ -688,9 +703,9 @@ class Evaluator:
         left_run = self._compile(term.args[0])
         right_run = self._compile(term.args[1])
 
-        def run(fix_rows: dict, fix_env: dict) -> list[tuple]:
-            left = _dedupe(left_run(fix_rows, fix_env))
-            right = set(right_run(fix_rows, fix_env))
+        def run(frame, fix_rows: dict, fix_env: dict) -> list[tuple]:
+            left = _dedupe(left_run(frame, fix_rows, fix_env))
+            right = set(right_run(frame, fix_rows, fix_env))
             return [row for row in left if row not in right]
         return run
 
@@ -706,27 +721,22 @@ class Evaluator:
         # attributes it groups); no NEST below, no schema to derive
         catalog = self.catalog
 
-        def run(fix_rows: dict, fix_env: dict) -> list[tuple]:
+        def run(frame, fix_rows: dict, fix_env: dict) -> list[tuple]:
             inner_env = dict(fix_env)
             inner_env[name] = schema_of(term, catalog, fix_env)
-            return iterate(fix_rows, inner_env)
+            return iterate(frame, fix_rows, inner_env)
         return run
-
-    def _diverged(self, name: str) -> EvaluationError:
-        return EvaluationError(
-            f"fixpoint {name} did not converge within "
-            f"{self.max_fix_iterations} iterations"
-        )
 
     def _compile_naive(self, name: str, body: Term) -> Callable:
         step = self._compile(body)
-        incr, ctx = self.stats.incr, self.context
+        limit = self.max_fix_iterations
 
-        def run(fix_rows: dict, fix_env: dict) -> list[tuple]:
+        def run(frame, fix_rows: dict, fix_env: dict) -> list[tuple]:
+            ctx = frame.context
             total: dict[tuple, None] = {}
             try:
-                for __ in range(self.max_fix_iterations):
-                    incr("fix_iterations")
+                for __ in range(limit):
+                    frame.incr("fix_iterations")
                     # the fixpoint-iteration check site: an iteration is
                     # far coarser than a row, so check unconditionally
                     if ctx is not None:
@@ -734,14 +744,14 @@ class Evaluator:
                     inner_rows = dict(fix_rows)
                     inner_rows[name] = list(total)
                     before = len(total)
-                    for row in step(inner_rows, fix_env):
+                    for row in step(frame, inner_rows, fix_env):
                         total.setdefault(row, None)
                     if len(total) == before:
-                        return self._account_out(list(total))
+                        return frame.account(list(total))
             except Truncation:
-                self._note_truncated()
-                return self._account_out(list(total))
-            raise self._diverged(name)
+                frame.note_truncated()
+                return frame.account(list(total))
+            raise _diverged(name, limit)
         return run
 
     def _compile_semi_naive(self, name: str, body: Term) -> Callable:
@@ -757,9 +767,10 @@ class Evaluator:
             self._compile(_replace_nth_symbol(b, name, i, delta_name))
             for b in branches for i in range(mentions(b).get(name, 0))
         ]
-        incr, ctx = self.stats.incr, self.context
+        limit = self.max_fix_iterations
 
-        def run(fix_rows: dict, fix_env: dict) -> list[tuple]:
+        def run(frame, fix_rows: dict, fix_env: dict) -> list[tuple]:
+            incr, ctx = frame.incr, frame.context
             inner_env = fix_env
             if name in fix_env:
                 inner_env = dict(fix_env)
@@ -770,14 +781,14 @@ class Evaluator:
                     incr("fix_iterations")
                     if ctx is not None:
                         ctx.check()
-                    for row in branch(fix_rows, inner_env):
+                    for row in branch(frame, fix_rows, inner_env):
                         total.setdefault(row, None)
                 delta = list(total)
                 guard = 0
                 while delta:
                     guard += 1
-                    if guard > self.max_fix_iterations:
-                        raise self._diverged(name)
+                    if guard > limit:
+                        raise _diverged(name, limit)
                     incr("fix_iterations")
                     # the fixpoint-iteration check site (semi-naive)
                     if ctx is not None:
@@ -787,15 +798,16 @@ class Evaluator:
                     inner_rows[delta_name] = delta
                     produced: list[tuple] = []
                     for variant in variants:
-                        produced.extend(variant(inner_rows, inner_env))
+                        produced.extend(variant(frame, inner_rows,
+                                                inner_env))
                     delta = []
                     for row in _dedupe(produced):
                         if row not in total:
                             total[row] = None
                             delta.append(row)
             except Truncation:
-                self._note_truncated()
-            return self._account_out(list(total))
+                frame.note_truncated()
+            return frame.account(list(total))
         return run
 
     # -- nest / unnest ----------------------------------------------------------
@@ -806,8 +818,8 @@ class Evaluator:
         kind = str(spec.args[1].value)  # type: ignore[union-attr]
         catalog = self.catalog
 
-        def run(fix_rows: dict, fix_env: dict) -> list[tuple]:
-            rows = child(fix_rows, fix_env)
+        def run(frame, fix_rows: dict, fix_env: dict) -> list[tuple]:
+            rows = child(frame, fix_rows, fix_env)
             input_schema = schema_of(input_term, catalog, fix_env)
             kept = [p for p in range(1, len(input_schema) + 1)
                     if p not in positions]
@@ -826,17 +838,17 @@ class Evaluator:
 
             ctor = _COLLECTION_CTORS[kind]
             out = [key + (ctor(items),) for key, items in groups.items()]
-            return self._output(out)
+            return frame.output(out)
         return run
 
     def _compile_unnest(self, term: Fun) -> Callable:
         input_term, attr = term.args
         child = self._compile(input_term)
         pos = attr.pos  # type: ignore[union-attr]
-        tick = self._tick
 
-        def run(fix_rows: dict, fix_env: dict) -> list[tuple]:
-            rows = child(fix_rows, fix_env)
+        def run(frame, fix_rows: dict, fix_env: dict) -> list[tuple]:
+            rows = child(frame, fix_rows, fix_env)
+            tick = frame.tick
             out = []
             try:
                 for row in rows:
@@ -851,80 +863,88 @@ class Evaluator:
                     for element in coll:
                         out.append(row[:pos - 1] + (element,) + row[pos:])
             except Truncation:
-                self._note_truncated()
-            return self._output(out)
+                frame.note_truncated()
+            return frame.output(out)
         return run
 
     # -- compilation: scalar expressions ----------------------------------------
-    def compile_expr(self, expr: Term) -> Callable[[Sequence[tuple]], Any]:
-        """``expr`` as one closure over ``env``, the sequence of rows
-        its attribute references index (``#rel.pos``, both 1-based).
-        An expression that cannot be evaluated fails when called, not
-        here, so a plan over empty input never sees it."""
+    def compile_expr(self, expr: Term) -> Callable:
+        """``expr`` as one closure ``f(env, params)``: ``env`` is the
+        sequence of rows its attribute references index (``#rel.pos``,
+        both 1-based), ``params`` the vector its ``PARAM(i)`` leaves
+        index.  An expression that cannot be evaluated fails when
+        called, not here, so a plan over empty input never sees it."""
         if isinstance(expr, Const):
             value = str(expr.value) if expr.kind == "symbol" else expr.value
-            return lambda env: value
+            return lambda env, params: value
         if isinstance(expr, AttrRef):
             return _attribute(expr)
         if not isinstance(expr, Fun):
-            def fail(env):
+            def fail(env, params):
                 raise EvaluationError(f"cannot evaluate expression {expr!r}")
             return fail
 
         name = expr.name
+        if name == PARAM:
+            index = expr.args[0].value  # type: ignore[union-attr]
+            return lambda env, params: params[index]
         if name == "AS":
             return self.compile_expr(expr.args[0])
         parts = [self.compile_expr(a) for a in expr.args]
         if name == "AND":
-            def conjunction(env) -> bool:
+            def conjunction(env, params) -> bool:
                 for part in parts:
-                    if not part(env):
+                    if not part(env, params):
                         return False
                 return True
             return conjunction
         if name == "OR":
-            def disjunction(env) -> bool:
+            def disjunction(env, params) -> bool:
                 for part in parts:
-                    if part(env):
+                    if part(env, params):
                         return True
                 return False
             return disjunction
         if name == "NOT":
             negated = parts[0]
-            return lambda env: not negated(env)
+            return lambda env, params: not negated(env, params)
 
         # a function of the ADT library, bound once; implementations
-        # receive the evaluator as their context
-        registry = self.catalog.registry
+        # receive the catalog (its objects and type system) as context
+        catalog = self.catalog
+        registry = catalog.registry
         try:
             fdef = registry.lookup(name, len(parts))
         except FunctionError:
             fdef = None
         if fdef is None or fdef.arity not in (None, len(parts)):
             # refused per call, after the arguments, as the registry does
-            return lambda env: registry.call(
-                name, [part(env) for part in parts], self)
+            return lambda env, params: registry.call(
+                name, [part(env, params) for part in parts], catalog)
         impl = fdef.impl
         if len(parts) == 2:
             left, right = parts
-            return lambda env: impl([left(env), right(env)], self)
-        return lambda env: impl([part(env) for part in parts], self)
+            return lambda env, params: impl(
+                [left(env, params), right(env, params)], catalog)
+        return lambda env, params: impl(
+            [part(env, params) for part in parts], catalog)
 
     def _row_builder(self, exprs: list) -> Callable:
-        """One tuple builder for a projection list."""
+        """One tuple builder ``build(env, params)`` for a projection
+        list."""
         parts = [self.compile_expr(e) for e in exprs]
 
-        def build(env) -> tuple:
-            return tuple([part(env) for part in parts])
+        def build(env, params) -> tuple:
+            return tuple([part(env, params) for part in parts])
         if not all(isinstance(e, AttrRef) for e in exprs):
             return build
         slots = [(e.rel - 1, e.pos - 1) for e in exprs]
 
-        def pick(env) -> tuple:
+        def pick(env, params) -> tuple:
             try:
                 return tuple([env[rel][pos] for rel, pos in slots])
             except IndexError:
-                return build(env)  # names the reference out of range
+                return build(env, params)  # names the reference out of range
         return pick
 
 
@@ -950,7 +970,7 @@ _OPERATORS = {
 def _attribute(ref: AttrRef) -> Callable:
     rel, pos = ref.rel - 1, ref.pos - 1
 
-    def attribute(env):
+    def attribute(env, params):
         try:
             return env[rel][pos]
         except IndexError:
@@ -966,7 +986,7 @@ def _attribute(ref: AttrRef) -> Callable:
     return attribute
 
 
-def _concatenated(env) -> tuple:
+def _concatenated(env, params) -> tuple:
     row: tuple = ()
     for part in env:
         row += part
@@ -1020,17 +1040,24 @@ def _hash_index(rows: list, col: int) -> Optional[dict]:
 
 
 def _constant_probe(conjunct: Term, pos: int):
-    """(own column, 1-based; the value) when ``conjunct`` equates a
-    column of input ``pos`` with a scalar constant; None otherwise."""
+    """(own column, 1-based; the constant) when ``conjunct`` equates a
+    column of input ``pos`` with a scalar constant or a parameter;
+    None otherwise."""
     if not (is_fun(conjunct, "=") and len(conjunct.args) == 2):
         return None
     left, right = conjunct.args  # type: ignore[union-attr]
     for own, other in ((left, right), (right, left)):
-        if isinstance(own, AttrRef) and own.rel == pos \
-                and isinstance(other, Const) and other.kind != "symbol" \
-                and not isinstance(other.value, CollectionValue):
-            return own.pos, other.value
+        if isinstance(own, AttrRef) and own.rel == pos and (
+                is_fun(other, PARAM) or isinstance(other, Const)
+                and other.kind != "symbol"
+                and not isinstance(other.value, CollectionValue)):
+            return own.pos, other
     return None
+
+
+def _diverged(name: str, limit: int) -> EvaluationError:
+    return EvaluationError(
+        f"fixpoint {name} did not converge within {limit} iterations")
 
 
 def _equi_probe(conjunct: Term, pos: int, bound: set):

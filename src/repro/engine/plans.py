@@ -1,12 +1,20 @@
-"""The plan cache: a repeated query text is planned once.
+"""The plan cache: a repeated query text is planned once, and each
+plan *shape* is compiled once.
 
 :class:`PlanCache` maps ``(text, rewrite)`` to what a repeated
 query needs to run -- its :class:`~repro.esql.fingerprint.Fingerprint`,
-the final LERA plan, the plan's :class:`~repro.lera.schema.Schema` and
-the number of rule firings that built it.  ``Database.query`` consults
-it before parsing; a hit skips parse, fingerprint, translate,
-typecheck and rewrite and goes straight to the evaluator (see
+the final LERA plan, the plan's :class:`~repro.lera.schema.Schema`, the
+number of rule firings that built it, and the compiled tree of its
+shape with the text's parameters.  ``Database.query`` consults it
+before parsing; a hit skips every stage up to the run of the tree (see
 ``docs/architecture.md``, "The statement path").
+
+:func:`lift` makes the shape: each int, real or string constant of a
+qualification, projection item or ``VALUES`` cell becomes ``PARAM(i)``,
+numbered by distinct value (so Alexander's inlined magic fixpoint stays
+one shared result), and fresh fixpoint names are numbered by first
+appearance.  A plan with a NEST (it derives schemas as it runs) is its
+own shape.
 
 Keying on the text needs no soundness contract for constants: the same
 text carries the same literals, so it gets the same plan.  ``rewrite``
@@ -15,33 +23,75 @@ neither reads nor stores an entry: checked mode validates each rewrite
 against the rows present now, and DML changes those without bumping
 the plan version.
 
-Everything a rewrite reads besides the text bumps one
+Everything a rewrite or a compile reads besides the text bumps one
 :class:`PlanVersion` counter (owned by the catalog): catalog DDL,
 integrity constraints and regenerated optimizers, the rewriter's rule
-and extension changes, and the quarantine.  An entry stamped with an
-older version is a miss.
+and extension changes, the quarantine, the function registry and the
+database's ``hash_joins`` / ``semi_naive``.  An entry stamped with an
+older version is a miss, and a tree is shared only within one version.
 
 The cache is bounded by the term nodes its plans hold
 (:data:`CAPACITY_NODES`), least recently used first out.  Terms are
 shared when built (see :mod:`repro.terms.term`), and equal schemas and
 fingerprints of different entries are one object here, so a thousand
 texts that differ only in a constant cost a thousand small spines, not
-a thousand plans.
+a thousand plans -- and one compiled tree.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 import threading
 from collections import OrderedDict
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
-from repro.terms.term import term_size
+from repro.lera import ops
+from repro.terms.term import Const, Fun, Term, num, sym, term_size
 
-__all__ = ["PlanCache", "PlanVersion", "CachedPlan", "CAPACITY_NODES"]
+__all__ = ["PlanCache", "PlanVersion", "CachedPlan", "PARAM", "lift",
+           "CAPACITY_NODES"]
 
 # the one capacity constant: term nodes held by the cached plans
 CAPACITY_NODES = 65_536
+
+# the argument positions of a LERA operator that hold scalar
+# expressions: qualifications, projection items, VALUES cells
+_EXPRESSIONS = {**ops.SCOPED_ARGS, "VALUES": (0,)}
+# the fixpoint method's fresh names: R$MAGICk / R$BOUNDk
+_FRESH = re.compile(r"(.*\$(?:MAGIC|BOUND))(\d+)")
+
+
+# a lifted constant: PARAM(i) stands for the i-th value of a run's
+# parameter vector (:attr:`~repro.engine.evaluate.Frame.params`)
+PARAM = "$"
+
+
+def lift(plan: Term) -> tuple[Term, tuple]:
+    """``plan``'s shape and the parameter vector that turns the shape
+    back into ``plan`` (see the module docstring)."""
+    if isinstance(plan, Fun) and "NEST" in {plan.name, *plan.symbols}:
+        return plan, ()
+    values: dict = {}
+    fresh: dict = {}
+
+    def walk(term: Term, expression: bool) -> Term:
+        if isinstance(term, Fun):
+            lifted = () if expression else _EXPRESSIONS.get(term.name, ())
+            args = tuple(walk(a, expression or i in lifted)
+                         for i, a in enumerate(term.args))
+            return term if args == term.args else Fun(term.name, args)
+        if not isinstance(term, Const):
+            return term
+        if expression and term.kind in ("int", "real", "string"):
+            key = (term.kind, type(term.value), term.value)
+            return Fun(PARAM, (num(values.setdefault(key, len(values))),))
+        match = term.kind == "symbol" and _FRESH.fullmatch(str(term.value))
+        if not match:
+            return term
+        return sym(match[1] + str(fresh.setdefault(match[2], len(fresh))))
+
+    return walk(plan, False), tuple(value for __, __, value in values)
 
 
 class PlanVersion:
@@ -61,7 +111,8 @@ class PlanVersion:
 
 
 class CachedPlan(NamedTuple):
-    """One cache entry: only what a repeated query needs to run."""
+    """One cache entry: only what a repeated query needs to run;
+    ``root``, the tree of ``shape``, is shared by its equal shapes."""
 
     fingerprint: object
     plan: object
@@ -69,6 +120,9 @@ class CachedPlan(NamedTuple):
     firings: int
     version: int
     nodes: int
+    shape: object
+    root: Callable
+    params: tuple
 
 
 class PlanCache:
@@ -79,7 +133,8 @@ class PlanCache:
         self._lock = threading.Lock()
         self._entries: OrderedDict = OrderedDict()
         self._nodes = 0
-        # each shared schema and fingerprint, mapped to itself
+        # each shared schema and fingerprint, mapped to itself, and
+        # each compiled tree, under (version, shape)
         self._shared: dict = {}
         self.hits = self.misses = 0
         self.evictions = self.invalidations = 0
@@ -112,32 +167,40 @@ class PlanCache:
         return entry.version == self.version.value
 
     # -- storing --------------------------------------------------------------
-    def put(self, key, fingerprint, optimized, version: int) -> None:
+    def put(self, key, fingerprint, optimized, version: int,
+            compile: Callable) -> Optional[CachedPlan]:
         """Keep ``optimized``'s final plan for ``key``, stamped with the
-        ``version`` read before it was planned.  A degraded rewrite, or
-        one the resilience layer had to intervene in, is not kept: its
-        plan is not what the rewriter produces for this text."""
+        ``version`` read before it was planned, with the tree held for
+        its shape or ``compile(shape)``; returns the entry.  A degraded
+        rewrite, or one the resilience layer had to intervene in, is
+        not kept: its plan is not what the rewriter produces here."""
         if not _clean(optimized) or version != self.version.value:
-            return
+            return None
         plan = optimized.final
         nodes = term_size(plan)
         if nodes > CAPACITY_NODES:
-            return
+            return None
+        shape, params = lift(plan)
+        with self._lock:
+            root = self._shared.get((version, shape))
+        root = root or compile(shape)
         with self._lock:
             if len(self._shared) > 2 * len(self._entries) + 64:
                 # mostly values of dropped entries; live ones keep theirs
                 self._shared.clear()
-            entry = CachedPlan(
-                self._share(fingerprint), plan,
-                self._share(optimized.schema),
-                len(optimized.rewrite_result.trace), version, nodes,
-            )
             self._drop(key)
             while self._entries and self._nodes + nodes > CAPACITY_NODES:
                 self._drop(next(iter(self._entries)))
                 self.evictions += 1
-            self._entries[key] = entry
+            entry = self._entries[key] = CachedPlan(
+                self._share(fingerprint), plan,
+                self._share(optimized.schema),
+                len(optimized.rewrite_result.trace), version, nodes,
+                shape, self._shared.setdefault((version, shape), root),
+                params,
+            )
             self._nodes += nodes
+        return entry
 
     def _drop(self, key) -> None:
         entry = self._entries.pop(key, None)
@@ -157,6 +220,8 @@ class PlanCache:
                 "plan_cache.misses": self.misses,
                 "plan_cache.evictions": self.evictions,
                 "plan_cache.invalidations": self.invalidations,
+                "plan_cache.trees": len({id(entry.root) for entry
+                                         in self._entries.values()}),
             }
 
     def __len__(self) -> int:

@@ -270,7 +270,7 @@ class Translator:
 
     # -- DELETE / UPDATE --------------------------------------------------------
     def _dml_rows(self, table: str, where) -> tuple:
-        """(relation, evaluator, compiled predicate over ``(row,)``)
+        """(relation, evaluator, compiled predicate over ``(row,), ()``)
         for DELETE/UPDATE."""
         from repro.engine.evaluate import Evaluator
         from repro.lera.typecheck import normalize_expression
@@ -307,7 +307,7 @@ class Translator:
         for row in relation.rows:
             if context is not None:
                 context.tick_write()
-            if not matches((row,)):
+            if not matches((row,), ()):
                 kept.append(row)
         removed = len(relation.rows) - len(kept)
         if undo is not None:
@@ -343,13 +343,13 @@ class Translator:
         for row in relation.rows:
             if context is not None:
                 context.tick_write()
-            if not matches((row,)):
+            if not matches((row,), ()):
                 staged.append(row)
                 continue
             new_row = list(row)
             for position, dtype, value_of in compiled:
                 new_row[position - 1] = coerce_value(
-                    value_of((row,)), dtype, self.catalog.objects
+                    value_of((row,), ()), dtype, self.catalog.objects
                 )
             staged.append(tuple(new_row))
             changed += 1

@@ -16,7 +16,9 @@ query along independent paths and demands bag-equal results:
   answer;
 * **cache** -- the same text asked again on the same database, which
   the plan cache serves without parsing or rewriting, vs. its first
-  (planned) answer;
+  (planned) answer; last, again after DML (a hit: the cached tree must
+  read the rows now) and after an extension replaces ``=``, each vs. a
+  fresh compile of the unrewritten plan;
 * **tier** -- the same statement through a supervised pool worker
   (its own process, booted from a snapshot) vs. in-process.
 
@@ -30,10 +32,11 @@ This matches the checked-mode validator
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.engine.database import Database
+from repro.engine.evaluate import Evaluator
 
 __all__ = ["Divergence", "DifferentialOracle", "result_bag",
            "describe_bags"]
@@ -122,7 +125,6 @@ class DifferentialOracle:
 
     def _subset_rows(self, db: Database, term, skip_block: str):
         """Rows of ``term`` rewritten without ``skip_block``."""
-        from repro.engine.evaluate import Evaluator
         from repro.lera.typecheck import typecheck
         from repro.rules.control import RewriteEngine, Seq
 
@@ -187,7 +189,6 @@ class DifferentialOracle:
             )
 
         if self.check_engine:
-            from repro.engine.evaluate import Evaluator
             try:
                 rows = Evaluator(
                     db.catalog, hash_joins=False, semi_naive=False,
@@ -252,6 +253,22 @@ class DifferentialOracle:
                 return Divergence(
                     "tier", describe_bags(baseline, rows), case.query,
                 )
+
+        # last: these legs change the database the others read
+        for leg, change in (("dml", _halve_a_table),
+                            ("=", _replace_equality)):
+            try:
+                change(db, case)
+                now = Evaluator(db.catalog).evaluate(
+                    db.optimize(case.query, rewrite=False).final).rows
+                rows = db.query(case.query, rewrite=True).rows
+            except Exception as error:
+                return Divergence(f"cache-error:{leg}",
+                                  f"{type(error).__name__}: {error}",
+                                  case.query)
+            if result_bag(rows) != result_bag(now):
+                return Divergence(f"cache:{leg}", describe_bags(now, rows),
+                                  case.query)
         return None
 
     def reproduces(self, case, mode: Optional[str] = None) -> bool:
@@ -270,3 +287,19 @@ class DifferentialOracle:
         if mode is None:
             return True
         return divergence.mode.split(":")[0] == mode.split(":")[0]
+
+
+def _halve_a_table(db: Database, case) -> None:
+    """DML (no plan version bump): a table keeps half of its rows."""
+    table = next((t for t in case.tables if t.rows), None)
+    if table is not None:
+        db.execute(f"DELETE FROM {table.name}; "
+                   + replace(table, rows=table.rows[::2]).insert())
+
+
+def _replace_equality(db: Database, case) -> None:
+    """``=`` replaced by a copy of the built-in (so plans scan)."""
+    from repro.adt.functions import EQUALS
+    from repro.core.extension import Extension
+    db.install(Extension("qa-equals").function(replace(
+        EQUALS, impl=lambda args, ctx: EQUALS.impl(args, ctx))))

@@ -159,9 +159,24 @@ class TestEngineCommand:
         assert run(shell, ".engine hash") == ["join strategy: hash"]
 
     def test_queries_respect_engine_choice(self, shell):
+        """``.engine`` reaches a cached tree: the hit after the switch
+        runs nested loops."""
+        from repro.engine.stats import EvalStats
+        join = ("SELECT E1.Src, E2.Dst FROM EDGE E1, EDGE E2 "
+                "WHERE E1.Dst = E2.Src")
+
+        def hit_pairs() -> int:
+            shell.db.query(join)  # planned, or already a hit
+            hits, stats = shell.db.plans.hits, EvalStats()
+            assert shell.db.query(join, stats=stats).rows == [(1, 3)]
+            assert shell.db.plans.hits == hits + 1
+            return stats.join_pairs
+
+        assert hit_pairs() == 1  # (1, 2) probes the one edge from 2
         run(shell, ".engine nested")
         out = run(shell, "SELECT Dst FROM EDGE WHERE Src = 1;")
         assert "(1 row)" in out[0]
+        assert hit_pairs() == 4  # every pair of the two edges
 
 
 class TestResilienceCommands:

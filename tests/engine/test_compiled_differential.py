@@ -12,6 +12,12 @@ and the same exception type and message -- over every read statement of
 the perf workloads with data, the ``CLAIMS`` plans of EXPERIMENTS.md,
 the fixed-seed qa sweep, hand-built failing plans and a row budget
 tripping inside every materializing operator.
+
+The plan cache compiles a plan's *shape* once and runs that one tree
+with each text's parameters (:mod:`repro.engine.plans`): the reused
+tree, run in a fresh frame with the plan's own parameter vector and
+with other vectors of its template, must show what the reference shows
+on the plan those parameters spell.
 """
 
 from collections import defaultdict
@@ -21,13 +27,15 @@ import pytest
 from benchmarks.perf import workloads
 from benchmarks.perf.measure import load
 from repro import Database
-from repro.engine.evaluate import Evaluator
+from repro.engine.evaluate import Evaluator, Frame
+from repro.engine.plans import PARAM, lift
 from repro.engine.stats import EvalStats
 from repro.esql.fingerprint import fingerprint_source
 from repro.lera import ops
 from repro.lifecycle.context import QueryContext
 from repro.terms.parser import parse_term
-from repro.terms.term import AttrRef, Var, boolean, mk_fun, num, sym
+from repro.terms.term import (AttrRef, Fun, Var, boolean, is_fun, mk_fun,
+                              num, string, sym)
 
 from tests.conftest import chain_graph, make_graph_db
 from tests.engine.reference_evaluator import ReferenceEvaluator
@@ -60,14 +68,19 @@ class CountingContext(QueryContext):
 def observe(evaluator_class, catalog, plan, hash_joins, semi_naive,
             budgets=None, **options):
     """Everything one evaluation lets an outsider see."""
+    return watch(lambda stats, context: evaluator_class(
+        catalog, stats=stats, hash_joins=hash_joins,
+        semi_naive=semi_naive, context=context, **options,
+    ).evaluate(plan).rows, budgets)
+
+
+def watch(run, budgets=None):
+    """Everything ``run(stats, context) -> rows`` lets an outsider see."""
     context = None if budgets is None else CountingContext(**budgets)
     stats = EvalStats()
-    evaluator = evaluator_class(
-        catalog, stats=stats, hash_joins=hash_joins,
-        semi_naive=semi_naive, context=context, **options)
     rows = error = None
     try:
-        rows = evaluator.evaluate(plan).rows
+        rows = run(stats, context)
     except Exception as exc:
         error = (type(exc), str(exc))
     seen = {"rows": rows, "error": error, "stats": stats.snapshot()}
@@ -155,6 +168,92 @@ def test_fixed_seed_qa_sweep_and_generated_plans():
         compared += 1
     assert compared >= 290
     assert answered >= 200  # the sweep compares answers, not empties
+
+
+# -- one compiled tree, many parameter vectors ------------------------------------
+
+def bake(shape, params):
+    """The plan ``shape``'s tree runs as under ``params``."""
+    if is_fun(shape, PARAM):
+        value = params[shape.args[0].value]
+        return string(value) if isinstance(value, str) else num(value)
+    if isinstance(shape, Fun):
+        return Fun(shape.name, tuple(bake(a, params) for a in shape.args))
+    return shape
+
+
+def shifted(params, by: int) -> tuple:
+    """Another vector of the same template (distinct values stay
+    distinct, so the plan it spells shares what the shape shares)."""
+    return tuple(value + "x" * by if isinstance(value, str) else value + by
+                 for value in params)
+
+
+def assert_tree_serves(catalog, plans):
+    """Plans of one shape: one tree per configuration, compiled from
+    the shape, run with each plan's own parameters and with two
+    shifted vectors of the first; each run against the reference on
+    the plan it stands for, ungoverned and governed."""
+    shape, params = lift(plans[0])
+    runs = [(plan, lift(plan)[1]) for plan in plans]
+    assert all(lift(plan)[0] is shape for plan in plans)
+    runs += [(bake(shape, vector), vector)
+             for vector in (shifted(params, 1), shifted(params, 2))]
+    for hash_joins, semi_naive in CONFIGS[:2]:
+        root = Evaluator(catalog, hash_joins=hash_joins,
+                         semi_naive=semi_naive).compile(shape)
+        for plan, vector in runs:
+            for budgets in (None, {}):
+                reused = watch(lambda stats, context: Frame(
+                    stats, context, vector).run(root), budgets)
+                assert reused == observe(
+                    ReferenceEvaluator, catalog, plan, hash_joins,
+                    semi_naive, budgets), (hash_joins, plan, vector)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_a_reused_tree_serves_every_read_shape(name):
+    """Every read of the workload, rewritten and not, grouped by the
+    shape the plan cache would compile: two texts of each."""
+    workload = workloads.build(name, 7, 0.1)
+    db = Database()
+    load(db, workload)
+    by_shape = defaultdict(list)
+    for text in dict.fromkeys(s.text for s in workload.statements
+                              if s.kind == "read"):
+        for plan in plans(db, text):
+            if plan not in by_shape[lift(plan)[0]]:
+                by_shape[lift(plan)[0]].append(plan)
+    assert by_shape
+    for shaped in by_shape.values():
+        assert_tree_serves(db.catalog, shaped[:2])
+
+
+@pytest.mark.parametrize("claim", CLAIMS)
+def test_a_reused_tree_serves_the_plans_of_every_claim(claim):
+    name, query = CLAIMS[claim][:2]
+    db = database(name)
+    for plan in plans(db, query):
+        assert_tree_serves(db.catalog, [plan])
+
+
+def test_the_magic_fixpoint_stays_one_shared_result():
+    """Alexander inlines one magic fixpoint into several branches; the
+    shape keeps those copies equal, so a reused tree computes it once,
+    as a fresh compile of the plan does."""
+    workload = workloads.build("recursive_view", 7, 0.1)
+    db = Database()
+    load(db, workload)
+    text = next(s.text for s in workload.statements
+                if s.kind == "read" and "= " in s.text)
+    plan = db.optimize(text).final
+    assert "$MAGIC" in repr(plan)
+    shape, params = lift(plan)
+    fresh, reused = EvalStats(), EvalStats()
+    Evaluator(db.catalog, stats=fresh).evaluate(plan)
+    Frame(reused, None, params).run(Evaluator(db.catalog).compile(shape))
+    assert reused.fix_iterations == fresh.fix_iterations > 0
+    assert reused.snapshot() == fresh.snapshot()
 
 
 # -- errors -----------------------------------------------------------------------

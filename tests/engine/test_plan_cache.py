@@ -359,6 +359,40 @@ class TestInvalidation:
         db.execute("TYPE Color ENUMERATION OF ('R', 'G')")
         assert db.plans.version.value != version
 
+    def test_replacing_equality_then_less_than_after_a_hit(self):
+        """A compiled tree binds the registry's implementations (and
+        probes only under the built-in ``=``): each replacement must
+        reach the text planned before it."""
+        from dataclasses import replace
+        db = sale_db()
+        text = "SELECT Amount FROM SALE WHERE Shop = 1 AND Amount < 30"
+        assert answer(db, text) == [(5,), (15,)]
+        assert answer(db, text, rewrite=False) == [(5,), (15,)]
+        for name, impl, rows in (
+                ("=", lambda args, ctx: args[0] != args[1], [(25,)]),
+                ("<", lambda args, ctx: args[0] > args[1], [(40,)])):
+            fdef = db.catalog.registry.lookup(name, 2)
+            db.install(Extension(f"not{name}").function(
+                replace(fdef, impl=impl)))
+            assert answer(db, text, rewrite=False) == rows
+        # the rewrite states the comparison as 30 > #1.2: no < is left
+        assert answer(db, text) == [(25,)]
+
+    def test_a_registration_outside_install_bumps_the_version(self):
+        db = Database()
+        version = db.plans.version.value
+        db.catalog.registry.define("TWICE", lambda args, ctx: 2 * args[0], 1)
+        assert db.plans.version.value != version
+
+    @pytest.mark.parametrize("setting", ["hash_joins", "semi_naive"])
+    def test_an_engine_setting_bumps_the_version(self, setting):
+        db = sale_db()
+        assert answer(db, SALE_QUERY) == BIG_ROWS
+        version = db.plans.version.value
+        setattr(db, setting, False)
+        assert db.plans.version.value != version
+        assert answer(db, SALE_QUERY) == BIG_ROWS
+
 
 # -- only clean rewrites are stored -------------------------------------------------
 
@@ -457,6 +491,61 @@ class TestBound:
         assert type(other.args[0].value) is float
 
 
+# -- one compiled tree per shape -------------------------------------------------------
+
+class TestTrees:
+    TEMPLATE = "SELECT Amount FROM SALE WHERE Shop = 2 AND Amount > {}"
+
+    def test_fifty_texts_of_one_template_hold_one_tree(self):
+        db = sale_db()
+        for bound in range(3, 53):
+            rows = db.query(self.TEMPLATE.format(bound)).rows
+            assert sorted(rows) == [(a,) for a in (25, 40) if a > bound]
+        assert len(db.plans) == 50
+        assert db.plans.counters()["plan_cache.trees"] == 1
+        one = entry(db, self.TEMPLATE.format(3))
+        two = entry(db, self.TEMPLATE.format(30))
+        assert one.root is two.root and one.shape is two.shape
+        assert one.params != two.params
+
+    def test_a_hit_runs_the_shared_tree_and_compiles_nothing(
+            self, monkeypatch):
+        from repro.engine.evaluate import Evaluator
+        db = sale_db()
+        db.query(self.TEMPLATE.format(1))
+        monkeypatch.setattr(Evaluator, "compile", None)
+        assert db.query(self.TEMPLATE.format(1)).rows == [(25,), (40,)]
+
+    def test_equal_constants_stay_one_parameter(self):
+        """Numbered by distinct value: ``Shop = 2 AND Amount > 2`` is
+        another shape than ``Shop = 2 AND Amount > 3``."""
+        db = sale_db()
+        db.query(self.TEMPLATE.format(2))
+        db.query(self.TEMPLATE.format(3))
+        two, three = (entry(db, self.TEMPLATE.format(bound)).params
+                      for bound in (2, 3))
+        assert len(two) == len(three) - 1 and 2 in two
+        assert db.plans.counters()["plan_cache.trees"] == 2
+
+    def test_a_dropped_entry_lets_its_tree_go(self, monkeypatch):
+        import repro.engine.plans as plans
+        db = sale_db()
+        size = term_size(db.optimize(SALE_QUERY).final)
+        monkeypatch.setattr(plans, "CAPACITY_NODES", size)
+        db.query(SALE_QUERY)
+        db.query("SELECT Shop FROM BIG")
+        assert len(db.plans) == 1
+        assert db.plans.counters()["plan_cache.trees"] == 1
+
+    def test_the_tree_of_a_stale_version_is_not_shared(self):
+        db = sale_db()
+        db.query(self.TEMPLATE.format(1))
+        stale = entry(db, self.TEMPLATE.format(1)).root
+        db.hash_joins = False
+        db.query(self.TEMPLATE.format(5))
+        assert entry(db, self.TEMPLATE.format(5)).root is not stale
+
+
 # -- the qa cache leg ----------------------------------------------------------------
 
 class TestOracleLeg:
@@ -466,8 +555,9 @@ class TestOracleLeg:
         assert oracle.check(case) is None
 
     def test_a_wrong_cached_plan_is_caught(self, monkeypatch):
-        """A cache that served ``DIFFERENCE(plan, plan)`` -- the right
-        schema, no rows -- is a ``cache`` divergence."""
+        """A cache that served the tree of ``DIFFERENCE(plan, plan)``
+        -- the right schema, no rows -- is a ``cache`` divergence."""
+        from repro.engine.evaluate import Evaluator
         from repro.terms.term import mk_fun
         original = PlanCache.get
 
@@ -475,8 +565,8 @@ class TestOracleLeg:
             found = original(self, key)
             if found is None:
                 return None
-            return found._replace(
-                plan=mk_fun("DIFFERENCE", [found.plan, found.plan]))
+            wrong = mk_fun("DIFFERENCE", [found.shape, found.shape])
+            return found._replace(root=Evaluator(db.catalog).compile(wrong))
 
         monkeypatch.setattr(PlanCache, "get", poisoned)
         oracle = DifferentialOracle(check_subsets=False,
@@ -487,6 +577,35 @@ class TestOracleLeg:
         monkeypatch.setattr(oracle, "build_db", lambda case: db)
         divergence = oracle.check(case)
         assert divergence is not None and divergence.mode == "cache"
+
+
+    def test_a_tree_that_keeps_its_rows_is_caught_after_dml(
+            self, monkeypatch):
+        """A tree that answers from rows it kept, not from the table as
+        it is now, is a ``cache:dml`` divergence."""
+        from repro.qa.schema_gen import Case, TableSpec
+        original, kept = PlanCache.get, {}
+
+        def remembering(self, key):
+            found = original(self, key)
+            if found is None:
+                return None
+
+            def root(frame, fix_rows, fix_env, run=found.root):
+                if key not in kept:
+                    kept[key] = run(frame, fix_rows, fix_env)
+                return kept[key]
+            return found._replace(root=root)
+
+        monkeypatch.setattr(PlanCache, "get", remembering)
+        case = Case(tables=(TableSpec(
+            "SALE", (("Shop", "NUMERIC"), ("Amount", "NUMERIC")), (),
+            ((1, 5), (1, 15), (2, 25), (2, 40))),),
+            query="SELECT Amount FROM SALE WHERE Amount > 10")
+        oracle = DifferentialOracle(check_subsets=False,
+                                    check_engine=False)
+        divergence = oracle.check(case)
+        assert divergence is not None and divergence.mode == "cache:dml"
 
 
 # -- served: reads racing DDL ---------------------------------------------------------
