@@ -1,38 +1,25 @@
 """EXPLAIN ANALYZE: per-operator actuals for one evaluation.
 
-:class:`AnalyzeCollector` is the opt-in counterpart of the planner's
-estimated plan tree: when attached to an
-:class:`~repro.engine.evaluate.Evaluator` it records, for every LERA
-operator node that actually executes, the actual row count, the loop
-count (semi-naive fixpoints re-evaluate their delta bodies once per
-iteration), wall time split into *self* and *total* (children
-subtracted, so self times sum to the eval stage time within clock
-tolerance), and the budget-byte estimate the memory accountant would
-charge for the node's output.
+:class:`AnalyzeCollector` records, for every LERA operator node that
+actually executes, the row count, the loop count (a semi-naive
+fixpoint runs its delta bodies once per iteration), wall time split
+into *self* and *total* (children subtracted, so self times sum to the
+eval stage time within clock tolerance) and the budget-byte estimate
+the memory accountant would charge for the node's output.
 
-Design notes:
-
-- The evaluator calls ``enter(term)`` / ``exit(term, rows, elapsed,
-  nbytes)`` around each dispatched node.  Enter/exit nest exactly like
-  the recursive evaluation itself, so a one-list stack of accumulated
-  child time is enough to compute self time -- no tree building during
-  the hot loop.
-- During evaluation, nodes are keyed by ``id(term)``; the record keeps
-  a reference to the term, so the id cannot be recycled underneath us.
-  A semi-naive fixpoint compiles each delta body once and runs it once
-  per iteration, so its node counts loops; :meth:`snapshot` re-keys by
-  the printed term form and merges equal forms into one node (equal
-  subterms may or may not share a compiled closure), exactly how
-  EXPLAIN ANALYZE reports an inner relation scanned N times.
-- Common-subexpression cache hits in the evaluator never reach the
-  dispatch wrapper, so counters reflect *actual executions only*; a
-  node evaluated once and reused twice shows ``loops = 1``.
-- Everything is plain-dict serializable: pool workers run a collector
-  in-process and ship :meth:`snapshot` back in the result frame.
-
-When analyze mode is off the evaluator holds ``None`` instead of a
-collector, read once when a node is compiled: the unobserved node is
-the bare closure.
+It rides in a run's :class:`~repro.engine.evaluate.Frame`, not in the
+compiled tree, so an analyzed statement runs the plan cache's shared
+tree: its node terms, printed forms and ``hash``-es are the plan
+shape's (constants print as parameters), one set for every text of a
+template.  Each node run calls ``enter(term)`` / ``exit(term, rows,
+elapsed, nbytes)``; they nest like the recursion, so a one-list stack
+of child time gives self time.  Nodes are keyed by ``id(term)`` (the
+record keeps the term, so the id is never recycled);
+:meth:`snapshot` merges equal printed forms into one node, as EXPLAIN
+ANALYZE reports an inner relation scanned N times.  A
+common-subexpression hit never reaches a node, so a result computed
+once and reused shows ``loops = 1``.  Snapshots are plain dicts: pool
+workers ship theirs home in the reply frame.
 """
 
 from __future__ import annotations

@@ -716,6 +716,11 @@ class Database:
         # analyze: off, on (a fresh collector) or the caller's own
         collector = (AnalyzeCollector() if opts.analyze is True
                      else opts.analyze or None)
+        evaluator = Evaluator(
+            self.catalog, stats=stats, semi_naive=self.semi_naive,
+            hash_joins=self.hash_joins, obs=obs, analyze=collector,
+            context=context,
+        )
         if plan is None:
             version = self.plans.version.value
             term = self.translator.execute(statement)
@@ -730,29 +735,22 @@ class Database:
             if key is not None:
                 plan = self.plans.put(
                     key, fingerprint_source(source, statement), optimized,
-                    version, Evaluator(self.catalog,
-                                       semi_naive=self.semi_naive,
-                                       hash_joins=self.hash_joins).compile)
-            final, schema = optimized.final, optimized.schema
+                    version, evaluator.compile)
+            schema = optimized.schema
             firings = len(optimized.rewrite_result.trace)
         else:
             t1 = t2 = t0
-            final, schema, firings = plan.plan, plan.schema, plan.firings
+            schema, firings = plan.schema, plan.firings
         result = nodes = None
         if evaluate:
             if context is not None:
                 context.enter_phase("evaluate")
             if obs:
                 obs.emit(PhaseStart("evaluate"))
-            # a kept plan runs its shape's tree; analyze or a bus compiles
-            reuse = plan is not None and collector is None and not obs
             try:
-                result = Evaluator(
-                    self.catalog, stats=stats, semi_naive=self.semi_naive,
-                    hash_joins=self.hash_joins, obs=obs, analyze=collector,
-                    context=context,
-                ).evaluate(final, schema, plan.root if reuse else None,
-                           plan.params if reuse else ())
+                result = evaluator.evaluate(
+                    plan if plan is not None else self.plans.tree(
+                        optimized.final, evaluator.compile), schema)
             finally:
                 t3 = perf_counter()
                 if obs:

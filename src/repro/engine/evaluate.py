@@ -25,35 +25,33 @@ physical strategy is deliberately simple and deterministic:
   baseline.
 
 A compiled tree holds no per-run state: a run's counters, context,
-shared results, ``sys.*`` snapshots and parameter vector (read by
-``PARAM(i)`` leaves) are its :class:`Frame`, so the plan cache
+shared results, ``sys.*`` snapshots, parameter vector (read by
+``PARAM(i)`` leaves) and observers (an EXPLAIN ANALYZE collector, an
+event bus) are its :class:`Frame`, so the plan cache
 (:mod:`repro.engine.plans`) runs one tree per plan shape for any
-number of statements and threads.  What outlives a statement besides
-the tree is data: a loop depth whose input is a stored table (not
-shadowed by a fixpoint relation) reads its candidates from the table's
-own per-column hash index (``BaseRelation.index``) -- the join probe
-looks its key up there, and a conjunct equating a column with a scalar
-constant is a lookup at depth 0.  Every write to the table bumps its
-version and drops its indexes.  Indexes serve only while the
-registry's binary ``=`` is the built-in one.
+number of statements and threads, observed or not.  What outlives a
+statement besides the tree is data: a loop depth whose input is a
+stored table (not shadowed by a fixpoint relation) reads its
+candidates from the table's per-column hash index
+(``BaseRelation.index``) -- a join probe, or a lookup at depth 0 for a
+conjunct equating a column with a scalar constant.  A table write
+drops its indexes; they serve only while ``=`` is the built-in one.
 
 Work counters (see :mod:`repro.engine.stats`) are kept in locals
 inside the loops and flushed once per operator run, in a ``finally``.
 
 Lifecycle governance: when a :class:`~repro.lifecycle.QueryContext` is
-active (passed explicitly or ambient via
-:func:`~repro.lifecycle.current_context`), the evaluator checks it
+active (passed explicitly or ambient), the evaluator checks it
 cooperatively -- ``tick()`` per scanned tuple and join probe,
 ``check()`` per fixpoint iteration -- and charges its row and memory
 budgets per materialized batch.  A pulled cancel token or a hard
 budget trip surfaces as :class:`~repro.errors.QueryCancelled` /
-:class:`~repro.errors.BudgetExceeded` at the next check site; under
-the context's *degrade* mode a budget trip instead raises the internal
-:class:`~repro.lifecycle.Truncation`, which every materializing
-operator catches, keeping its partial rows -- the statement completes
-with a truncated result flagged in ``EvalStats.truncated``.  Whether an
-analyze collector or a subscribed bus is present is read once, when a
-node is compiled.
+:class:`~repro.errors.BudgetExceeded` at the next check site; in
+*degrade* mode a budget trip raises the internal
+:class:`~repro.lifecycle.Truncation` instead, which every
+materializing operator catches, keeping its partial rows, flagged in
+``EvalStats.truncated``.  Observers are read once per run, when the
+frame is made; each operator node tests one flag.
 """
 
 from __future__ import annotations
@@ -139,19 +137,23 @@ def _dedupe(rows: Sequence[tuple]) -> list[tuple]:
 
 class Frame:
     """What one run of a compiled tree reads besides the tree: its
-    counters, its context (or None), its parameter vector, one result
-    per shared subterm and one snapshot per ``sys.*`` relation (a plan
-    scanning one virtual twice sees the same rows twice)."""
+    counters, context, parameters, observers (analyze collector, bus),
+    one result per shared subterm and one snapshot per ``sys.*``
+    relation (a plan scanning one virtual twice sees the same rows)."""
 
-    __slots__ = ("stats", "incr", "context", "tick", "params", "shared",
-                 "virtual", "reserved")
+    __slots__ = ("stats", "incr", "context", "tick", "params", "analyze",
+                 "bus", "observed", "shared", "virtual", "reserved")
 
-    def __init__(self, stats: EvalStats, context=None, params: tuple = ()):
+    def __init__(self, stats: EvalStats, context=None, params: tuple = (),
+                 analyze=None, bus=None):
         self.stats = stats
         self.incr = stats.incr
         self.context = context
         self.tick = context.tick if context is not None else None
         self.params = params
+        self.analyze = analyze
+        self.bus = bus or None  # a bus without subscribers observes nothing
+        self.observed = analyze is not None or self.bus is not None
         self.shared: dict[Term, list[tuple]] = {}
         self.virtual: dict[str, list[tuple]] = {}
         self.reserved = 0  # bytes reserved against the memory budget
@@ -172,6 +174,26 @@ class Frame:
             if self.reserved:
                 self.context.release(self.reserved)
                 self.reserved = 0
+
+    def observe(self, term: Term, operator: str, body: Callable,
+                fix_rows: dict, fix_env: dict) -> list[tuple]:
+        """One observed run: collector enter / exit, then an EvalOp."""
+        analyze, bus = self.analyze, self.bus
+        if analyze is not None:
+            analyze.enter(term)
+        rows, t0 = None, perf_counter()
+        try:
+            self.incr("operators_evaluated")
+            rows = body(self, fix_rows, fix_env)
+        finally:
+            # exit even when a Truncation / budget trip unwinds through
+            # this node, keeping the collector's stack as the recursion
+            if analyze is not None:
+                analyze.exit(term, len(rows or ()), perf_counter() - t0,
+                             _estimate_bytes(rows))
+        if bus is not None:
+            bus.emit(EvalOp(operator, len(rows), perf_counter() - t0))
+        return rows
 
     def note_truncated(self) -> None:
         if not self.stats.truncated:
@@ -241,16 +263,13 @@ class Evaluator:
         up in a table's index (ablation A6).
     max_fix_iterations:
         Safety bound on fixpoint rounds.
-    obs:
-        Optional :class:`~repro.obs.bus.EventBus`; when it has
-        subscribers every evaluated operator emits an ``EvalOp`` event
-        (operator name, rows produced, monotonic duration).
+    obs, analyze:
+        Optional observers of each :meth:`evaluate` run, carried by its
+        :class:`Frame` (compiling reads neither): an event bus, which
+        gets an ``EvalOp`` per operator run, and an ``AnalyzeCollector``.
     context:
         Optional :class:`~repro.lifecycle.QueryContext` governing
-        :meth:`evaluate`; defaults to the ambient statement context, so
-        evaluators built deep inside the translator (DML predicate
-        subqueries) inherit the statement's cancel token and budgets
-        without signature plumbing.
+        :meth:`evaluate`; defaults to the ambient statement context.
     """
 
     def __init__(self, catalog: Catalog,
@@ -265,28 +284,24 @@ class Evaluator:
         self.hash_joins = hash_joins
         self.max_fix_iterations = max_fix_iterations
         self.obs = obs
-        # EXPLAIN ANALYZE: an AnalyzeCollector accumulating per-operator
-        # actuals, or None (the default); like the event bus it is read
-        # when a node is compiled, so the off path costs nothing per run
         self.analyze = analyze
         self.context = context
         # per compile: the compiled nodes, by term
         self._compiled: dict[Term, Callable] = {}
 
     # -- public API ---------------------------------------------------------
-    def evaluate(self, term: Term, schema: Optional[Schema] = None,
-                 root: Optional[Callable] = None,
-                 params: tuple = ()) -> Result:
-        """Compile and run ``term``, or run ``root``, the tree of its
-        shape, with ``params`` (a plan-cache hit); ``schema`` is derived
-        unless the caller holds it (the statement path, from the
-        optimizer)."""
-        context = self.context or current_context()
-        rows = Frame(self.stats, context, params).run(
-            root or self.compile(term))
-        if schema is None:
-            schema = schema_of(term, self.catalog)
-        return Result(rows, schema)
+    def evaluate(self, plan, schema: Optional[Schema] = None) -> Result:
+        """Run ``plan`` -- a LERA term, compiled first (the reference), or
+        a plan-cache :class:`~repro.engine.plans.Tree` or entry -- in a
+        frame of this evaluator's counters, context and observers."""
+        if isinstance(plan, Term):
+            root, params = self.compile(plan), ()
+        else:
+            root, params = plan.root, plan.params
+        rows = Frame(self.stats, self.context or current_context(), params,
+                     self.analyze, self.obs).run(root)
+        return Result(rows, schema if schema is not None
+                      else schema_of(plan, self.catalog))
 
     def compile(self, term: Term) -> Callable:
         """``term`` as one closure ``run(frame, fix_rows, fix_env)``,
@@ -307,9 +322,10 @@ class Evaluator:
         return run
 
     def _compile_node(self, term: Term) -> Callable:
+        operator = term.name if isinstance(term, Fun) else type(term).__name__
         try:
             if ops.is_relation_name(term):
-                body = self._compile_scan(term)
+                operator, body = "SCAN", self._compile_scan(term)
             elif not isinstance(term, Fun):
                 raise EvaluationError(f"not a LERA term: {term!r}")
             else:
@@ -328,39 +344,11 @@ class Evaluator:
             def body(frame, fix_rows, fix_env, exc=exc):
                 raise exc
 
-        analyze, bus = self.analyze, self.obs
-        if analyze is None and not bus:
-            def node(frame, fix_rows: dict, fix_env: dict) -> list[tuple]:
-                frame.incr("operators_evaluated")
-                return body(frame, fix_rows, fix_env)
-        else:
-            operator = (term.name if isinstance(term, Fun)
-                        else "SCAN" if ops.is_relation_name(term)
-                        else type(term).__name__)
-
-            def node(frame, fix_rows: dict, fix_env: dict) -> list[tuple]:
-                rows = None
-                if analyze is not None:
-                    analyze.enter(term)
-                t0 = perf_counter()
-                try:
-                    frame.incr("operators_evaluated")
-                    rows = body(frame, fix_rows, fix_env)
-                finally:
-                    # exit even when a Truncation / budget trip unwinds
-                    # through this node, keeping the collector's nesting
-                    # stack aligned with the recursion
-                    if analyze is not None:
-                        analyze.exit(
-                            term,
-                            len(rows) if rows is not None else 0,
-                            perf_counter() - t0,
-                            _estimate_bytes(rows) if rows else 0,
-                        )
-                if bus:
-                    bus.emit(EvalOp(operator, len(rows),
-                                    perf_counter() - t0))
-                return rows
+        def node(frame, fix_rows: dict, fix_env: dict) -> list[tuple]:
+            if frame.observed:
+                return frame.observe(term, operator, body, fix_rows, fix_env)
+            frame.incr("operators_evaluated")
+            return body(frame, fix_rows, fix_env)
 
         if not (isinstance(term, Fun) and term.name in _SHARED):
             return node
@@ -382,7 +370,9 @@ class Evaluator:
 
     def _compile_scan(self, term: Term) -> Callable:
         name = str(term.value)  # type: ignore[union-attr]
-        catalog, compile = self.catalog, self.compile
+        catalog = self.catalog
+        # the settings, not this evaluator: a cached tree holds no observer
+        settings = self.semi_naive, self.hash_joins, self.max_fix_iterations
 
         def scan(frame, fix_rows: dict, fix_env: dict) -> list[tuple]:
             if name in fix_rows:
@@ -397,7 +387,8 @@ class Evaluator:
             elif catalog.is_view(name):
                 # views are normally expanded at translation time; keep a
                 # fallback so hand-built plans can reference them
-                view = compile(catalog.view(name).term)
+                view = Evaluator(catalog, None, *settings).compile(
+                    catalog.view(name).term)
                 return view(frame, fix_rows, fix_env)
             else:
                 raise EvaluationError(f"unknown relation {name!r}")

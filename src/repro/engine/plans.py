@@ -1,13 +1,15 @@
 """The plan cache: a repeated query text is planned once, and each
 plan *shape* is compiled once.
 
-:class:`PlanCache` maps ``(text, rewrite)`` to what a repeated
-query needs to run -- its :class:`~repro.esql.fingerprint.Fingerprint`,
-the final LERA plan, the plan's :class:`~repro.lera.schema.Schema`, the
-number of rule firings that built it, and the compiled tree of its
-shape with the text's parameters.  ``Database.query`` consults it
-before parsing; a hit skips every stage up to the run of the tree (see
-``docs/architecture.md``, "The statement path").
+:class:`PlanCache` maps ``(text, rewrite)`` to what a repeated query
+needs to run: its fingerprint, final LERA plan, schema and rule
+firings, and the compiled tree of its shape with the text's
+parameters.  ``Database.query`` consults it before parsing; a hit
+skips every stage up to the run of the tree (``docs/architecture.md``,
+"The statement path").  :meth:`PlanCache.tree` is the one place a plan
+becomes a runnable :class:`Tree`: every query the statement path
+evaluates -- a hit, a kept or unkept plan, analyzed, observed or
+checked -- runs the tree held for its shape, or one compiled for it.
 
 :func:`lift` makes the shape: each int, real or string constant of a
 qualification, projection item or ``VALUES`` cell becomes ``PARAM(i)``,
@@ -16,26 +18,26 @@ one shared result), and fresh fixpoint names are numbered by first
 appearance.  A plan with a NEST (it derives schemas as it runs) is its
 own shape.
 
-Keying on the text needs no soundness contract for constants: the same
-text carries the same literals, so it gets the same plan.  ``rewrite``
-is part of the key because it changes the plan.  A checked statement
-neither reads nor stores an entry: checked mode validates each rewrite
-against the rows present now, and DML changes those without bumping
-the plan version.
+The same text carries the same literals, so keying on it needs no
+soundness contract for constants; ``rewrite`` changes the plan, so it
+is part of the key.  A checked statement neither reads nor stores an
+entry: checked mode validates each rewrite against the rows present
+now, and DML changes those without bumping the plan version.
 
 Everything a rewrite or a compile reads besides the text bumps one
 :class:`PlanVersion` counter (owned by the catalog): catalog DDL,
 integrity constraints and regenerated optimizers, the rewriter's rule
 and extension changes, the quarantine, the function registry and the
 database's ``hash_joins`` / ``semi_naive``.  An entry stamped with an
-older version is a miss, and a tree is shared only within one version.
+older version is a miss; a tree is shared only within one version, and
+only :meth:`PlanCache.put` holds one.
 
 The cache is bounded by the term nodes its plans hold
 (:data:`CAPACITY_NODES`), least recently used first out.  Terms are
-shared when built (see :mod:`repro.terms.term`), and equal schemas and
+shared when built (:mod:`repro.terms.term`), and equal schemas and
 fingerprints of different entries are one object here, so a thousand
-texts that differ only in a constant cost a thousand small spines, not
-a thousand plans -- and one compiled tree.
+texts that differ only in a constant cost a thousand small spines and
+one compiled tree.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ from typing import Callable, NamedTuple, Optional
 from repro.lera import ops
 from repro.terms.term import Const, Fun, Term, num, sym, term_size
 
-__all__ = ["PlanCache", "PlanVersion", "CachedPlan", "PARAM", "lift",
-           "CAPACITY_NODES"]
+__all__ = ["PlanCache", "PlanVersion", "CachedPlan", "Tree", "PARAM",
+           "lift", "CAPACITY_NODES"]
 
 # the one capacity constant: term nodes held by the cached plans
 CAPACITY_NODES = 65_536
@@ -110,6 +112,14 @@ class PlanVersion:
         self.value = next(self._ticks)
 
 
+class Tree(NamedTuple):
+    """A plan ready to run: its shape's shared tree and its parameters."""
+
+    root: Callable
+    params: tuple
+    shape: object
+
+
 class CachedPlan(NamedTuple):
     """One cache entry: only what a repeated query needs to run;
     ``root``, the tree of ``shape``, is shared by its equal shapes."""
@@ -166,24 +176,29 @@ class PlanCache:
         """Is ``entry`` still valid (no plan input changed since)?"""
         return entry.version == self.version.value
 
+    def tree(self, plan: Term, compile: Callable) -> Tree:
+        """``plan`` as a :class:`Tree`: the tree held for its shape, else
+        ``compile(shape)``, held only if :meth:`put` keeps the plan."""
+        shape, params = lift(plan)
+        with self._lock:
+            root = self._shared.get((self.version.value, shape))
+        return Tree(root or compile(shape), params, shape)
+
     # -- storing --------------------------------------------------------------
     def put(self, key, fingerprint, optimized, version: int,
             compile: Callable) -> Optional[CachedPlan]:
         """Keep ``optimized``'s final plan for ``key``, stamped with the
-        ``version`` read before it was planned, with the tree held for
-        its shape or ``compile(shape)``; returns the entry.  A degraded
-        rewrite, or one the resilience layer had to intervene in, is
-        not kept: its plan is not what the rewriter produces here."""
+        ``version`` read before it was planned, with its :meth:`tree`;
+        returns the entry.  A degraded rewrite, or one the resilience
+        layer had to intervene in, is not kept: its plan is not what
+        the rewriter produces here."""
         if not _clean(optimized) or version != self.version.value:
             return None
         plan = optimized.final
         nodes = term_size(plan)
         if nodes > CAPACITY_NODES:
             return None
-        shape, params = lift(plan)
-        with self._lock:
-            root = self._shared.get((version, shape))
-        root = root or compile(shape)
+        root, params, shape = self.tree(plan, compile)
         with self._lock:
             if len(self._shared) > 2 * len(self._entries) + 64:
                 # mostly values of dropped entries; live ones keep theirs

@@ -98,10 +98,10 @@ class DifferentialOracle:
         default: a worker boot is a subprocess spawn, so the harness
         samples this leg rather than paying it per case.
     check_analyze:
-        Re-run the rewritten query in EXPLAIN ANALYZE mode (a live
-        :class:`~repro.engine.analyze.AnalyzeCollector` wrapping every
-        operator) and demand the same bag -- instrumentation must be a
-        pure observer, never an execution path of its own.
+        Re-run the rewritten query in EXPLAIN ANALYZE mode (a hit on the
+        plan cache's shared tree): demand the same bag, observed nodes,
+        and per node the rows and loops of a fresh compile of the plan
+        -- instrumentation is a pure observer, not a path of its own.
     """
 
     def __init__(self, antipattern: bool = True,
@@ -221,10 +221,12 @@ class DifferentialOracle:
 
         if self.check_analyze:
             from repro.engine.analyze import AnalyzeCollector
-            collector = AnalyzeCollector()
+            collector, fresh = AnalyzeCollector(), AnalyzeCollector()
             try:
                 rows = db.query(case.query, rewrite=True,
                                 analyze=collector).rows
+                Evaluator(db.catalog, analyze=fresh).evaluate(
+                    db.optimize(case.query).final)
             except Exception as error:
                 return Divergence(
                     "analyze-error",
@@ -236,10 +238,12 @@ class DifferentialOracle:
                     case.query,
                 )
             if not collector.observed:
-                return Divergence(
-                    "analyze", "collector observed no operators",
-                    case.query,
-                )
+                return Divergence("analyze", "collector observed no "
+                                  "operators", case.query)
+            if _actuals(collector) != _actuals(fresh):
+                return Divergence("analyze", f"actuals {_actuals(collector)}"
+                                  f", fresh compile {_actuals(fresh)}",
+                                  case.query)
 
         if self.check_tier:
             try:
@@ -287,6 +291,11 @@ class DifferentialOracle:
         if mode is None:
             return True
         return divergence.mode.split(":")[0] == mode.split(":")[0]
+
+
+def _actuals(collector) -> list:
+    return [(node["operator"], node["rows"], node["loops"])
+            for node in collector.snapshot()]
 
 
 def _halve_a_table(db: Database, case) -> None:

@@ -537,6 +537,66 @@ class TestTrees:
         assert len(db.plans) == 1
         assert db.plans.counters()["plan_cache.trees"] == 1
 
+    def test_analyze_a_bus_and_checked_mode_run_the_shared_tree(
+            self, monkeypatch):
+        """EXPLAIN ANALYZE, a subscribed bus and checked mode compile
+        nothing against the database's catalog: the first two are hits,
+        the checked text (never cached) finds its shape's tree.  The
+        checked validator compiles on a sampled catalog of its own."""
+        from repro.engine.analyze import AnalyzeCollector
+        from repro.engine.evaluate import Evaluator
+        from repro.obs.events import EvalOp
+        from repro.obs.profile import Profiler
+        db = sale_db()
+        text = self.TEMPLATE.format(3)
+        db.query(text)
+        compiled, original = [], Evaluator.compile
+
+        def counting(self, term):
+            if self.catalog is db.catalog:
+                compiled.append(term)
+            return original(self, term)
+
+        monkeypatch.setattr(Evaluator, "compile", counting)
+        hits = db.plans.hits
+        collector, profiler, events = AnalyzeCollector(), Profiler(), []
+        profiler.bus.subscribe(events.append, kinds=[EvalOp])
+        assert db.query(text, analyze=collector).rows == [(25,), (40,)]
+        assert db.query(text, obs=profiler.bus).rows == [(25,), (40,)]
+        assert db.query(self.TEMPLATE.format(30),
+                        checked=True).rows == [(40,)]
+        assert compiled == []
+        assert db.plans.counters()["plan_cache.trees"] == 1
+        assert db.plans.hits == hits + 2
+        assert events and collector.observed
+        monkeypatch.undo()
+        fresh = AnalyzeCollector()
+        Evaluator(db.catalog, analyze=fresh).evaluate(entry(db, text).plan)
+
+        def actuals(nodes):
+            return [(node["operator"], node["rows"], node["loops"],
+                     node["bytes"]) for node in nodes]
+        assert actuals(collector.snapshot()) == actuals(fresh.snapshot())
+
+    def test_a_tree_keeps_none_of_the_observers_it_was_compiled_under(
+            self):
+        """The tree outlives the analyzed statement that compiled it,
+        and must not keep that statement's collector alive."""
+        import gc
+        import weakref
+        from repro.engine.analyze import AnalyzeCollector
+
+        class Collector(AnalyzeCollector):
+            __slots__ = ("__weakref__",)
+
+        db, collector = sale_db(), Collector()
+        db.query(self.TEMPLATE.format(3), analyze=collector)
+        assert entry(db, self.TEMPLATE.format(3)) is not None
+        gone = weakref.ref(collector)
+        del collector
+        gc.collect()
+        assert gone() is None
+
     def test_the_tree_of_a_stale_version_is_not_shared(self):
         db = sale_db()
         db.query(self.TEMPLATE.format(1))

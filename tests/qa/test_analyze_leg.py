@@ -1,8 +1,10 @@
 """The analyze oracle leg: instrumentation is a pure observer.
 
 A fixed-seed fuzz run re-executes every generated case in EXPLAIN
-ANALYZE mode and demands bag-identical results -- the CI pin that the
-per-operator wrappers can never change what a query returns.
+ANALYZE mode and demands bag-identical results, and per operator the
+rows and loops a fresh compile of the plan shows -- the CI pin that the
+per-operator wrappers can never change what a query returns, nor
+observe the shared tree otherwise than a plan's own.
 """
 
 from repro.qa.harness import fuzz
@@ -46,3 +48,45 @@ class TestAnalyzeOracle:
                                     check_analyze=True)
         divergence = oracle.check(_case("SELECT A FROM T"))
         assert divergence is None  # observed > 0, bags equal
+
+    def test_actuals_unlike_a_fresh_compile_are_caught(self, monkeypatch):
+        """A hit that runs its shared tree twice returns the right bag,
+        but its collector counts two loops per operator where a fresh
+        compile of the plan counts one: an ``analyze`` divergence."""
+        from repro.engine.plans import PlanCache
+        original = PlanCache.get
+
+        def twice(self, key):
+            found = original(self, key)
+            if found is None:
+                return None
+
+            def root(frame, fix_rows, fix_env, run=found.root):
+                run(frame, fix_rows, fix_env)
+                frame.shared.clear()
+                return run(frame, fix_rows, fix_env)
+            return found._replace(root=root)
+
+        monkeypatch.setattr(PlanCache, "get", twice)
+        oracle = DifferentialOracle(check_subsets=False,
+                                    check_analyze=True)
+        divergence = oracle.check(_case("SELECT A FROM T WHERE B > 5"))
+        assert divergence is not None and divergence.mode == "analyze"
+        assert "fresh compile" in divergence.detail
+
+    def test_a_frame_that_drops_its_collector_is_caught(self, monkeypatch):
+        """Every run observing nothing leaves both collectors empty, so
+        their actuals agree; the leg still flags the empty one."""
+        from repro.engine.evaluate import Frame
+        original = Frame.__init__
+
+        def blind(self, stats, context=None, params=(), analyze=None,
+                  bus=None):
+            original(self, stats, context, params, None, bus)
+
+        monkeypatch.setattr(Frame, "__init__", blind)
+        oracle = DifferentialOracle(check_subsets=False,
+                                    check_analyze=True)
+        divergence = oracle.check(_case("SELECT A FROM T WHERE B > 5"))
+        assert divergence is not None and divergence.mode == "analyze"
+        assert divergence.detail == "collector observed no operators"
