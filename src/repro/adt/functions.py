@@ -31,8 +31,9 @@ from typing import Any, Callable
 from repro.adt.registry import FunctionDef, FunctionRegistry
 from repro.adt.types import (ANY, BOOLEAN, CHAR, INT, NUMERIC, REAL,
                              CollectionType, DataType, ObjectType, TupleType)
-from repro.adt.values import (ArrayValue, BagValue, CollectionValue,
-                              ListValue, ObjectRef, SetValue, TupleValue)
+from repro.adt.values import (COLLECTION_CTORS, ArrayValue, BagValue,
+                              CollectionValue, ListValue, ObjectRef, SetValue,
+                              TupleValue)
 from repro.errors import FunctionError
 
 __all__ = ["default_registry", "install_builtins", "COMPARISON_NAMES",
@@ -40,13 +41,6 @@ __all__ = ["default_registry", "install_builtins", "COMPARISON_NAMES",
 
 COMPARISON_NAMES = ("=", "<>", "<", ">", "<=", ">=")
 ARITHMETIC_NAMES = ("+", "-", "*", "/")
-
-_COLLECTION_CTORS = {
-    "SET": SetValue,
-    "BAG": BagValue,
-    "LIST": ListValue,
-    "ARRAY": ArrayValue,
-}
 
 
 def _want_collection(value: Any, fn: str) -> CollectionValue:
@@ -82,10 +76,10 @@ def _convert(args: list, ctx: Any) -> Any:
     coll = _want_collection(args[0], "CONVERT")
     target = str(args[1]).upper()
     try:
-        ctor = _COLLECTION_CTORS[target]
+        ctor = COLLECTION_CTORS[target]
     except KeyError:
         raise FunctionError(f"CONVERT target must be one of "
-                            f"{sorted(_COLLECTION_CTORS)}, got {target!r}")
+                            f"{sorted(COLLECTION_CTORS)}, got {target!r}")
     return ctor(coll.elements)
 
 

@@ -25,6 +25,7 @@ __all__ = [
     "BagValue",
     "ListValue",
     "ArrayValue",
+    "COLLECTION_CTORS",
     "TupleValue",
     "ObjectRef",
     "ObjectStore",
@@ -201,6 +202,11 @@ class ArrayValue(CollectionValue):
         elems = list(self._elems)
         elems[index] = item
         return ArrayValue(elems)
+
+
+#: the generic collection ADTs of Figure 1, by their ESQL keyword
+COLLECTION_CTORS = {"SET": SetValue, "BAG": BagValue, "LIST": ListValue,
+                    "ARRAY": ArrayValue}
 
 
 class TupleValue(Mapping):

@@ -32,8 +32,8 @@ import os
 import zlib
 from typing import Any, Optional
 
-from repro.adt.values import (ArrayValue, BagValue, CollectionValue,
-                              ListValue, ObjectRef, SetValue, TupleValue)
+from repro.adt.values import (COLLECTION_CTORS, CollectionValue, ObjectRef,
+                              TupleValue)
 from repro.durability.crash import CrashPoint, guarded_write
 from repro.errors import DurabilityError
 
@@ -44,14 +44,7 @@ __all__ = ["SNAPSHOT_FORMAT", "encode_value", "decode_value",
 SNAPSHOT_FORMAT = 1
 _SNAP_PREFIX = b"RSNAP1 "
 
-_COLLECTION_TAGS = {
-    SetValue: "SET", BagValue: "BAG", ListValue: "LIST",
-    ArrayValue: "ARRAY",
-}
-_COLLECTION_CTORS = {
-    "SET": SetValue, "BAG": BagValue, "LIST": ListValue,
-    "ARRAY": ArrayValue,
-}
+_COLLECTION_TAGS = {ctor: tag for tag, ctor in COLLECTION_CTORS.items()}
 
 
 def encode_value(value: Any) -> Any:
@@ -80,7 +73,7 @@ def decode_value(encoded: Any) -> Any:
     if isinstance(encoded, dict):
         if "$c" in encoded:
             kind, elements = encoded["$c"]
-            return _COLLECTION_CTORS[kind](
+            return COLLECTION_CTORS[kind](
                 decode_value(e) for e in elements
             )
         if "$t" in encoded:

@@ -60,8 +60,7 @@ from time import perf_counter
 from typing import Callable, Optional, Sequence
 
 from repro.adt.functions import EQUALS
-from repro.adt.values import (ArrayValue, BagValue, CollectionValue,
-                              ListValue, SetValue, TupleValue)
+from repro.adt.values import COLLECTION_CTORS, CollectionValue, TupleValue
 from repro.engine.catalog import Catalog
 from repro.engine.plans import PARAM
 from repro.engine.stats import EvalStats
@@ -80,8 +79,6 @@ _MAX_DEFAULT_ITERATIONS = 100_000
 
 # operators whose result is shared within one evaluation (see _compile_node)
 _SHARED = frozenset(("FIX", "UNION", "SEARCH", "JOIN", "NEST"))
-_COLLECTION_CTORS = {"SET": SetValue, "BAG": BagValue,
-                     "LIST": ListValue, "ARRAY": ArrayValue}
 
 
 class Result:
@@ -827,7 +824,7 @@ class Evaluator:
                     ))
                 groups.setdefault(key, []).append(item)
 
-            ctor = _COLLECTION_CTORS[kind]
+            ctor = COLLECTION_CTORS[kind]
             out = [key + (ctor(items),) for key, items in groups.items()]
             return frame.output(out)
         return run

@@ -13,23 +13,14 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.adt.types import (AtomicType, CollectionType, DataType,
                              EnumerationType, ObjectType, TupleType)
-from repro.adt.values import (ArrayValue, BagValue, CollectionValue,
-                              ListValue, ObjectRef, ObjectStore, SetValue,
-                              TupleValue)
+from repro.adt.values import (COLLECTION_CTORS, BagValue, CollectionValue,
+                              ObjectRef, ObjectStore, TupleValue)
 from repro.errors import ValueError_
 from repro.lera.schema import Schema
 
 __all__ = ["BaseRelation", "VirtualRelation", "coerce_value", "coerce_row"]
 
 _MISSING = object()
-
-_COLLECTION_CTORS = {
-    "SET": SetValue,
-    "BAG": BagValue,
-    "LIST": ListValue,
-    "ARRAY": ArrayValue,
-}
-
 
 def coerce_value(value: Any, dtype: DataType, objects: ObjectStore) -> Any:
     """Convert a plain Python value to the runtime value for ``dtype``.
@@ -47,7 +38,7 @@ def coerce_value(value: Any, dtype: DataType, objects: ObjectStore) -> Any:
             raise ValueError_(
                 f"expected a collection for {dtype.name}, got {value!r}"
             )
-        ctor = _COLLECTION_CTORS.get(dtype.kind, BagValue)
+        ctor = COLLECTION_CTORS.get(dtype.kind, BagValue)
         return ctor(coerce_value(e, dtype.element, objects) for e in elems)
 
     if isinstance(dtype, TupleType):
@@ -188,24 +179,6 @@ class BaseRelation:
         self.rows.append(coerced)
         self._changed()
         return coerced
-
-    def rebuild_key_index(self) -> None:
-        """Recompute the key index (after DELETE/UPDATE).
-
-        A detected violation raises *without* mutating the index, so the
-        relation is left exactly as the caller last saw it.
-        """
-        if not self.key:
-            return
-        fresh: set = set()
-        for r in self.rows:
-            key_value = self._key_of(r)
-            if key_value in fresh:
-                raise ValueError_(
-                    f"primary key violated in {self.name}"
-                )
-            fresh.add(key_value)
-        self._key_index = fresh
 
     def insert_many(self, rows: Iterable[Sequence[Any]],
                     objects: ObjectStore) -> int:

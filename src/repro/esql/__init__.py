@@ -1,12 +1,12 @@
 """ESQL front end: lexer, parser, AST and the translator to LERA."""
 
-from repro.esql.lexer import SqlToken, tokenize_sql
+from repro.esql.lexer import tokenize_sql
 from repro.esql.parser import (parse_expression, parse_query, parse_script,
                                parse_statement)
 from repro.esql.translate import Translator
 
 __all__ = [
-    "SqlToken", "tokenize_sql",
+    "tokenize_sql",
     "parse_expression", "parse_query", "parse_script", "parse_statement",
     "Translator",
 ]

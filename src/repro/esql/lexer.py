@@ -1,4 +1,5 @@
-"""Lexer for the ESQL subset.
+"""The ESQL subset's lexical spec, read by the one lexer of
+:mod:`repro.lexing`.
 
 Keywords are case-insensitive; identifiers keep their declared case
 (attribute names are matched case-insensitively downstream).  Strings
@@ -7,11 +8,9 @@ use single quotes with ``''`` escaping; ``--`` starts a comment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.lexing import Lexicon
 
-from repro.errors import ParseError
-
-__all__ = ["SqlToken", "tokenize_sql", "KEYWORDS"]
+__all__ = ["tokenize_sql", "KEYWORDS"]
 
 KEYWORDS = frozenset({
     "SELECT", "FROM", "WHERE", "GROUP", "BY", "AS", "AND", "OR", "NOT",
@@ -22,106 +21,11 @@ KEYWORDS = frozenset({
     "PRIMARY", "KEY",
 })
 
-_PUNCT = [
+ESQL = Lexicon(KEYWORDS, [
     ("<=", "OP"), (">=", "OP"), ("<>", "OP"),
     ("(", "LPAREN"), (")", "RPAREN"), (",", "COMMA"), (";", "SEMI"),
     (".", "DOT"), (":", "COLON"), ("=", "OP"), ("<", "OP"), (">", "OP"),
     ("+", "OP"), ("-", "OP"), ("*", "STAR"), ("/", "OP"),
-]
+], comment="--")
 
-
-@dataclass(frozen=True)
-class SqlToken:
-    kind: str    # keyword name, IDENT, NUMBER, STRING, OP, ... , EOF
-    text: str
-    line: int
-    column: int
-
-
-def tokenize_sql(source: str) -> list[SqlToken]:
-    tokens: list[SqlToken] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("--", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-
-        if ch == "'":
-            j = i + 1
-            buf = []
-            while True:
-                if j >= n:
-                    raise ParseError("unterminated string", line, start_col)
-                if source[j] == "'":
-                    if j + 1 < n and source[j + 1] == "'":
-                        buf.append("'")
-                        j += 2
-                        continue
-                    j += 1
-                    break
-                buf.append(source[j])
-                j += 1
-            tokens.append(SqlToken("STRING", "".join(buf), line, start_col))
-            newlines = source.count("\n", i, j)
-            if newlines:
-                # keep line/column exact across multi-line strings so
-                # downstream source-span extraction stays correct
-                line += newlines
-                col = j - source.rfind("\n", i, j)
-            else:
-                col += j - i
-            i = j
-            continue
-
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == "." and j + 1 < n and \
-                    source[j + 1].isdigit():
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            tokens.append(SqlToken("NUMBER", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            upper = text.upper()
-            if upper in KEYWORDS:
-                tokens.append(SqlToken(upper, text, line, start_col))
-            else:
-                tokens.append(SqlToken("IDENT", text, line, start_col))
-            col += j - i
-            i = j
-            continue
-
-        for literal, kind in _PUNCT:
-            if source.startswith(literal, i):
-                tokens.append(SqlToken(kind, literal, line, start_col))
-                i += len(literal)
-                col += len(literal)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-
-    tokens.append(SqlToken("EOF", "", line, col))
-    return tokens
+tokenize_sql = ESQL.tokenize

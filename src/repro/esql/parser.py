@@ -7,71 +7,18 @@ optional).  The grammar covers every statement in the paper's Figures
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.errors import NestingTooDeep, ParseError
+from repro.errors import ParseError
 from repro.esql import ast
-from repro.esql.lexer import SqlToken, tokenize_sql
+from repro.esql.lexer import tokenize_sql
+from repro.lexing import MAX_NESTING_DEPTH, Cursor
 
 __all__ = ["parse_script", "parse_script_with_sources", "parse_statement",
-           "parse_query", "parse_expression"]
+           "parse_query", "parse_expression", "MAX_NESTING_DEPTH"]
 
 _COLLECTION_KINDS = ("SET", "BAG", "LIST", "ARRAY")
 
-# How deep a statement may nest: parentheses, function arguments,
-# subqueries, NOT / unary-minus chains, parenthesised selects and
-# collection types each count one level.  This parser spends nine
-# Python frames on a parenthesis and every later pass recurses over
-# what it builds, so the bound sits well inside the interpreter's
-# recursion limit; flat input (a 3 000-conjunct AND, a long IN list)
-# is parsed by loops and is not nesting.
-MAX_NESTING_DEPTH = 64
 
-
-class _Parser:
-    def __init__(self, tokens: list[SqlToken]):
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0
-
-    # Every recursive production enters a level with
-    #     self.depth += 1
-    #     if self.depth > MAX_NESTING_DEPTH: raise self._too_deep()
-    # and leaves it with ``self.depth -= 1`` (inline: select items,
-    # qualifications and negative literals of every statement come
-    # through; a parser that raised is thrown away with its count).
-    def _too_deep(self) -> NestingTooDeep:
-        tok = self.peek()
-        return NestingTooDeep(
-            f"statement nests deeper than {MAX_NESTING_DEPTH} levels "
-            f"at line {tok.line}, column {tok.column}",
-            "expression", MAX_NESTING_DEPTH, tok.line, tok.column,
-        )
-
-    # -- token plumbing -----------------------------------------------------
-    def peek(self, offset: int = 0) -> SqlToken:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
-
-    def advance(self) -> SqlToken:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def accept(self, kind: str) -> Optional[SqlToken]:
-        if self.peek().kind == kind:
-            return self.advance()
-        return None
-
-    def expect(self, kind: str) -> SqlToken:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind}, found {tok.kind} ({tok.text!r})",
-                tok.line, tok.column,
-            )
-        return self.advance()
-
+class _Parser(Cursor):
     def expect_ident(self) -> str:
         tok = self.peek()
         # collection keywords may double as identifiers in type context
@@ -81,9 +28,6 @@ class _Parser:
             f"expected an identifier, found {tok.kind} ({tok.text!r})",
             tok.line, tok.column,
         )
-
-    def at_end(self) -> bool:
-        return self.peek().kind == "EOF"
 
     def _relation_name(self) -> str:
         """A possibly dotted relation name (``sys.metrics``).
@@ -215,9 +159,7 @@ class _Parser:
         if tok.kind not in _COLLECTION_KINDS and tok.kind != "TUPLE":
             return ast.NamedType(self.expect_ident())
         self.advance()
-        self.depth += 1
-        if self.depth > MAX_NESTING_DEPTH:
-            raise self._too_deep()
+        self.nest()
         if tok.kind == "TUPLE":
             nested = ast.TupleOf(self._field_list())
         else:
@@ -329,9 +271,7 @@ class _Parser:
 
     def _select(self) -> ast.Select:
         if self.accept("LPAREN"):
-            self.depth += 1
-            if self.depth > MAX_NESTING_DEPTH:
-                raise self._too_deep()
+            self.nest()
             inner = self._select()
             self.depth -= 1
             self.expect("RPAREN")
@@ -391,9 +331,7 @@ class _Parser:
 
     # -- expressions ----------------------------------------------------------
     def parse_expression(self) -> ast.Expr:
-        self.depth += 1
-        if self.depth > MAX_NESTING_DEPTH:
-            raise self._too_deep()
+        self.nest()
         expr = self._or_expr()
         self.depth -= 1
         return expr
@@ -416,9 +354,7 @@ class _Parser:
 
     def _not_expr(self) -> ast.Expr:
         if self.accept("NOT"):
-            self.depth += 1
-            if self.depth > MAX_NESTING_DEPTH:
-                raise self._too_deep()
+            self.nest()
             operand = self._not_expr()
             self.depth -= 1
             return ast.NotExpr(operand)
@@ -494,9 +430,7 @@ class _Parser:
 
         if tok.kind == "OP" and tok.text == "-":
             self.advance()
-            self.depth += 1
-            if self.depth > MAX_NESTING_DEPTH:
-                raise self._too_deep()
+            self.nest()
             operand = self._atom()
             self.depth -= 1
             if isinstance(operand, ast.NumberLit):
@@ -578,22 +512,12 @@ def parse_script_with_sources(
     write-ahead log (logical logging): replaying the texts in order
     through the translator reproduces the statements' effects exactly.
     """
-    line_starts = [0]
-    for i, ch in enumerate(source):
-        if ch == "\n":
-            line_starts.append(i + 1)
-
-    def offset_of(tok: SqlToken) -> int:
-        if tok.kind == "EOF":
-            return len(source)
-        return line_starts[tok.line - 1] + tok.column - 1
-
     parser = _Parser(tokenize_sql(source))
     statements: list[tuple[ast.Statement, str]] = []
     while not parser.at_end():
-        begin = offset_of(parser.peek())
+        begin = parser.peek().offset
         statement = parser.parse_statement()
-        end = offset_of(parser.peek())  # the SEMI / EOF after it
+        end = parser.peek().offset  # the SEMI / EOF after it
         statements.append((statement, source[begin:end].strip()))
         if not parser.accept("SEMI"):
             break

@@ -13,8 +13,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.adt.types import DataType, TypeSystem
-from repro.adt.values import (ArrayValue, BagValue, ListValue, SetValue,
-                              TupleValue)
+from repro.adt.values import COLLECTION_CTORS
 from repro.engine.catalog import Catalog, ViewDef
 from repro.errors import NestingTooDeep, TranslationError
 from repro.esql import ast
@@ -256,9 +255,7 @@ class Translator:
             return expr.value
         if isinstance(expr, ast.CollectionLit):
             elements = [self._literal_value(e) for e in expr.elements]
-            ctor = {"SET": SetValue, "BAG": BagValue,
-                    "LIST": ListValue, "ARRAY": ArrayValue}[expr.kind]
-            return ctor(elements)
+            return COLLECTION_CTORS[expr.kind](elements)
         if isinstance(expr, ast.TupleLit):
             return tuple(self._literal_value(v) for v in expr.values)
         if isinstance(expr, ast.NewObject):

@@ -30,8 +30,9 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional
 
 from repro.errors import ParseError, RewriteError
+from repro.lexing import Cursor
 from repro.rules.control import Block, Seq
-from repro.terms.parser import Token, tokenize
+from repro.terms.parser import tokenize
 
 __all__ = ["parse_program", "standard_rule_library", "program_to_text"]
 
@@ -61,37 +62,10 @@ def standard_rule_library(extra: Iterable = ()) -> dict:
     return library
 
 
-class _MetaParser:
+class _MetaParser(Cursor):
     """Parses block/seq definitions over the rule-language tokenizer."""
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> Token:
-        return self.tokens[min(self.pos, len(self.tokens) - 1)]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and
-                                tok.text.upper() != text.upper()):
-            want = text or kind
-            raise ParseError(
-                f"expected {want}, found {tok.text!r}",
-                tok.line, tok.column,
-            )
-        return self.advance()
-
-    def accept(self, kind: str) -> Optional[Token]:
-        if self.peek().kind == kind:
-            return self.advance()
-        return None
+    found = "{0.text!r}"
 
     def ident(self) -> str:
         tok = self.peek()

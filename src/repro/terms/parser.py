@@ -11,8 +11,10 @@ with both ``/`` sections optional.  Terms::
     MEMBER('Adventure', #2.3)
     ISA(x, Point)
 
-Lexical conventions (divergences from the paper's typeset syntax are
-noted in the printer module):
+Lexical conventions (the spec :data:`RULES` hands to the one lexer of
+:mod:`repro.lexing`, which the meta-rule language of
+:mod:`repro.rules.meta` reads too; divergences from the paper's typeset
+syntax are noted in the printer module):
 
 * an all-lowercase identifier is a variable (the paper's ``u`` ... ``z``,
   generalised to whole words);
@@ -24,7 +26,7 @@ noted in the printer module):
 * ``#i.j`` is an attribute reference;
 * ``/`` is reserved as the section separator, so division inside rule
   text must be written ``DIV(x, y)``;
-* keywords (case-insensitive): AND OR NOT TRUE FALSE CONSTANT.
+* keywords (case-insensitive): AND OR NOT TRUE FALSE.
 
 Several rules may be given in one string, separated by ``;``.
 """
@@ -32,142 +34,33 @@ Several rules may be given in one string, separated by ``;``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.errors import ParseError
-from repro.terms.term import (AttrRef, CollVar, Const, Fun, Term, Var,
-                              boolean, mk_fun, num, string, sym)
+from repro.lexing import Cursor, Lexicon, Token
+from repro.terms.term import (AttrRef, CollVar, Const, Term, Var, boolean,
+                              mk_fun, num, string, sym)
 
 __all__ = ["Token", "tokenize", "parse_term", "parse_rule_text",
            "parse_rules_text", "ParsedRule"]
 
-_PUNCT = [
+# '$' continues a name: generated names such as TC$MAGIC1 must
+# round-trip through the printer
+_NAME = r"[^\W\d][\w$]*"
+
+RULES = Lexicon({"AND", "OR", "NOT", "TRUE", "FALSE"}, [
     ("-->", "ARROW"),
     ("<=", "OP"), (">=", "OP"), ("<>", "OP"),
     ("(", "LPAREN"), (")", "RPAREN"), ("{", "LBRACE"), ("}", "RBRACE"),
     (",", "COMMA"), (";", "SEMI"), ("/", "SLASH"), (":", "COLON"),
     ("=", "OP"), ("<", "OP"), (">", "OP"),
     ("+", "OP"), ("-", "OP"), ("*", "STAR"),
-]
+], comment="%", name=_NAME, shapes=(
+    r"(?P<ATTR>#\d+\.\d+)",
+    rf"(?P<COLLVAR>{_NAME})\*",
+), errors={"#": "malformed attribute reference"})
 
-_KEYWORDS = {"AND", "OR", "NOT", "TRUE", "FALSE"}
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str      # IDENT COLLVAR NUMBER STRING ATTR OP ARROW ... EOF
-    text: str
-    line: int
-    column: int
-
-
-def tokenize(source: str) -> list[Token]:
-    """Split rule-language source text into tokens."""
-    tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":  # comment to end of line
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-
-        if ch == "#":  # attribute reference  #i.j
-            j = i + 1
-            while j < n and source[j].isdigit():
-                j += 1
-            if j == i + 1 or j >= n or source[j] != ".":
-                raise ParseError("malformed attribute reference", line, col)
-            k = j + 1
-            while k < n and source[k].isdigit():
-                k += 1
-            if k == j + 1:
-                raise ParseError("malformed attribute reference", line, col)
-            text = source[i:k]
-            tokens.append(Token("ATTR", text, line, start_col))
-            col += k - i
-            i = k
-            continue
-
-        if ch == "'":
-            j = i + 1
-            buf = []
-            while True:
-                if j >= n:
-                    raise ParseError("unterminated string", line, start_col)
-                if source[j] == "'":
-                    if j + 1 < n and source[j + 1] == "'":
-                        buf.append("'")
-                        j += 2
-                        continue
-                    j += 1
-                    break
-                buf.append(source[j])
-                j += 1
-            tokens.append(Token("STRING", "".join(buf), line, start_col))
-            col += j - i
-            i = j
-            continue
-
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            is_real = False
-            if j < n and source[j] == "." and j + 1 < n and \
-                    source[j + 1].isdigit():
-                is_real = True
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            kind = "NUMBER"
-            tokens.append(Token(kind, source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-
-        if ch.isalpha() or ch == "_":
-            j = i
-            # '$' continues an identifier: generated names such as
-            # TC$MAGIC1 must round-trip through the printer
-            while j < n and (source[j].isalnum() or source[j] in "_$"):
-                j += 1
-            text = source[i:j]
-            if j < n and source[j] == "*":
-                tokens.append(Token("COLLVAR", text, line, start_col))
-                j += 1
-            elif text.upper() in _KEYWORDS:
-                tokens.append(Token(text.upper(), text, line, start_col))
-            else:
-                tokens.append(Token("IDENT", text, line, start_col))
-            col += j - i
-            i = j
-            continue
-
-        for literal, kind in _PUNCT:
-            if source.startswith(literal, i):
-                tokens.append(Token(kind, literal, line, start_col))
-                i += len(literal)
-                col += len(literal)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-
-    tokens.append(Token("EOF", "", line, col))
-    return tokens
+tokenize = RULES.tokenize
 
 
 @dataclass
@@ -181,39 +74,10 @@ class ParsedRule:
     methods: tuple[Term, ...]
 
 
-class _Parser:
+class _Parser(Cursor):
     """Recursive-descent parser over a token list."""
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    # -- token helpers -------------------------------------------------
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind}, found {tok.kind} ({tok.text!r})",
-                tok.line, tok.column,
-            )
-        return self.advance()
-
-    def accept(self, kind: str) -> Optional[Token]:
-        if self.peek().kind == kind:
-            return self.advance()
-        return None
-
-    def at_end(self) -> bool:
-        return self.peek().kind == "EOF"
+    unit = "term"
 
     # -- grammar ---------------------------------------------------------
     def parse_rule(self) -> ParsedRule:
@@ -243,7 +107,10 @@ class _Parser:
         return tuple(items)
 
     def parse_term(self) -> Term:
-        return self._or_expr()
+        self.nest()
+        term = self._or_expr()
+        self.depth -= 1
+        return term
 
     def _or_expr(self) -> Term:
         left = self._and_expr()
@@ -269,7 +136,9 @@ class _Parser:
                 inner = self.parse_term()
                 self.expect("RPAREN")
             else:
+                self.nest()
                 inner = self._not_expr()
+                self.depth -= 1
             return mk_fun("NOT", [inner])
         return self._comparison()
 
@@ -331,7 +200,9 @@ class _Parser:
 
         if tok.kind == "OP" and tok.text == "-":
             self.advance()
+            self.nest()
             operand = self._atom()
+            self.depth -= 1
             if isinstance(operand, Const) and operand.kind in ("int", "real"):
                 return num(-operand.value)
             return mk_fun("-", [num(0), operand])

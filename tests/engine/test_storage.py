@@ -172,18 +172,6 @@ class TestKeyedAtomicity:
         assert rel.rows == [(1, "x"), (2, "y")]
         assert (3,) not in rel._key_index
 
-    def test_rebuild_key_index_violation_preserves_index(self, rel):
-        rel.rows.append(rel.rows[0])  # simulate a buggy caller
-        before = set(rel._key_index)
-        with pytest.raises(ValueError_):
-            rel.rebuild_key_index()
-        assert rel._key_index == before
-
-    def test_rebuild_key_index_recomputes(self, rel):
-        rel.rows.pop()  # caller dropped a row behind the index's back
-        rel.rebuild_key_index()
-        assert rel._key_index == {(1,)}
-
     def test_replace_rows_swaps_atomically(self, rel):
         rel.replace_rows([(5, "a"), (6, "b")])
         assert rel.rows == [(5, "a"), (6, "b")]

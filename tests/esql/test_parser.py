@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ParseError
 from repro.esql import ast
 from repro.esql.parser import (parse_expression, parse_query, parse_script,
-                               parse_statement)
+                               parse_script_with_sources, parse_statement)
 
 
 class TestTypeDefs:
@@ -195,3 +195,25 @@ class TestScripts:
     def test_create_requires_table_or_view(self):
         with pytest.raises(ParseError):
             parse_statement("CREATE INDEX I ON T")
+
+
+class TestStatementSources:
+    """Each statement's text, as the write-ahead log records it, is the
+    source between its first token and the ``;`` or end after it."""
+
+    def texts(self, source):
+        return [text for __, text in parse_script_with_sources(source)]
+
+    def test_multi_line_string(self):
+        assert self.texts("INSERT INTO T VALUES ('a\nb');\n  SELECT A\n"
+                          "FROM T") == ["INSERT INTO T VALUES ('a\nb')",
+                                        "SELECT A\nFROM T"]
+
+    def test_semicolon_inside_a_string(self):
+        assert self.texts("INSERT INTO T VALUES ('x;y'); DELETE FROM T") \
+            == ["INSERT INTO T VALUES ('x;y')", "DELETE FROM T"]
+
+    def test_comment_between_statements(self):
+        assert self.texts("TABLE T (A : INT); -- load it\n"
+                          "INSERT INTO T VALUES (1) -- one row") == [
+            "TABLE T (A : INT)", "INSERT INTO T VALUES (1) -- one row"]

@@ -1,18 +1,21 @@
 """ROADMAP 0b: deep input fails typed, flat input runs.
 
-Nesting is bounded where it enters -- the expression parser
-(``MAX_NESTING_DEPTH``) and view definition (``MAX_VIEW_DEPTH``) -- so
-neither a 1 kB statement nor a tower of views can surface as the
-interpreter's ``RecursionError``; every surface (library call, served
-session, pool worker) hands back the same typed ``NestingTooDeep``.
+Nesting is bounded where it enters -- the token cursor every parser
+extends (``MAX_NESTING_DEPTH``, for ESQL and the rule language alike)
+and view definition (``MAX_VIEW_DEPTH``) -- so neither a 1 kB
+statement, a deeply nested rule nor a tower of views can surface as
+the interpreter's ``RecursionError``; every surface (library call,
+extension install, served session, pool worker) hands back the same
+typed ``NestingTooDeep``.
 """
 
 import pytest
 
-from repro import Database
+from repro import Database, Extension, rule_from_text
 from repro.errors import NestingTooDeep, ReproError, error_payload
 from repro.esql.parser import MAX_NESTING_DEPTH, parse_statement
 from repro.esql.translate import MAX_VIEW_DEPTH
+from repro.terms.parser import parse_term
 from repro.pool import PoolConfig
 from repro.server import Server
 
@@ -64,6 +67,35 @@ class TestParserBound:
         assert db.query(query).rows == [(1,)]
         with pytest.raises(NestingTooDeep):
             db.query(query.replace("A = 1", "(A = 1)"))
+
+    @pytest.mark.parametrize("term", [
+        "(" * 5000 + "x" + ")" * 5000,
+        "NOT " * 5000 + "x",
+        "F(" * 3000 + "x" + ")" * 3000,
+        "- " * 5000 + "1",
+    ], ids=["parens", "not", "calls", "minus"])
+    def test_rule_text_is_bounded_on_every_surface(self, term):
+        surfaces = [
+            lambda: parse_term(term),
+            lambda: rule_from_text(f"deep: {term} --> x"),
+            lambda: small_db().install(Extension(
+                "deep", rule_texts=[("simplify", f"{term} --> x")])),
+            lambda: small_db().add_integrity_constraint(
+                f"deep: F(x) / ISA(x, T) --> F(x) AND {term} /"),
+        ]
+        for surface in surfaces:
+            with pytest.raises(NestingTooDeep) as caught:
+                surface()
+            error = caught.value
+            assert error.limit == MAX_NESTING_DEPTH
+            assert error.resource == "expression"
+            assert error.line == 1 and error.column > MAX_NESTING_DEPTH
+
+    def test_the_rule_bound_is_exact(self):
+        fits = MAX_NESTING_DEPTH - 1  # the term itself is level one
+        assert parse_term("(" * fits + "x" + ")" * fits) == parse_term("x")
+        with pytest.raises(NestingTooDeep):
+            parse_term("(" * (fits + 1) + "x" + ")" * (fits + 1))
 
     def test_flat_input_is_not_nesting(self):
         db = small_db()

@@ -1,15 +1,29 @@
 """Parser robustness: arbitrary input never crashes with anything but
-a library error (ParseError et al.)."""
+a library error (ParseError et al.), and the one lexer places every
+token where its offset says."""
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from repro.errors import ReproError
+from repro.errors import ParseError, ReproError
+from repro.esql.lexer import tokenize_sql
 from repro.esql.parser import parse_script
-from repro.terms.parser import parse_rule_text, parse_term
+from repro.terms.parser import parse_rule_text, parse_term, tokenize
 
 _junk = st.text(
     alphabet=st.characters(min_codepoint=32, max_codepoint=126),
+    max_size=80,
+)
+
+# printable ASCII plus a non-ASCII sample: letters, a decimal digit,
+# numeric symbols that are not decimal digits, a no-break space, a
+# newline inside and outside strings
+_mixed = st.text(
+    alphabet=st.one_of(
+        st.characters(min_codepoint=32, max_codepoint=126),
+        st.sampled_from("\n\t\u00e9\u00df\u03bb\u20ac\u0663\u00b2\u00bd"
+                        "\u2167\u00a0"),
+    ),
     max_size=80,
 )
 
@@ -69,3 +83,33 @@ class TestRuleParserFuzz:
             parse_rule_text(text)
         except ReproError:
             pass
+
+
+class TestOneLexer:
+    @given(_mixed)
+    @settings(max_examples=200, deadline=None)
+    def test_tokens_sit_at_their_offsets(self, text):
+        for lex in (tokenize_sql, tokenize):
+            try:
+                tokens = lex(text)
+            except ParseError:
+                continue  # the only acceptable failure mode
+            for tok in tokens:
+                before = text[:tok.offset]
+                assert tok.line == before.count("\n") + 1
+                assert tok.column == tok.offset - before.rfind("\n")
+                raw = tok.text
+                if tok.kind == "STRING":
+                    raw = "'" + raw.replace("'", "''") + "'"
+                assert text.startswith(raw, tok.offset)
+            assert tokens[-1].offset == len(text)
+
+    @given(_mixed)
+    @example("SELECT \u00b2 FROM T")
+    @settings(max_examples=200, deadline=None)
+    def test_any_text_fails_typed(self, text):
+        for parse in (parse_script, parse_term):
+            try:
+                parse(text)
+            except ReproError:
+                pass

@@ -47,6 +47,10 @@ class TestTokenizer:
         tok = tokenize("x\n  y")[1]
         assert tok.line == 2
 
+    def test_position_after_a_multi_line_string(self):
+        tok = tokenize("'a\nb' x")[1]
+        assert (tok.line, tok.column, tok.offset) == (2, 4, 6)
+
     def test_unexpected_character(self):
         with pytest.raises(ParseError):
             tokenize("@")
