@@ -26,6 +26,7 @@ quantifiers consume (Figure 4).
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Callable
 
 from repro.adt.registry import FunctionDef, FunctionRegistry
@@ -37,7 +38,7 @@ from repro.adt.values import (COLLECTION_CTORS, ArrayValue, BagValue,
 from repro.errors import FunctionError
 
 __all__ = ["default_registry", "install_builtins", "COMPARISON_NAMES",
-           "ARITHMETIC_NAMES", "broadcast1", "EQUALS"]
+           "ARITHMETIC_NAMES", "broadcast1", "EQUALS", "INLINE"]
 
 COMPARISON_NAMES = ("=", "<>", "<", ">", "<=", ">=")
 ARITHMETIC_NAMES = ("+", "-", "*", "/")
@@ -412,12 +413,41 @@ def _project_rule(arg_types: list, ts: Any) -> DataType:
 # registry assembly
 # ---------------------------------------------------------------------------
 
+# the built-in binary operators the evaluator inlines, while the
+# registry still holds their very implementation: id(impl) -> (the
+# Python operator, the operand types for which it is the whole impl --
+# two operands of one such type neither broadcast nor raise); the
+# impls are made once, so their ids are never reused
+INLINE: dict[int, tuple[str, tuple]] = {}
+_SCALARS, _NUMBERS = (int, float, str), (int, float)
+
+
+def _inlined(name: str, symbol: str, op: Callable, rule: Callable,
+             types: tuple, **props) -> FunctionDef:
+    fdef = FunctionDef(name, _broadcasting_binop(name, op), 2, rule, **props)
+    INLINE[id(fdef.impl)] = symbol, types
+    return fdef
+
+
 # the built-in binary ``=``: the evaluator answers it from a hash index
 # only while the registry still holds this very definition (an
 # extension that replaces ``=`` may equate values a dict lookup keeps
 # apart)
-EQUALS = FunctionDef("=", _broadcasting_binop("=", lambda a, b: a == b), 2,
-                     _bool_rule, commutative=True)
+EQUALS = _inlined("=", "==", operator.eq, _bool_rule, _SCALARS,
+                  commutative=True)
+_OPERATORS = (
+    EQUALS,
+    _inlined("<>", "!=", operator.ne, _bool_rule, _SCALARS, commutative=True),
+    _inlined("<", "<", operator.lt, _bool_rule, _SCALARS),
+    _inlined(">", ">", operator.gt, _bool_rule, _SCALARS),
+    _inlined("<=", "<=", operator.le, _bool_rule, _SCALARS),
+    _inlined(">=", ">=", operator.ge, _bool_rule, _SCALARS),
+    _inlined("+", "+", operator.add, _numeric_rule, _NUMBERS,
+             commutative=True, associative=True),
+    _inlined("-", "-", operator.sub, _numeric_rule, _NUMBERS),
+    _inlined("*", "*", operator.mul, _numeric_rule, _NUMBERS,
+             commutative=True, associative=True),
+)
 
 
 def install_builtins(registry: FunctionRegistry) -> FunctionRegistry:
@@ -463,23 +493,7 @@ def install_builtins(registry: FunctionRegistry) -> FunctionRegistry:
         FunctionDef("PROJECT", _project, 2, _project_rule, adt="tuple"),
         FunctionDef("VALUE", _value, 1, _value_rule, adt="object"),
         # scalar operators
-        EQUALS,
-        FunctionDef("<>", _broadcasting_binop("<>", lambda a, b: a != b), 2,
-                    _bool_rule, commutative=True),
-        FunctionDef("<", _broadcasting_binop("<", lambda a, b: a < b), 2,
-                    _bool_rule),
-        FunctionDef(">", _broadcasting_binop(">", lambda a, b: a > b), 2,
-                    _bool_rule),
-        FunctionDef("<=", _broadcasting_binop("<=", lambda a, b: a <= b), 2,
-                    _bool_rule),
-        FunctionDef(">=", _broadcasting_binop(">=", lambda a, b: a >= b), 2,
-                    _bool_rule),
-        FunctionDef("+", _broadcasting_binop("+", lambda a, b: a + b), 2,
-                    _numeric_rule, commutative=True, associative=True),
-        FunctionDef("-", _broadcasting_binop("-", lambda a, b: a - b), 2,
-                    _numeric_rule),
-        FunctionDef("*", _broadcasting_binop("*", lambda a, b: a * b), 2,
-                    _numeric_rule, commutative=True, associative=True),
+        *_OPERATORS,
         FunctionDef("/", _broadcasting_binop("/", _div), 2, _numeric_rule),
         # DIV is the spelling of division inside rule-language text,
         # where '/' is reserved as the section separator

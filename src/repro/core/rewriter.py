@@ -10,12 +10,12 @@ demonstrates.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from repro.digest import sha1
 from repro.engine.catalog import Catalog
 from repro.errors import RewriteError
 from repro.rules.constraints import ConstraintEvaluator
@@ -36,7 +36,7 @@ def term_hash(term: Term) -> str:
     join ``sys.rewrites`` rows against explain output by eye.
     """
     from repro.terms.printer import term_to_str
-    digest = hashlib.sha1(term_to_str(term).encode("utf-8"))
+    digest = sha1(term_to_str(term).encode("utf-8"))
     return digest.hexdigest()[:12]
 
 

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.digest import sha1
+
 __all__ = ["AnalyzeCollector"]
 
 
@@ -137,5 +139,4 @@ class AnalyzeCollector:
 def _form_hash(form: str) -> str:
     """Same 12-hex convention as :func:`repro.core.rewriter.term_hash`
     (which hashes a *term*; analyze already has the printed form)."""
-    import hashlib
-    return hashlib.sha1(form.encode("utf-8")).hexdigest()[:12]
+    return sha1(form.encode("utf-8")).hexdigest()[:12]

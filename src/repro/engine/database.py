@@ -640,17 +640,22 @@ class Database:
         query holding a reference to the old rewriter.
         """
         from repro.rules.rule import rule_from_text
+        # what can be refused is compiled (and each block looked up)
+        # first: a refused bundle leaves the database as it was
+        rules = [(block, rule_from_text(source))
+                 for block, source in extension.rule_texts]
+        constraints = [compile_integrity_constraint(source)
+                       for source in extension.integrity_constraints]
+        for block, __ in rules:
+            self.optimizer.rewriter.block(block)
         with self._exclusive():
             for fdef in extension.functions:
                 self.catalog.registry.register(fdef, replace=True)
-            for source in extension.integrity_constraints:
-                self.catalog.integrity_constraints.append(
-                    compile_integrity_constraint(source)
-                )
+            self.catalog.integrity_constraints.extend(constraints)
             self.regenerate_optimizer()
             optimizer = self.optimizer  # force rebuild, then decorate it
-            for block, source in extension.rule_texts:
-                optimizer.rewriter.add_rule(rule_from_text(source), block)
+            for block, rule in rules:
+                optimizer.rewriter.add_rule(rule, block)
             for name, arity, impl in extension.methods:
                 optimizer.rewriter.add_method(name, arity, impl)
             for name, impl in extension.predicates:

@@ -3,9 +3,14 @@
 This is the execution substrate that makes rewriting *measurable*.
 :meth:`Evaluator.compile` walks the plan once, turning every operator
 into a closure ``run(frame, fix_rows, fix_env) -> rows`` and every
-scalar expression into a closure ``f(env, params)``; what does not
-depend on the data is decided during that walk, never per row.  The
-physical strategy is deliberately simple and deterministic:
+scalar expression -- a qualification conjunct, a projection list, a
+VALUES row -- into one generated Python function ``f(env, params)``
+(the :class:`~repro.terms.compile.Source` build step the rule compiler
+uses): attribute references are subscripts, built-in comparisons and
+arithmetic are Python operators behind an exact-type guard, and every
+other call goes to the registry's impl.  What does not depend on the
+data is decided during that walk, never per row.  The physical
+strategy is deliberately simple and deterministic:
 
 * SEARCH / JOIN run as nested loops over their inputs, applying each
   conjunct of the qualification as soon as all the relations it
@@ -56,10 +61,11 @@ frame is made; each operator node tests one flag.
 
 from __future__ import annotations
 
+import os
 from time import perf_counter
 from typing import Callable, Optional, Sequence
 
-from repro.adt.functions import EQUALS
+from repro.adt.functions import EQUALS, INLINE
 from repro.adt.values import COLLECTION_CTORS, CollectionValue, TupleValue
 from repro.engine.catalog import Catalog
 from repro.engine.plans import PARAM
@@ -70,6 +76,7 @@ from repro.lera.analysis import rels_referenced
 from repro.lifecycle.context import Truncation, current_context
 from repro.lera.schema import Schema, schema_of
 from repro.obs.events import EvalOp
+from repro.terms.compile import Source
 from repro.terms.term import (AttrRef, Const, Fun, Term, conjuncts, is_fun,
                               mentions, mk_fun, sym)
 
@@ -656,11 +663,10 @@ class Evaluator:
         return run
 
     def _compile_values(self, term: Fun) -> Callable:
-        rows = [[self.compile_expr(cell) for cell in row_term.args]
+        rows = [self._row_builder(row_term.args)
                 for row_term in term.args[0].args]  # type: ignore
         return lambda frame, fix_rows, fix_env: [
-            tuple([cell((), frame.params) for cell in row]) for row in rows
-        ]
+            build((), frame.params) for build in rows]
 
     def _compile_union(self, term: Fun) -> Callable:
         branches = [self._compile(r) for r in ops.relation_inputs(term)]
@@ -857,83 +863,96 @@ class Evaluator:
 
     # -- compilation: scalar expressions ----------------------------------------
     def compile_expr(self, expr: Term) -> Callable:
-        """``expr`` as one closure ``f(env, params)``: ``env`` is the
-        sequence of rows its attribute references index (``#rel.pos``,
-        both 1-based), ``params`` the vector its ``PARAM(i)`` leaves
-        index.  An expression that cannot be evaluated fails when
-        called, not here, so a plan over empty input never sees it."""
-        if isinstance(expr, Const):
-            value = str(expr.value) if expr.kind == "symbol" else expr.value
-            return lambda env, params: value
-        if isinstance(expr, AttrRef):
-            return _attribute(expr)
-        if not isinstance(expr, Fun):
-            def fail(env, params):
-                raise EvaluationError(f"cannot evaluate expression {expr!r}")
-            return fail
-
-        name = expr.name
-        if name == PARAM:
-            index = expr.args[0].value  # type: ignore[union-attr]
-            return lambda env, params: params[index]
-        if name == "AS":
-            return self.compile_expr(expr.args[0])
-        parts = [self.compile_expr(a) for a in expr.args]
-        if name == "AND":
-            def conjunction(env, params) -> bool:
-                for part in parts:
-                    if not part(env, params):
-                        return False
-                return True
-            return conjunction
-        if name == "OR":
-            def disjunction(env, params) -> bool:
-                for part in parts:
-                    if part(env, params):
-                        return True
-                return False
-            return disjunction
-        if name == "NOT":
-            negated = parts[0]
-            return lambda env, params: not negated(env, params)
-
-        # a function of the ADT library, bound once; implementations
-        # receive the catalog (its objects and type system) as context
-        catalog = self.catalog
-        registry = catalog.registry
-        try:
-            fdef = registry.lookup(name, len(parts))
-        except FunctionError:
-            fdef = None
-        if fdef is None or fdef.arity not in (None, len(parts)):
-            # refused per call, after the arguments, as the registry does
-            return lambda env, params: registry.call(
-                name, [part(env, params) for part in parts], catalog)
-        impl = fdef.impl
-        if len(parts) == 2:
-            left, right = parts
-            return lambda env, params: impl(
-                [left(env, params), right(env, params)], catalog)
-        return lambda env, params: impl(
-            [part(env, params) for part in parts], catalog)
+        """``expr`` as one generated function ``f(env, params)``: ``env``
+        is the sequence of rows its attribute references index
+        (``#rel.pos``, both 1-based), ``params`` the vector its
+        ``PARAM(i)`` leaves index.  An expression that cannot be
+        evaluated fails when called, not here, so a plan over empty
+        input never sees it."""
+        return self._generate([expr], row=False)
 
     def _row_builder(self, exprs: list) -> Callable:
         """One tuple builder ``build(env, params)`` for a projection
         list."""
-        parts = [self.compile_expr(e) for e in exprs]
+        return self._generate(exprs, row=True)
 
-        def build(env, params) -> tuple:
-            return tuple([part(env, params) for part in parts])
-        if not all(isinstance(e, AttrRef) for e in exprs):
-            return build
-        slots = [(e.rel - 1, e.pos - 1) for e in exprs]
+    def _generate(self, exprs: Sequence[Term], row: bool) -> Callable:
+        """The function of one expression, or with ``row`` of the tuple
+        of ``exprs``.  A built-in comparison or arithmetic operator is
+        the Python operator behind an exact-type guard; any other
+        operand pair, and every other function, calls the impl the
+        registry holds now (a change to it bumps the plan version)."""
+        src = Source("expr", "env, params", _NAMESPACE, _HERE)
+        registry = self.catalog.registry
+        catalog = src.const(self.catalog)
 
-        def pick(env, params) -> tuple:
+        def body(value: str, refs: list) -> list[str]:
+            """Return ``value``; an IndexError of one of the function's
+            own subscripts names the reference out of range."""
+            if not refs:
+                return [f"return {value}"]
+            return ["try:", f"    return {value}", "except IndexError as exc:",
+                    f"    out_of_range(exc, env, {src.const(tuple(refs))})",
+                    "    raise"]
+
+        def emit(expr: Term, refs: list, depth: int) -> str:
+            if isinstance(expr, Const):
+                return src.const(str(expr.value) if expr.kind == "symbol"
+                                 else expr.value)
+            if isinstance(expr, AttrRef):
+                refs.append(expr)
+                return f"env[{expr.rel - 1!r}][{expr.pos - 1!r}]"
+            if not isinstance(expr, Fun):
+                return f"fail({src.const(expr)})"
+            name = expr.name
+            if name == PARAM:
+                index = expr.args[0].value  # type: ignore[union-attr]
+                return (f"params[{index}]" if type(index) is int
+                        else f"params[{src.const(index)}]")
+            if name == "AS":
+                return emit(expr.args[0], refs, depth)
+            if depth == _MAX_NESTING:
+                # Python's parser bounds the nesting of one function:
+                # the rest of a deep expression is a function of its own
+                helper, inner = src.fresh("expr_"), []
+                lines = body(emit(expr, inner, 0), inner)
+                src.finished.append("\n    ".join(
+                    [f"def {helper}(env, params):"] + lines))
+                return f"{helper}(env, params)"
+            if name == "NOT":
+                return f"(not {emit(expr.args[0], refs, depth + 1)})"
+            args = [emit(a, refs, depth + 1) for a in expr.args]
+            if name in ("AND", "OR"):
+                if not args:
+                    return repr(name == "AND")
+                tests = (" or " if name == "AND" else " and ").join(
+                    f"not {a}" for a in args)
+                return f"(not ({tests}))"
             try:
-                return tuple([env[rel][pos] for rel, pos in slots])
-            except IndexError:
-                return build(env, params)  # names the reference out of range
-        return pick
+                fdef = registry.lookup(name, len(args))
+            except FunctionError:
+                fdef = None
+            listed = "[" + ", ".join(args) + "]"
+            if fdef is None or fdef.arity not in (None, len(args)):
+                # refused per call, after the arguments, as the registry does
+                return (f"{src.const(registry.call)}({src.const(name)}, "
+                        f"{listed}, {catalog})")
+            impl = src.const(fdef.impl)
+            inline = INLINE.get(id(fdef.impl)) if len(args) == 2 else None
+            if inline is None:
+                return f"{impl}({listed}, {catalog})"
+            symbol, types = inline
+            a, b = src.fresh("v"), src.fresh("v")
+            return (f"({a} {symbol} {b} if type({a} := {args[0]}) is "
+                    f"type({b} := {args[1]}) in {src.const(types)} "
+                    f"else {impl}([{a}, {b}], {catalog}))")
+
+        refs: list[AttrRef] = []
+        value = ("(" + "".join(emit(e, refs, 1) + ", " for e in exprs) + ")"
+                 if row else emit(exprs[0], refs, 0))
+        for line in body(value, refs):
+            src.line(line)
+        return src.build()
 
 
 _OPERATORS = {
@@ -955,23 +974,37 @@ _OPERATORS = {
 }
 
 
-def _attribute(ref: AttrRef) -> Callable:
-    rel, pos = ref.rel - 1, ref.pos - 1
+def _fail(expr: Term):
+    raise EvaluationError(f"cannot evaluate expression {expr!r}")
 
-    def attribute(env, params):
-        try:
-            return env[rel][pos]
-        except IndexError:
-            if rel >= len(env):
-                raise EvaluationError(
-                    f"attribute reference #{ref.rel}.{ref.pos} exceeds "
-                    f"the {len(env)} bound relation(s)"
-                ) from None
+
+def _out_of_range(exc: IndexError, env, refs: tuple) -> None:
+    """When ``exc`` was raised by a subscript of the generated code
+    itself (not inside a call: an impl's own IndexError propagates),
+    raise the error of the first reference of ``refs`` that ``env``
+    cannot resolve; a parameter subscript's IndexError propagates."""
+    if exc.__traceback__.tb_next is not None:
+        return
+    for ref in refs:
+        rel, pos = ref.rel - 1, ref.pos - 1
+        if rel >= len(env):
+            raise EvaluationError(
+                f"attribute reference #{ref.rel}.{ref.pos} exceeds "
+                f"the {len(env)} bound relation(s)"
+            ) from None
+        if pos >= len(env[rel]):
             raise EvaluationError(
                 f"attribute reference #{ref.rel}.{ref.pos} exceeds "
                 f"the row width {len(env[rel])}"
             ) from None
-    return attribute
+
+
+# expression levels one generated function nests (two brackets each,
+# at most; the parser refuses 200)
+_MAX_NESTING = 32
+# what every generated expression reads besides its own bindings
+_NAMESPACE = {"fail": _fail, "out_of_range": _out_of_range}
+_HERE = os.path.dirname(os.path.abspath(__file__))
 
 
 def _concatenated(env, params) -> tuple:

@@ -35,12 +35,12 @@ delivery time.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import NamedTuple, Optional
 
+from repro.digest import sha1
 from repro.esql import ast
 
 __all__ = ["Fingerprint", "fingerprint_statement", "fingerprint_source",
@@ -208,7 +208,7 @@ class _Unrenderable(Exception):
 
 
 def _digest(template: str) -> str:
-    return hashlib.sha1(template.encode("utf-8")).hexdigest()[:12]
+    return sha1(template.encode("utf-8")).hexdigest()[:12]
 
 
 def fingerprint_statement(statement) -> Fingerprint:

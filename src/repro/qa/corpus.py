@@ -13,11 +13,11 @@ same minimized case twice is idempotent.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from pathlib import Path
 
+from repro.digest import sha1
 from repro.qa.schema_gen import Case
 
 __all__ = ["case_filename", "save_case", "load_case", "load_corpus"]
@@ -29,7 +29,7 @@ def _slug(text: str) -> str:
 
 
 def case_filename(case: Case) -> str:
-    digest = hashlib.sha1(
+    digest = sha1(
         (case.query + "\n" + case.setup_script()).encode("utf-8")
     ).hexdigest()[:10]
     return f"{_slug(case.name or 'case')}-{digest}.json"

@@ -20,7 +20,8 @@ for the two term-shaped halves of a rule:
   function variables.
 
 Both emit Python source and ``exec`` it once; the source is kept on the
-function as ``__source__``.
+function as ``__source__``.  :class:`Source` is the one build step for
+generated code: the evaluator's scalar expressions use it too.
 
 What the generated matcher looks like: tests are guard clauses
 (``if type(s) is not Fun or s.name != 'SEARCH': return``), fixed-arity
@@ -46,7 +47,7 @@ from repro.terms.term import (AC_FUNS, FUNVARS, NORMALISED_FUNS, AttrRef,
                               CollVar, Const, Fun, Seq, Term, Var, mk_fun,
                               splice, walk)
 
-__all__ = ["compile_pattern", "compile_template", "pattern_keys"]
+__all__ = ["Source", "compile_pattern", "compile_template", "pattern_keys"]
 
 Matcher = Callable[..., Iterator[dict]]
 Builder = Callable[[dict], Union[Term, Seq]]
@@ -123,16 +124,22 @@ _NAMESPACE = {
 }
 
 
-class _Source:
+class Source:
     """Python source under construction.  A matcher's code only ever
     nests (what follows a test or a loop is emitted inside it), so the
     text grows line by line at a depth that never decreases; when the
     loops of one function reach ``_MAX_LOOPS`` the rest is emitted
-    into a continuation function that receives the locals so far."""
+    into a continuation function that receives the locals so far.
 
-    def __init__(self, name: str, params: str):
+    Values reach the code only as namespace bindings (:meth:`const`),
+    so the text is structural and equal texts share one code object.
+    ``home`` is the directory of the generating package."""
+
+    def __init__(self, name: str, params: str,
+                 namespace: dict = _NAMESPACE, home: str = _HERE):
         self.name = name
-        self.namespace = dict(_NAMESPACE)
+        self.namespace = dict(namespace)
+        self.home = home
         self.finished: list[str] = []
         self.lines = [f"def {name}({params}):"]
         self.depth = 0       # loops open in the current function
@@ -182,14 +189,21 @@ class _Source:
     def build(self):
         self.finished.append("\n".join(self.lines))
         source = "\n\n".join(reversed(self.finished)) + "\n"
-        # a file name under this package: call profiles attribute the
-        # generated code to the layer that generated it
-        filename = os.path.join(
-            _HERE, f"<generated {self.name} #{next(_serial)}>")
-        exec(compile(source, filename, "exec"), self.namespace)
+        exec(_code(source, self.home, self.name), self.namespace)
         function = self.namespace[self.name]
         function.__source__ = source
         return function
+
+
+@lru_cache(maxsize=1024)
+def _code(source: str, home: str, name: str):
+    """``source`` compiled once per text: compiling is the costly step
+    of a build, and texts repeat (every UPDATE of one shape compiles
+    its predicate again, differing only in the constants)."""
+    # a file name under the generating package: call profiles attribute
+    # the generated code to the layer that generated it
+    filename = os.path.join(home, f"<generated {name} #{next(_serial)}>")
+    return compile(source, filename, "exec")
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +217,7 @@ def compile_pattern(pattern: Term,
     bindings under which the pattern matches the subject.  With
     ``bound`` -- the keys of the pattern a pre-binding defines -- the
     matcher is ``matcher(subject, pre)`` and extends the dict ``pre``."""
-    src = _Source("match", "s0" if bound is None else "s0, pre")
+    src = Source("match", "s0" if bound is None else "s0, pre")
     src.locals.append("s0")
     env: dict = {}
     if bound is not None:
@@ -230,7 +244,7 @@ def compile_pattern(pattern: Term,
     return src.build()
 
 
-def _match_term(src: _Source, pattern: Term, subject: str, env: dict,
+def _match_term(src: Source, pattern: Term, subject: str, env: dict,
                 then: Callable[[dict], None]) -> None:
     """Emit the match of ``pattern`` against the term the expression
     ``subject`` denotes; ``then(env)`` emits what follows a success.
@@ -283,7 +297,7 @@ def _match_term(src: _Source, pattern: Term, subject: str, env: dict,
             _match_ordered(src, pattern.args, args, env, then)
 
 
-def _match_ordered(src: _Source, patterns: tuple, args: str, env: dict,
+def _match_ordered(src: Source, patterns: tuple, args: str, env: dict,
                    then: Callable[[dict], None]) -> None:
     """Ordered argument lists: a collection variable takes a
     sub-sequence, shortest first."""
@@ -339,7 +353,7 @@ def _match_ordered(src: _Source, patterns: tuple, args: str, env: dict,
     step(0, "", 0, plain_after[0] == len(patterns), env)
 
 
-def _match_unordered(src: _Source, patterns: tuple, args: str, env: dict,
+def _match_unordered(src: Source, patterns: tuple, args: str, env: dict,
                      then: Callable[[dict], None]) -> None:
     """``SET`` / ``AND`` / ``OR``: matching modulo permutation.  The
     plain patterns pick distinct arguments, first pattern outermost,
@@ -410,7 +424,7 @@ def compile_template(term: Term, strict: bool = True) -> Builder:
     variables replaced (a bare collection variable gives its
     :class:`~repro.terms.term.Seq`).  ``strict``: an unbound variable
     raises :class:`~repro.errors.RuleError`; otherwise it stays."""
-    src = _Source("build", "b")
+    src = Source("build", "b")
     expr = _template(src, term, strict)
     if strict:
         src.line("try:")
@@ -422,7 +436,7 @@ def compile_template(term: Term, strict: bool = True) -> Builder:
     return src.build()
 
 
-def _template(src: _Source, term: Term, strict: bool) -> str:
+def _template(src: Source, term: Term, strict: bool) -> str:
     if isinstance(term, (Var, CollVar)):
         key = term.name if isinstance(term, Var) else "*" + term.name
         return (f"b[{key!r}]" if strict

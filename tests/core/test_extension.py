@@ -110,3 +110,24 @@ class TestInstallation:
         ))
         rows = db.query("SELECT Id FROM BAGS WHERE SPREAD(Vals) = 6").rows
         assert rows == [(1,)]
+
+    @pytest.mark.parametrize("rule_texts", [
+        [("simplify", "F(x --> ")],
+        [("no_such_block", "r: NOISE(x) --> x")],
+    ], ids=["unparsable-rule", "unknown-block"])
+    def test_a_refused_install_changes_nothing(self, db, rule_texts):
+        registry = db.catalog.registry
+        optimizer = db.optimizer
+        version = db.catalog.plan_version.value
+        constraints = list(db.catalog.integrity_constraints)
+        bundle = Extension(
+            "bad", functions=[FunctionDef("TWICE", lambda a, c: 2 * a[0], 1)],
+            rule_texts=rule_texts,
+            integrity_constraints=[
+                "ic: F(x) / ISA(x, NUMERIC) --> F(x) AND x >= 0 /"])
+        with pytest.raises(ReproError):
+            db.install(bundle)
+        assert registry.lookup_or_none("TWICE", 1) is None
+        assert db.catalog.integrity_constraints == constraints
+        assert db.catalog.plan_version.value == version
+        assert db.optimizer is optimizer

@@ -111,3 +111,28 @@ class TestPropagation:
     def test_falsy_when_empty(self):
         assert not Fingerprint("", "")
         assert fp("SELECT A FROM T")
+
+
+class TestDigest:
+    def test_a_statement_loads_no_openssl_and_digests_match_hashlib(self):
+        # a fresh interpreter: this one may have imported hashlib already
+        import subprocess
+        import sys
+        from pathlib import Path
+        script = (
+            "import sys\n"
+            "from repro import Database\n"
+            "db = Database()\n"
+            "db.execute('TABLE T (A : NUMERIC); INSERT INTO T VALUES (1)')\n"
+            "assert db.query('SELECT A FROM T WHERE A = 1').rows == [(1,)]\n"
+            "db.explain('SELECT A FROM T WHERE A = 1')\n"
+            "assert '_hashlib' not in sys.modules, 'OpenSSL loaded'\n"
+            "import hashlib\n"
+            "from repro.digest import sha1\n"
+            "for data in (b'', b'abc', bytes(range(256)) * 9):\n"
+            "    assert sha1(data).hexdigest() == "
+            "hashlib.sha1(data).hexdigest()\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        subprocess.run([sys.executable, "-c", script], check=True,
+                       env={"PYTHONPATH": str(src)}, timeout=60)
