@@ -7,8 +7,9 @@ reduction, semantic optimization, simplification), and (3) a final
 type-checking pass that normalises expressions introduced by semantic
 rules (integrity-constraint templates are written in user syntax, e.g.
 ``ABS(x)``, and must become ``PROJECT(x, 'ABS')`` before execution).
-Type checking a type-checked term changes nothing, so the final pass
-is skipped when the rewrite handed the typed term back untouched.
+Both passes read the derivation remembered on each node
+(:mod:`repro.lera.schema`), so the final pass walks only the nodes the
+rewrite built, and is not run when no rule fired.
 """
 
 from __future__ import annotations
@@ -119,7 +120,9 @@ class Optimizer:
             bus.emit(PhaseEnd("rewrite", perf_counter() - t0))
             bus.emit(PhaseStart("typecheck_final"))
             t0 = perf_counter()
-        final, schema = self._final_pass(typed, schema, result)
+        final = result.term
+        if final is not typed:
+            final, schema = typecheck(final, self.catalog)
         if bus:
             bus.emit(PhaseEnd("typecheck_final", perf_counter() - t0))
             bus.emit(PhaseEnd("optimize", perf_counter() - t_opt))
@@ -144,15 +147,6 @@ class Optimizer:
             rewrite_result=result,
             provenance=provenance,
         )
-
-    def _final_pass(self, typed: Term, schema: Schema,
-                    result: RewriteResult) -> tuple[Term, Schema]:
-        """Type-check what the rewrite produced; only a fired rule can
-        have left user syntax behind, so the typed term handed back
-        untouched keeps the first pass's verdict."""
-        if result.term is typed:
-            return typed, schema
-        return typecheck(result.term, self.catalog)
 
     def _rewrite_dynamic(self, typed: Term, obs,
                          resilience) -> RewriteResult:

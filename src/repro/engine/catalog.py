@@ -60,9 +60,11 @@ class Catalog:
         self.integrity_constraints: list = []
         # bumped by every change a cached plan may depend on: the DDL
         # below, the registry, and (through this object) the rewriter
-        # and quarantine
+        # and quarantine; a registry shared with a catalog built before
+        # (a checked statement's sample) keeps bumping that one's
         self.plan_version = PlanVersion()
-        self.registry.on_change = self.plan_version.bump
+        if self.registry.on_change is None:
+            self.registry.on_change = self.plan_version.bump
 
     # -- relations ---------------------------------------------------------
     def define_table(self, name: str,

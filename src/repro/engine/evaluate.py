@@ -921,7 +921,9 @@ class Evaluator:
                 return f"{helper}(env, params)"
             if name == "NOT":
                 return f"(not {emit(expr.args[0], refs, depth + 1)})"
-            args = [emit(a, refs, depth + 1) for a in expr.args]
+            args = []  # a loop, not a comprehension: one frame a level
+            for a in expr.args:
+                args.append(emit(a, refs, depth + 1))
             if name in ("AND", "OR"):
                 if not args:
                     return repr(name == "AND")

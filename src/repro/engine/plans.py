@@ -80,8 +80,10 @@ def lift(plan: Term) -> tuple[Term, tuple]:
     def walk(term: Term, expression: bool) -> Term:
         if isinstance(term, Fun):
             lifted = () if expression else _EXPRESSIONS.get(term.name, ())
-            args = tuple(walk(a, expression or i in lifted)
-                         for i, a in enumerate(term.args))
+            args = []  # a loop, not a generator: one frame a level
+            for i, a in enumerate(term.args):
+                args.append(walk(a, expression or i in lifted))
+            args = tuple(args)
             return term if args == term.args else Fun(term.name, args)
         if not isinstance(term, Const):
             return term
@@ -96,20 +98,25 @@ def lift(plan: Term) -> tuple[Term, tuple]:
     return walk(plan, False), tuple(value for __, __, value in values)
 
 
+# One tick source for every PlanVersion: a value is never reused, so it
+# names its version object as well as the state (the derivations kept
+# on terms, repro.lera.schema, are keyed by it alone).
+_TICKS = itertools.count(1)
+
+
 class PlanVersion:
     """One counter that every input of a rewrite, other than the
     query text, bumps when it changes.  ``next`` on an
     :func:`itertools.count` is atomic, so concurrent bumps never move
     the value backwards."""
 
-    __slots__ = ("value", "_ticks")
+    __slots__ = ("value",)
 
     def __init__(self):
-        self._ticks = itertools.count(1)
-        self.value = 0
+        self.value = next(_TICKS)
 
     def bump(self) -> None:
-        self.value = next(self._ticks)
+        self.value = next(_TICKS)
 
 
 class Tree(NamedTuple):

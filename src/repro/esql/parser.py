@@ -13,12 +13,26 @@ from repro.esql.lexer import tokenize_sql
 from repro.lexing import MAX_NESTING_DEPTH, Cursor
 
 __all__ = ["parse_script", "parse_script_with_sources", "parse_statement",
-           "parse_query", "parse_expression", "MAX_NESTING_DEPTH"]
+           "parse_query", "parse_expression", "MAX_NESTING_DEPTH",
+           "MAX_FOLDED_DEPTH"]
 
 _COLLECTION_KINDS = ("SET", "BAG", "LIST", "ARRAY")
 
+# How tall an arithmetic chain may fold (``A + 1 + ... + 1`` is as tall
+# as it is long, though it does not nest), counted with the levels
+# around it.  Every pass after the parser recurses once a level, so the
+# bound sits well inside the interpreter's recursion limit, above the
+# longest chain the passes have always answered.
+MAX_FOLDED_DEPTH = 500
+
+# an operator over two of these is one level tall, whatever the bound
+_LEAVES = frozenset({ast.ColumnRef, ast.NumberLit, ast.StringLit,
+                     ast.BoolLit})
+
 
 class _Parser(Cursor):
+    heights = None  # id(folded BinOp) -> its height, from the first fold
+
     def expect_ident(self) -> str:
         tok = self.peek()
         # collection keywords may double as identifiers in type context
@@ -396,7 +410,10 @@ class _Parser(Cursor):
             tok = self.peek()
             if tok.kind == "OP" and tok.text in ("+", "-"):
                 self.advance()
-                left = ast.BinOp(tok.text, left, self._multiplicative())
+                right = self._multiplicative()
+                left = (ast.BinOp(tok.text, left, right)
+                        if type(left) in _LEAVES and type(right) in _LEAVES
+                        else self._fold(tok.text, left, right))
             else:
                 return left
 
@@ -404,14 +421,39 @@ class _Parser(Cursor):
         left = self._atom()
         while True:
             tok = self.peek()
-            if tok.kind == "STAR":
+            if tok.kind == "STAR" or tok.kind == "OP" and tok.text == "/":
                 self.advance()
-                left = ast.BinOp("*", left, self._atom())
-            elif tok.kind == "OP" and tok.text == "/":
-                self.advance()
-                left = ast.BinOp("/", left, self._atom())
+                op, right = tok.text, self._atom()
+                left = (ast.BinOp(op, left, right)
+                        if type(left) in _LEAVES and type(right) in _LEAVES
+                        else self._fold(op, left, right))
             else:
                 return left
+
+    def _fold(self, op: str, left: ast.Expr, right: ast.Expr) -> ast.BinOp:
+        """``left op right``, one more link of a left-associative chain;
+        past ``MAX_FOLDED_DEPTH`` with the levels around it, fail typed."""
+        height = 1 + max(self._height(left), self._height(right))
+        if height + self.depth > MAX_FOLDED_DEPTH:
+            raise self.too_deep(MAX_FOLDED_DEPTH)
+        node = ast.BinOp(op, left, right)
+        if self.heights is None:
+            self.heights = {}
+        self.heights[id(node)] = height
+        return node
+
+    def _height(self, expr: ast.Expr) -> int:
+        """How tall ``expr`` is: remembered for a fold, else counted
+        (what is not a fold nests, and nesting is bounded)."""
+        known = self.heights and self.heights.get(id(expr))
+        if known:
+            return known
+        height = 0
+        for value in vars(expr).values():
+            for child in value if isinstance(value, tuple) else (value,):
+                if isinstance(child, ast.Expr):
+                    height = max(height, 1 + self._height(child))
+        return height
 
     def _atom(self) -> ast.Expr:
         tok = self.peek()

@@ -1,9 +1,23 @@
-"""Output-schema computation for LERA terms.
+"""Schemas and types of LERA terms, derived once per node.
 
 A :class:`Schema` is an ordered list of named, typed attributes.  The
 schema of a LERA term is needed by the type checker (to resolve
 attribute-as-function calls), by the evaluator (NEST grouping, display)
 and by the rewrite methods (``SCHEMA`` in Figure 8).
+
+This module is the one derivation of a relation's schema
+(:func:`schema_of`), an expression's type (:func:`infer_type`) and, in
+the walk that types it, an expression's normal form
+(:func:`normal_form`, for :mod:`repro.lera.typecheck`).  Terms are
+interned, so each result is kept on its node, in ``Fun._derived``, as
+``(stamp, scope, derived, normal)``: the value of the catalog's plan
+version (DDL and the function registry bump it; no two version objects
+ever share a value); the scope by value -- a relation's fixpoint
+environment as (name, schema) pairs or an expression's input schemas
+(a node is one or the other, never both); the schema or type; and
+whether type checking gives the node back as it is.  A node keeps its
+last entry only and an entry holds no term; what raises is not kept,
+and a catalog without a ``plan_version`` derives afresh.
 
 The catalog is consumed through duck typing: anything exposing
 ``relation_schema(name) -> Schema``, ``type_system`` and ``registry``
@@ -15,14 +29,17 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional
 
 from repro.adt.types import (ANY, BOOLEAN, CHAR, CollectionType, DataType,
-                             EnumerationType, INT, ObjectType, REAL,
-                             TupleType)
-from repro.errors import SchemaError
+                             INT, ObjectType, REAL, TupleType)
+from repro.errors import SchemaError, TypeCheckError
 from repro.lera import ops
-from repro.terms.term import AttrRef, Const, Fun, Term, is_fun, mentions
+from repro.terms.term import (AttrRef, Const, Fun, Term, is_fun, mentions,
+                              mk_fun, string)
 
 __all__ = ["Schema", "schema_of", "operator_schema", "infer_type",
            "item_output_name"]
+
+_CONST_TYPES = {"int": INT, "real": REAL, "string": CHAR, "bool": BOOLEAN,
+                "symbol": CHAR}
 
 
 class Schema:
@@ -108,61 +125,75 @@ def item_output_name(item: Term, index: int,
     return f"Col{index}"
 
 
-def infer_type(expr: Term, input_schemas: list[Schema],
-               catalog) -> DataType:
+def stamp_of(catalog) -> Optional[int]:
+    """The catalog's part of a memo key: its plan version's value, which
+    no other version object ever takes, or None (nothing is kept)."""
+    version = getattr(catalog, "plan_version", None)
+    return None if version is None else version.value
+
+
+def infer_type(expr: Term, input_schemas, catalog) -> DataType:
     """Infer the type of a scalar/projection expression.
 
     ``catalog`` provides ``type_system`` and ``registry``.  Unknown
     functions type as ANY; hard failures (attribute out of range) raise
     SchemaError.
     """
-    ts = catalog.type_system
-    registry = catalog.registry
+    version = getattr(catalog, "plan_version", None)  # stamp_of, inline
+    return _type(expr, tuple(input_schemas), catalog,
+                 None if version is None else version.value)
 
+
+def _type(expr: Term, scope: tuple, catalog, stamp) -> DataType:
+    if isinstance(expr, Fun):
+        entry = expr._derived
+        if entry is not None and entry[0] == stamp and entry[1] == scope:
+            return entry[2]
+        if expr.name == "AS":
+            found = _type(expr.args[0], scope, catalog, stamp)
+        else:
+            arg_types = []
+            for a in expr.args:
+                arg_types.append(_type(a, scope, catalog, stamp))
+            found = _fun_type(expr, arg_types, catalog)
+        if stamp is not None:
+            expr._derived = (stamp, scope, found, False)
+        return found
     if isinstance(expr, AttrRef):
-        if expr.rel - 1 >= len(input_schemas):
+        if expr.rel - 1 >= len(scope):
             raise SchemaError(
                 f"attribute reference #{expr.rel}.{expr.pos} exceeds the "
-                f"{len(input_schemas)} input relation(s)"
+                f"{len(scope)} input relation(s)"
             )
-        return input_schemas[expr.rel - 1].attr_type(expr.pos)
-
+        return scope[expr.rel - 1].attr_type(expr.pos)
     if isinstance(expr, Const):
-        return {
-            "int": INT, "real": REAL, "string": CHAR,
-            "bool": BOOLEAN, "symbol": CHAR,
-        }[expr.kind]
-
-    if isinstance(expr, Fun):
-        if expr.name == "AS":
-            return infer_type(expr.args[0], input_schemas, catalog)
-
-        arg_types = [infer_type(a, input_schemas, catalog)
-                     for a in expr.args]
-
-        # PROJECT(value, 'Field') -- resolve the field type precisely.
-        if expr.name == "PROJECT" and len(expr.args) == 2 and \
-                isinstance(expr.args[1], Const):
-            return _project_type(arg_types[0], str(expr.args[1].value))
-
-        # attribute-as-function on a tuple/object (possibly broadcast)
-        field_type = _field_access_type(expr.name, arg_types)
-        if field_type is not None:
-            return field_type
-
-        fdef = registry.lookup_or_none(expr.name, len(expr.args))
-        if fdef is not None and fdef.type_rule is not None:
-            result = fdef.type_rule(arg_types, ts)
-            # broadcasting comparisons: collection operand -> collection
-            if result == BOOLEAN and expr.name in (
-                    "=", "<>", "<", ">", "<=", ">="):
-                for t in arg_types:
-                    if isinstance(t, CollectionType):
-                        return CollectionType(t.kind, BOOLEAN)
-            return result
-        return ANY
-
+        return _CONST_TYPES[expr.kind]
     raise SchemaError(f"cannot type {expr!r}")
+
+
+def _fun_type(expr: Fun, arg_types: list, catalog) -> DataType:
+    """The type of a call (not ``AS``) given its operands' types."""
+    name = expr.name
+    # PROJECT(value, 'Field') -- resolve the field type precisely.
+    if name == "PROJECT" and len(expr.args) == 2 and \
+            isinstance(expr.args[1], Const):
+        return _project_type(arg_types[0], str(expr.args[1].value))
+
+    # attribute-as-function on a tuple/object (possibly broadcast)
+    if len(arg_types) == 1 and \
+            _field_access(name, expr.args[0], arg_types[0]) is not None:
+        return _project_type(arg_types[0], name)
+
+    fdef = catalog.registry.lookup_or_none(name, len(expr.args))
+    if fdef is not None and fdef.type_rule is not None:
+        result = fdef.type_rule(arg_types, catalog.type_system)
+        # broadcasting comparisons: collection operand -> collection
+        if result == BOOLEAN and name in ("=", "<>", "<", ">", "<=", ">="):
+            for t in arg_types:
+                if isinstance(t, CollectionType):
+                    return CollectionType(t.kind, BOOLEAN)
+        return result
+    return ANY
 
 
 def _project_type(base: DataType, field: str) -> DataType:
@@ -176,48 +207,39 @@ def _project_type(base: DataType, field: str) -> DataType:
     return ANY
 
 
-def _field_access_type(name: str,
-                       arg_types: list[DataType]) -> Optional[DataType]:
-    """Type of ``Field(x)`` when Field names an attribute of x's type."""
-    if len(arg_types) != 1:
-        return None
-    base = arg_types[0]
-    if isinstance(base, TupleType) and base.has_field(name):
-        return base.field_type(name)
-    if isinstance(base, ObjectType) and base.value_type.has_field(name):
-        return base.value_type.field_type(name)
-    if isinstance(base, CollectionType):
-        inner = _field_access_type(name, [base.element])
-        if inner is not None:
-            return CollectionType(base.kind, inner)
-    return None
-
-
 def schema_of(term: Term, catalog,
               fix_env: Optional[dict] = None) -> Schema:
     """Compute the output schema of a LERA term.
 
     ``fix_env`` maps in-scope fixpoint relation names to their schemas.
     """
-    fix_env = fix_env or {}
+    version = getattr(catalog, "plan_version", None)  # stamp_of, inline
+    return _schema(term, catalog, tuple(fix_env.items()) if fix_env else (),
+                   None if version is None else version.value)
 
-    if ops.is_relation_name(term):
-        name = str(term.value)  # type: ignore[union-attr]
-        if name in fix_env:
-            return fix_env[name]
+
+def _schema(term: Term, catalog, scope: tuple, stamp) -> Schema:
+    if isinstance(term, Fun):
+        entry = term._derived
+        if entry is not None and entry[0] == stamp and entry[1] == scope:
+            return entry[2]
+        if term.name == "FIX":
+            found = _fix_schema(term, catalog, scope, stamp)
+        else:
+            operands = []
+            for r in ops.relation_inputs(term):
+                operands.append(_schema(r, catalog, scope, stamp))
+            found = operator_schema(term, operands, catalog)
+        if stamp is not None:
+            term._derived = (stamp, scope, found, False)
+        return found
+    if isinstance(term, Const) and term.kind == "symbol":  # a relation
+        name = str(term.value)
+        for bound, schema in scope:
+            if bound == name:
+                return schema
         return catalog.relation_schema(name)
-
-    if not isinstance(term, Fun):
-        raise SchemaError(f"not a LERA term: {term!r}")
-
-    if term.name == "FIX":
-        return _fix_schema(term, catalog, fix_env)
-
-    return operator_schema(
-        term,
-        [schema_of(r, catalog, fix_env) for r in ops.relation_inputs(term)],
-        catalog,
-    )
+    raise SchemaError(f"not a LERA term: {term!r}")
 
 
 def operator_schema(term: Fun, operand_schemas: list[Schema],
@@ -238,7 +260,7 @@ def operator_schema(term: Fun, operand_schemas: list[Schema],
         out = operand_schemas[0]
         for s in operand_schemas[1:]:
             out = out.concat(s)
-        return out
+        return _shared(out)
 
     if name in ("UNION", "INTERSECTION", "DIFFERENCE"):
         width = len(operand_schemas[0])
@@ -275,7 +297,20 @@ def operator_schema(term: Fun, operand_schemas: list[Schema],
     raise SchemaError(f"unknown LERA operator {name!r}")
 
 
+# Equal schemas are one object where nodes keep them (a workload's
+# plans yield a few dozen); bounded like the terms' symbol sets.
+_SCHEMAS: dict = {}
+_SCHEMAS_KEPT = 4096
+
+
+def _shared(schema: Schema) -> Schema:
+    if len(_SCHEMAS) >= _SCHEMAS_KEPT:
+        _SCHEMAS.clear()
+    return _SCHEMAS.setdefault(schema, schema)
+
+
 def _items_schema(items, input_schemas: list[Schema], catalog) -> Schema:
+    scope, stamp = tuple(input_schemas), stamp_of(catalog)
     attrs = []
     used: set[str] = set()
     for i, item in enumerate(items, start=1):
@@ -287,11 +322,11 @@ def _items_schema(items, input_schemas: list[Schema], catalog) -> Schema:
             name = f"{base}{k}"
         used.add(name.upper())
         expr = ops.item_expr(item)
-        attrs.append((name, infer_type(expr, input_schemas, catalog)))
-    return Schema(attrs)
+        attrs.append((name, _type(expr, scope, catalog, stamp)))
+    return _shared(Schema(attrs))
 
 
-def _fix_schema(term: Fun, catalog, fix_env: dict) -> Schema:
+def _fix_schema(term: Fun, catalog, scope: tuple, stamp) -> Schema:
     rel_const, body = term.args
     if not isinstance(rel_const, Const):
         raise SchemaError("FIX first operand must be a relation name")
@@ -310,10 +345,10 @@ def _fix_schema(term: Fun, catalog, fix_env: dict) -> Schema:
             f"FIX({rel_name}, ...) has no non-recursive branch to anchor "
             f"its schema"
         )
-    anchor = schema_of(candidates[0], catalog, fix_env)
-    inner_env = dict(fix_env)
-    inner_env[rel_name] = anchor
-    full = schema_of(body, catalog, inner_env)
+    anchor = _schema(candidates[0], catalog, scope, stamp)
+    inner = dict(scope)
+    inner[rel_name] = anchor
+    full = _schema(body, catalog, tuple(inner.items()), stamp)
     if len(full) != len(anchor):
         raise SchemaError(
             f"recursive branch of FIX({rel_name}, ...) changes the width"
@@ -362,3 +397,111 @@ def _unnest_schema(term: Fun, base: Schema) -> Schema:
     attrs = list(base.attrs)
     attrs[attr.pos - 1] = (base.attr_name(attr.pos), element)
     return Schema(attrs)
+
+
+# -- the normal form of an expression -----------------------------------------
+
+def normal_form(expr: Term, scope: tuple, catalog, stamp,
+                typed: bool = True) -> tuple[Term, object]:
+    """The normal form of ``expr`` and, when ``typed``, its type, in one
+    walk: ``scope`` is the tuple of input schemas, ``stamp`` the
+    catalog's :func:`stamp_of`.
+
+    A typing failure stands in the type's place instead of raising; it
+    raises at the operand of a one-argument call, whose type decides
+    the call's rewrite, and otherwise where the type checker holds the
+    whole expression, so an unknown function is reported first.
+    Untyped, only such operands are typed."""
+    if not isinstance(expr, Fun):
+        if not isinstance(expr, (Const, AttrRef)):
+            raise TypeCheckError(f"cannot type-check {expr!r}")
+        if not typed:
+            return expr, None
+        try:
+            return expr, _type(expr, scope, catalog, stamp)
+        except SchemaError as exc:
+            return expr, exc
+    entry = expr._derived
+    if entry is not None and entry[3] and entry[0] == stamp \
+            and entry[1] == scope:
+        return expr, entry[2]
+
+    name, args = expr.name, expr.args
+    if name == "AS" or name == "PROJECT" and len(args) == 2:
+        # the output or field name is left as it is
+        first, found = normal_form(args[0], scope, catalog, stamp, typed)
+        new_args, arg_types = [first, args[1]], [found]
+        if name == "PROJECT" and typed:
+            arg_types.append(_try_type(args[1], scope, catalog, stamp))
+    else:
+        new_args, arg_types = [], []
+        for a in args:
+            normal, found = normal_form(a, scope, catalog, stamp, typed)
+            new_args.append(normal)
+            arg_types.append(found)
+        if len(args) == 1:
+            if not typed:
+                found = _type(normal, scope, catalog, stamp)
+            elif isinstance(found, Exception):
+                raise found
+            rewritten = _field_access(name, normal, found)
+            if rewritten is not None:
+                return rewritten, typed and _try_type(rewritten, scope,
+                                                      catalog, stamp)
+        if not catalog.registry.knows(name):
+            raise TypeCheckError(
+                f"unknown function {name!r}: it is neither a registered "
+                f"ADT function nor an attribute of its operand's type"
+            )
+    node = mk_fun(name, new_args)
+    if not typed:
+        return node, None
+    if node is expr and entry is not None and entry[0] == stamp \
+            and entry[1] == scope:  # typed before, not yet checked
+        found = entry[2]
+    elif name == "AS":
+        found = arg_types[0]
+    else:
+        if node.args != tuple(new_args):  # re-sorted or merged operands
+            arg_types = [_try_type(a, scope, catalog, stamp)
+                         for a in node.args]
+        found = next((t for t in arg_types if isinstance(t, Exception)),
+                     None)
+        if found is None:
+            try:
+                found = _fun_type(node, arg_types, catalog)
+            except Exception as exc:  # raised where the whole is checked
+                found = exc
+    if stamp is not None and not isinstance(found, Exception):
+        node._derived = (stamp, scope, found, node is expr)
+    return node, found
+
+
+def _try_type(expr: Term, scope: tuple, catalog, stamp) -> object:
+    """The type of ``expr``, or the exception typing it raised."""
+    try:
+        return _type(expr, scope, catalog, stamp)
+    except Exception as exc:
+        return exc
+
+
+def _field_access(name: str, arg: Term,
+                  arg_type: DataType) -> Optional[Term]:
+    """Build PROJECT(VALUE(arg), 'Field') when ``name`` is a field."""
+    if isinstance(arg_type, TupleType) and arg_type.has_field(name):
+        return mk_fun("PROJECT", [arg, string(_declared(arg_type, name))])
+    if isinstance(arg_type, ObjectType) and \
+            arg_type.value_type.has_field(name):
+        field = _declared(arg_type.value_type, name)
+        return mk_fun("PROJECT", [mk_fun("VALUE", [arg]), string(field)])
+    if isinstance(arg_type, CollectionType):
+        # broadcast: the same rewrite applies element-wise at runtime
+        return _field_access(name, arg, arg_type.element)
+    return None
+
+
+def _declared(tuple_type: TupleType, name: str) -> str:
+    for field, __ in tuple_type.fields:
+        if field.upper() == name.upper():
+            return field
+    return name

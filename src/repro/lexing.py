@@ -171,9 +171,13 @@ class Cursor:
         """Enter one level of nesting; past the bound, fail typed."""
         self.depth += 1
         if self.depth > MAX_NESTING_DEPTH:
-            tok = self.tokens[self.pos]
-            raise NestingTooDeep(
-                f"{self.unit} nests deeper than {MAX_NESTING_DEPTH} levels "
-                f"at line {tok.line}, column {tok.column}",
-                "expression", MAX_NESTING_DEPTH, tok.line, tok.column,
-            )
+            raise self.too_deep(MAX_NESTING_DEPTH)
+
+    def too_deep(self, limit: int) -> NestingTooDeep:
+        """The typed error for input nesting past ``limit`` here."""
+        tok = self.tokens[self.pos]
+        return NestingTooDeep(
+            f"{self.unit} nests deeper than {limit} levels "
+            f"at line {tok.line}, column {tok.column}",
+            "expression", limit, tok.line, tok.column,
+        )

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.adt.types import (BOOLEAN, CHAR, INT, REAL, CollectionType,
-                             DataType)
+from repro.adt.types import CollectionType, DataType
 from repro.errors import ConstraintError, ReproError
 from repro.lera.analysis import attrefs_of
 from repro.lera.schema import infer_type, schema_of
@@ -42,9 +41,8 @@ _COLLECTION_KIND_NAMES = {"COLLECTION", "SET", "BAG", "LIST", "ARRAY"}
 
 def _type_of_term(term: Term, ctx) -> Optional[DataType]:
     """Best-effort type of a matched term, using the context schemas."""
-    if isinstance(term, Const):
-        return {"int": INT, "real": REAL, "string": CHAR,
-                "bool": BOOLEAN, "symbol": CHAR}[term.kind]
+    if isinstance(term, Const):  # typed without schemas or catalog
+        return infer_type(term, (), None)
     if ctx is None or ctx.catalog is None or ctx.schemas is None:
         return None
     try:

@@ -47,7 +47,7 @@ from typing import Iterable, Optional, Sequence
 
 from repro.errors import ReproError, RewriteError
 from repro.lera import ops
-from repro.lera.schema import Schema, schema_of
+from repro.lera.schema import schema_of
 from repro.lifecycle.context import current_context
 from repro.obs.events import (BlockEnd, BlockStart, PassEnd, RuleAttempt,
                               RuleFired)
@@ -242,7 +242,6 @@ class RewriteEngine:
         # scan state of this rewrite; none of it goes stale, because
         # terms are immutable and schema_of is pure within a rewrite
         self._base, self._bus = ctx, bus
-        self._schema_cache: dict = {}  # (term, top context) -> schema
         self._tops: dict = {}          # see _top_context
         self._inners: dict = {}        # see _inner_context
         self._clean: dict = {}         # block -> {(subterm, context)}
@@ -502,7 +501,7 @@ class RewriteEngine:
         scan(root, (), self._root_top, self._root_top)
         return found
 
-    # -- contexts and schemas of one rewrite ----------------------------------
+    # -- contexts of one rewrite ----------------------------------------------
     def _top_context(self, fix_env: dict) -> RuleContext:
         """The context relations are scanned under in one fixpoint
         environment, interned by the environment's value: a FIX rebuilt
@@ -521,15 +520,17 @@ class RewriteEngine:
         inner = self._inners.get(key)
         if inner is None:
             inner = self._inners[key] = self._context(top.fix_env)
-            cache = self._schema_cache
-            inner.defer_schemas(lambda: _input_schemas(cache, rels, top))
+            inner.defer_schemas(lambda: _schemas(rels, top))
         return inner
 
     def _fix_context(self, fix: Fun, top: RuleContext) -> RuleContext:
         """The top context of a FIX body: the fixpoint's own schema
         joins the environment under the relation's name."""
-        schema = _schema(self._schema_cache, fix, top)
-        if schema is None:
+        if top.catalog is None:
+            return top
+        try:
+            schema = schema_of(fix, top.catalog, top.fix_env)
+        except ReproError:
             return top
         fix_env = dict(top.fix_env)
         fix_env[str(fix.args[0].value)] = schema  # type: ignore
@@ -546,32 +547,12 @@ class RewriteEngine:
         )
 
 
-def _schema(cache: dict, term: Term, top: RuleContext) -> Optional[Schema]:
-    """``schema_of(term)`` in ``top``'s environment (None when it has
-    none), through the rewrite's cache."""
-    key = (term, top)
-    try:
-        return cache[key]
-    except KeyError:
-        pass
-    schema = None
-    if top.catalog is not None:
-        try:
-            schema = schema_of(term, top.catalog, top.fix_env)
-        except ReproError:
-            pass
-    cache[key] = schema
-    return schema
-
-
-def _input_schemas(cache: dict, rels: tuple,
-                   top: RuleContext) -> Optional[list[Schema]]:
+def _schemas(terms: tuple, top: RuleContext) -> Optional[list]:
+    """The schemas of ``terms`` in ``top``'s environment (None when one
+    has none)."""
     if top.catalog is None:
         return None
-    schemas = []
-    for r in rels:
-        schema = _schema(cache, r, top)
-        if schema is None:
-            return None
-        schemas.append(schema)
-    return schemas
+    try:
+        return [schema_of(t, top.catalog, top.fix_env) for t in terms]
+    except ReproError:
+        return None

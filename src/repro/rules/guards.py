@@ -155,7 +155,9 @@ def eval_ground(term: Term, ctx):
     if isinstance(term, Fun):
         env = ctx.catalog if ctx is not None and ctx.catalog is not None \
             else _bare_catalog()
-        args = [eval_ground(a, ctx) for a in term.args]
+        args = []  # a loop, not a comprehension: one frame a level
+        for a in term.args:
+            args.append(eval_ground(a, ctx))
         fdef = env.registry.lookup(term.name, len(args))
         if not fdef.pure:
             raise ConstraintError(

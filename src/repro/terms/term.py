@@ -221,8 +221,9 @@ class Fun(Term):
     ``Fun(name, args)`` itself does not normalise (the matcher builds
     intermediate nodes with it), and returns the table's node."""
 
+    # _derived: the node's last schema or type (repro.lera.schema)
     __slots__ = ("name", "args", "_symbols", "_mentions", "_ground",
-                 "__weakref__")
+                 "_derived", "__weakref__")
 
     def __new__(cls, name: str, args: tuple):
         key = hash(("fun", name, args))
@@ -243,6 +244,7 @@ class Fun(Term):
             node = object.__new__(cls)
             node.name, node.args, node._hash = name, args, key
             node._symbols = node._mentions = node._ground = None
+            node._derived = None
             ref = weakref.ref(node)
             if chain:
                 chain = [live for live in chain if live() is not None]
@@ -593,5 +595,10 @@ def is_ground(term: Term) -> bool:
         return not isinstance(term, (Var, CollVar))
     ground = term._ground
     if ground is None:
-        ground = term._ground = all(map(is_ground, term.args))
+        ground = True
+        for a in term.args:  # a loop, not all(map(...)): one frame a level
+            if not is_ground(a):
+                ground = False
+                break
+        term._ground = ground
     return ground

@@ -384,6 +384,26 @@ class TestInvalidation:
         db.catalog.registry.define("TWICE", lambda args, ctx: 2 * args[0], 1)
         assert db.plans.version.value != version
 
+    def test_a_registration_after_a_checked_statement_bumps_the_version(
+            self):
+        """A checked statement samples the catalog into a clone that
+        shares the registry; the clone must not take the registry's
+        hook, or later registrations stop bumping this database."""
+        from dataclasses import replace
+        db = Database()
+        db.execute("TABLE T (A : INT); INSERT INTO T VALUES (1), (2)")
+        registry = db.catalog.registry
+        registry.define("F", lambda args, ctx: args[0], 1)
+        text = "SELECT F(A) FROM T"
+        assert answer(db, text) == [(1,), (2,)]
+        db.query("SELECT A FROM T WHERE A > 1", checked=True)
+        version = db.plans.version.value
+        fdef = registry.lookup("F", 1)
+        registry.register(replace(fdef, impl=lambda args, ctx: 10 * args[0]),
+                          replace=True)
+        assert db.plans.version.value != version
+        assert answer(db, text) == [(10,), (20,)]
+
     @pytest.mark.parametrize("setting", ["hash_joins", "semi_naive"])
     def test_an_engine_setting_bumps_the_version(self, setting):
         db = sale_db()

@@ -1,32 +1,61 @@
 """ROADMAP 0b: deep input fails typed, flat input runs.
 
 Nesting is bounded where it enters -- the token cursor every parser
-extends (``MAX_NESTING_DEPTH``, for ESQL and the rule language alike)
-and view definition (``MAX_VIEW_DEPTH``) -- so neither a 1 kB
-statement, a deeply nested rule nor a tower of views can surface as
-the interpreter's ``RecursionError``; every surface (library call,
-extension install, served session, pool worker) hands back the same
-typed ``NestingTooDeep``.
+extends (``MAX_NESTING_DEPTH``, for ESQL and the rule language alike),
+the folding of ESQL's arithmetic chains (``MAX_FOLDED_DEPTH``) and view
+definition (``MAX_VIEW_DEPTH``) -- so neither a 1 kB statement, a long
+``A + 1 + ... + 1``, a deeply nested rule nor a tower of views can
+surface as the interpreter's ``RecursionError``; every surface (library
+call, extension install, served session, pool worker) hands back the
+same typed ``NestingTooDeep``.
 """
 
 import pytest
 
 from repro import Database, Extension, rule_from_text
 from repro.errors import NestingTooDeep, ReproError, error_payload
-from repro.esql.parser import MAX_NESTING_DEPTH, parse_statement
+from repro.esql.parser import (MAX_FOLDED_DEPTH, MAX_NESTING_DEPTH,
+                               parse_statement)
 from repro.esql.translate import MAX_VIEW_DEPTH
 from repro.terms.parser import parse_term
+from repro.engine.options import StatementOptions
 from repro.pool import PoolConfig
 from repro.server import Server
 
 DEEP_PARENS = ("SELECT A FROM T WHERE " + "(" * 200 + "A = 1" + ")" * 200)
 ADMITTED_VIEWS = 150
+# the longest chain admitted: the expression holding it is level one
+LONGEST_CHAIN = MAX_FOLDED_DEPTH - 1
 
 
 def small_db() -> Database:
     db = Database()
     db.execute("TABLE T (A : NUMERIC); INSERT INTO T VALUES (1), (2)")
     return db
+
+
+def chained(links: int) -> tuple[str, str, str]:
+    """A chain of ``links`` additions to A in a WHERE, in a projection
+    and in an UPDATE's SET."""
+    chain = "A" + " + 1" * links
+    return (f"SELECT A FROM T WHERE {chain} > 3", f"SELECT {chain} FROM T",
+            f"UPDATE T SET A = {chain} WHERE {chain} > 0")
+
+
+def chain_answers(query, execute) -> None:
+    """The longest admitted chain answers in every position; one link
+    more is refused, typed, in every position."""
+    where, projection, update = chained(LONGEST_CHAIN)
+    assert sorted(query(where).rows) == [(1,), (2,)]
+    assert sorted(query(projection).rows) == [(500,), (501,)]
+    execute(update)
+    assert sorted(query("SELECT A FROM T").rows) == [(500,), (501,)]
+    for statement in chained(LONGEST_CHAIN + 1):
+        with pytest.raises(NestingTooDeep) as caught:
+            execute(statement)
+        assert caught.value.limit == MAX_FOLDED_DEPTH
+        assert caught.value.resource == "expression"
+        assert str(MAX_FOLDED_DEPTH) in str(caught.value)
 
 
 def stack_views(execute, count: int) -> str:
@@ -97,10 +126,31 @@ class TestParserBound:
         with pytest.raises(NestingTooDeep):
             parse_term("(" * (fits + 1) + "x" + ")" * (fits + 1))
 
+    @pytest.mark.parametrize("rewrite", [True, False])
+    def test_the_longest_chain_answers_and_a_longer_is_refused(self,
+                                                               rewrite):
+        db = small_db()
+        chain_answers(lambda sql: db.query(sql, rewrite=rewrite),
+                      lambda sql: db.execute(
+                          sql, options=StatementOptions(rewrite=rewrite)))
+
+    @pytest.mark.parametrize("source", [
+        "A" + " * 1" * 300 + " + 1" * 300,
+        "(A" + " + 1" * 300 + ")" + " + 1" * 300,
+        "1 + F(A" + " + 1" * 300 + ")" + " + 1" * 300,
+        "1 + (A" + " + 1" * 450 + ")" + " + 1" * 100,
+    ], ids=["products", "parens", "call", "right-operand"])
+    def test_a_chain_counts_the_chains_it_holds(self, source):
+        with pytest.raises(NestingTooDeep) as caught:
+            parse_statement(f"SELECT A FROM T WHERE {source} > 0")
+        assert caught.value.limit == MAX_FOLDED_DEPTH
+
     def test_flat_input_is_not_nesting(self):
         db = small_db()
         chain = " AND ".join(f"A <> {k}" for k in range(2, 3002))
         assert db.query(f"SELECT A FROM T WHERE {chain}").rows == [(1,)]
+        sums = " AND ".join(f"A + {k} <> {k + 2}" for k in range(3000))
+        assert db.query(f"SELECT A FROM T WHERE {sums}").rows == [(1,)]
         many = ", ".join(str(k) for k in range(3000))
         assert len(db.query(f"SELECT A FROM T WHERE A IN ({many})").rows) == 2
 
@@ -156,6 +206,18 @@ class TestServedSurfaces:
         finally:
             server.close()
 
+    @pytest.mark.parametrize("rewrite", [True, False])
+    def test_chains_in_a_session(self, rewrite):
+        server = Server(small_db())
+        try:
+            session = server.open_session("chains")
+            session.settings.rewrite = rewrite
+            chain_answers(
+                lambda sql: server.query(sql, session=session.id),
+                lambda sql: server.execute(sql, session=session.id))
+        finally:
+            server.close()
+
     def test_pool_worker(self):
         db = small_db()
         top = stack_views(db.execute, ADMITTED_VIEWS)
@@ -179,6 +241,16 @@ class TestServedSurfaces:
                 server.query(DEEP_PARENS)
             assert server.query(f"SELECT A FROM {top}").rows \
                 == [(1,), (2,)]
+            assert pool.summary()["crashes"] == 0
+            # a chain: the longest answers on the worker, one link more
+            # is refused there
+            where, projection, __ = chained(LONGEST_CHAIN)
+            assert sorted(pool.submit(where).rows) == [(1,), (2,)]
+            assert sorted(pool.submit(projection).rows) == [(500,), (501,)]
+            for statement in chained(LONGEST_CHAIN + 1)[:2]:
+                with pytest.raises(NestingTooDeep) as caught:
+                    pool.submit(statement)
+                assert caught.value.limit == MAX_FOLDED_DEPTH
             assert pool.summary()["crashes"] == 0
         finally:
             server.close()
