@@ -14,7 +14,8 @@ interned, so each result is kept on its node, in ``Fun._derived``, as
 version (DDL and the function registry bump it; no two version objects
 ever share a value); the scope by value -- a relation's fixpoint
 environment as (name, schema) pairs or an expression's input schemas
-(a node is one or the other, never both); the schema or type; and
+(a node is one or the other, never both), schemas compared with
+their types' structure; the schema or type; and
 whether type checking gives the node back as it is.  A node keeps its
 last entry only and an entry holds no term; what raises is not kept,
 and a catalog without a ``plan_version`` derives afresh.
@@ -29,7 +30,8 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional
 
 from repro.adt.types import (ANY, BOOLEAN, CHAR, CollectionType, DataType,
-                             INT, ObjectType, REAL, TupleType)
+                             EnumerationType, INT, ObjectType, REAL,
+                             TupleType)
 from repro.errors import SchemaError, TypeCheckError
 from repro.lera import ops
 from repro.terms.term import (AttrRef, Const, Fun, Term, is_fun, mentions,
@@ -45,13 +47,16 @@ _CONST_TYPES = {"int": INT, "real": REAL, "string": CHAR, "bool": BOOLEAN,
 class Schema:
     """An ordered sequence of (attribute name, type) pairs; 1-based access."""
 
-    __slots__ = ("_attrs", "_index")
+    __slots__ = ("_attrs", "_index", "_shape")
 
     def __init__(self, attrs: Iterable[tuple[str, DataType]]):
         self._attrs = tuple(attrs)
         self._index = {}
-        for i, (name, __) in enumerate(self._attrs, start=1):
+        self._shape = self._attrs  # see shape()
+        for i, (name, dtype) in enumerate(self._attrs, start=1):
             self._index.setdefault(name.upper(), i)
+            if isinstance(dtype, _COMPOUND):
+                self._shape = None
 
     def __len__(self) -> int:
         return len(self._attrs)
@@ -60,10 +65,19 @@ class Schema:
         return iter(self._attrs)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Schema) and self._attrs == other._attrs
+        return self is other or isinstance(other, Schema) and \
+            (self._shape or self.shape()) == (other._shape or other.shape())
 
     def __hash__(self) -> int:
         return hash(self._attrs)
+
+    def shape(self) -> tuple:
+        """The attributes with every type's structure (see _shape), so
+        equal schemas are interchangeable in every derivation; a schema
+        of atomic types is its own shape."""
+        if self._shape is None:
+            self._shape = tuple((n, _shape(t)) for n, t in self._attrs)
+        return self._shape
 
     @property
     def attrs(self) -> tuple[tuple[str, DataType], ...]:
@@ -109,6 +123,24 @@ class Schema:
         return f"Schema({inner})"
 
 
+_COMPOUND = (TupleType, CollectionType, ObjectType, EnumerationType)
+
+
+def _shape(t: DataType):
+    """A type with all it is made of: types compare by class and name
+    alone, and every anonymous tuple type is named ``$anon``."""
+    if isinstance(t, TupleType):
+        return t, tuple((f, _shape(ft)) for f, ft in t.fields)
+    if isinstance(t, CollectionType):
+        return t, _shape(t.element)
+    if isinstance(t, ObjectType):
+        return (t, _shape(t.value_type), t.methods,
+                t.supertype and _shape(t.supertype))
+    if isinstance(t, EnumerationType):
+        return t, t.literals
+    return t
+
+
 def item_output_name(item: Term, index: int,
                      input_schemas: list[Schema]) -> str:
     """Synthesise an output attribute name for a projection item."""
@@ -139,9 +171,7 @@ def infer_type(expr: Term, input_schemas, catalog) -> DataType:
     functions type as ANY; hard failures (attribute out of range) raise
     SchemaError.
     """
-    version = getattr(catalog, "plan_version", None)  # stamp_of, inline
-    return _type(expr, tuple(input_schemas), catalog,
-                 None if version is None else version.value)
+    return _type(expr, tuple(input_schemas), catalog, stamp_of(catalog))
 
 
 def _type(expr: Term, scope: tuple, catalog, stamp) -> DataType:
@@ -213,9 +243,8 @@ def schema_of(term: Term, catalog,
 
     ``fix_env`` maps in-scope fixpoint relation names to their schemas.
     """
-    version = getattr(catalog, "plan_version", None)  # stamp_of, inline
     return _schema(term, catalog, tuple(fix_env.items()) if fix_env else (),
-                   None if version is None else version.value)
+                   stamp_of(catalog))
 
 
 def _schema(term: Term, catalog, scope: tuple, stamp) -> Schema:

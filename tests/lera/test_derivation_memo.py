@@ -2,11 +2,11 @@
 
 ``schema_of``, ``infer_type`` and ``typecheck`` (``repro.lera.schema``)
 keep their last result on the interned node, keyed by the catalog's
-plan version (object and value) and the scope by value.  These tests
-pin the two halves of that contract: a repeated derivation under the
-same key derives nothing again, and every change a derivation reads --
-DDL, a view, a function's type rule, another catalog, another scope --
-is seen.
+plan version (object and value) and the scope by value, a schema's
+tuple types compared with their fields.  These tests pin the two halves
+of that contract: a repeated derivation under the same key derives
+nothing again, and every change a derivation reads -- DDL, a view, a
+function's type rule, another catalog, another scope -- is seen.
 """
 
 import importlib
@@ -132,6 +132,56 @@ class TestScopes:
         second.execute("INSERT INTO T VALUES ('d')")
         assert first.query("SELECT A FROM T").rows == [(4,)]
         assert second.query("SELECT A FROM T").rows == [("d",)]
+
+
+class TestSameNamedTypes:
+    """Types compare by name, and every anonymous tuple type is named
+    ``$anon``: two schemas whose types differ only in their fields are
+    still two scopes and two schemas."""
+
+    def test_tables_and_views_with_other_anonymous_tuples(self):
+        db = Database()
+        db.execute("TABLE T1 (ADDR : TUPLE (CITY : CHAR));"
+                   "INSERT INTO T1 VALUES (TUPLE('Paris'));"
+                   "TABLE T2 (ADDR : TUPLE (ZIP : INT));"
+                   "INSERT INTO T2 VALUES (TUPLE(75))")
+        assert db.catalog.relation_schema("T1") != \
+            db.catalog.relation_schema("T2")
+        db.execute("CREATE VIEW V1 AS SELECT ADDR FROM T1")
+        db.execute("CREATE VIEW V2 AS SELECT ADDR FROM T2")
+        for __ in range(2):
+            assert db.query("SELECT ZIP(ADDR) FROM V2").rows == [(75,)]
+            assert db.query("SELECT CITY(ADDR) FROM V1").rows == \
+                [("Paris",)]
+
+    def test_one_expression_over_two_collections_of_tuples(self):
+        db = Database()
+        db.execute("TABLE S1 (S : SET OF TUPLE (CITY : CHAR));"
+                   "INSERT INTO S1 VALUES (SET(TUPLE('Paris')));"
+                   "TABLE S2 (S : SET OF TUPLE (ZIP : INT));"
+                   "INSERT INTO S2 VALUES (SET(TUPLE(75)))")
+        for __ in range(2):
+            assert db.query("SELECT CITY(CHOICE(S)) FROM S1").rows == \
+                [("Paris",)]
+            assert db.query("SELECT ZIP(CHOICE(S)) FROM S2").rows == \
+                [(75,)]
+
+    @pytest.mark.parametrize("kind, first_row, second_row", [
+        ("TUPLE", "TUPLE(1)", "TUPLE('y')"),
+        ("OBJECT TUPLE", "NEW P(1)", "NEW P('y')"),
+    ])
+    def test_two_databases_with_one_type_name(self, kind, first_row,
+                                              second_row):
+        first, second = Database(), Database()
+        first.execute(f"TYPE P {kind} (X : INT); TABLE T (C : P);"
+                      f"INSERT INTO T VALUES ({first_row})")
+        second.execute(f"TYPE P {kind} (Y : CHAR); TABLE T (C : P);"
+                       f"INSERT INTO T VALUES ({second_row})")
+        second.execute("CREATE VIEW W AS SELECT C FROM T")
+        first.execute("CREATE VIEW W AS SELECT C FROM T")
+        for __ in range(2):
+            assert first.query("SELECT X(C) FROM W").rows == [(1,)]
+            assert second.query("SELECT Y(C) FROM W").rows == [("y",)]
 
 
 class TestThreads:
